@@ -36,15 +36,14 @@ Per lockstep iteration:
    frontier of ceil(remaining / rate)`` run segmented per shot
    (``minimum.reduceat`` over the row-major entries).  Every live shot
    completes at least one edge per iteration; shots whose clusters are
-   all even or boundary-tied are retired — support frozen, rows
-   compacted away — so the loop narrows to the *last* shots still
-   growing, and no pass in the loop touches a ``(rows, n_edges)``
-   array.
+   all even or boundary-tied are retired — rows compacted away — so
+   the loop narrows to the *last* shots still growing, and no pass in
+   the loop touches a ``(rows, n_edges)`` array.
 4. **Merges** — an edge between two active clusters appears in the
    entry list once per side, with both copies agreeing on rate and
    growth; at completion the copy seen from the smaller root is kept so
-   each genuine completion is processed exactly once and enters the
-   support.  Genuine edges union their endpoint clusters by iterated
+   each genuine completion is processed exactly once and is recorded
+   as a ``(shot, edge)`` support entry.  Genuine edges union their endpoint clusters by iterated
    min-root hooking on the small per-edge root arrays — hook the larger
    root id onto the smaller, re-chase lost writes, then recompress the
    live rows by pointer jumping.  Min-root hooking keeps every parent
@@ -62,17 +61,28 @@ through mmap and the page-fault churn costs more than the arithmetic.
 to the flat decoder's (both realize the unit-step growth trajectory —
 the internal-edge rating only subdivides the exact path's jumps, never
 changes any cluster's growth or merge round; ``traces`` mode runs the
-exact full-width loop and the regression tests pin it round by round),
-and peeling *is* the flat decoder's canonical ``_peel`` — sorted support
-edges, boundary-first roots — called per shot on its typically tiny
-support.  Corrections are therefore bit-identical to per-shot flat
-decoding, which keeps every pinned ledger, bench count, and resume
-contract unchanged.
+exact full-width loop and the regression tests pin it round by round).
+Peeling is one vectorized pass over the whole sub-batch: a small
+union-find over the support entries with XOR offsets assigns every
+support node a potential ``φ`` (the observable parity of a forest path
+to its component root).  The flat decoder's canonical ``_peel`` returns
+the observable mask of *one* correction inside the support whose
+boundary is the event set (plus the boundary node when the event count
+is odd); any two such corrections differ by a cycle of the support.  If
+every support edge satisfies ``φ(u) ^ φ(v) == obs(e)``, every cycle has
+zero observable parity and every such correction has the mask
+``XOR of φ over its boundary`` — so the prediction is tree-independent
+and equals ``_peel``'s.  A shot with an observable-odd support cycle (a
+boundary-to-boundary spanning cluster, a fraction of a percent of rows
+at threshold) falls back to ``_peel`` itself.  Corrections are therefore
+bit-identical to per-shot flat decoding, which keeps every pinned
+ledger, bench count, and resume contract unchanged.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
+from typing import NoReturn
 
 import numpy as np
 
@@ -183,6 +193,10 @@ class BatchedUnionFind:
         self._ixn = np.empty(shape_n, np.int32)
         self._hop = np.empty(shape_n, np.int32)
         self._beq = np.empty(shape_n, bool)
+        # Peel state, indexed by ``row * n1 + node`` and written only at
+        # the support nodes of the current sub-batch (never cleared).
+        self._pl_parent = np.empty(rows * n1, np.int32)
+        self._pl_phi = np.empty(rows * n1, np.int64)
         # Flat-index bases: buffer row r of a (rows, n1) array starts at
         # flat offset r*n1, so ``row_off + node`` gathers straight out of
         # the raveled buffer with no 2-D advanced indexing.
@@ -234,9 +248,9 @@ class BatchedUnionFind:
             raise ValueError(
                 f"expected (shots, {self.num_detectors}) syndromes, got {dets.shape}"
             )
-        reg = obs.active()
-        t0 = perf_counter() if reg is not None else 0.0
         predictions = np.zeros(dets.shape[0], dtype=np.int64)
+        grow_s = peel_s = 0.0
+        fallbacks = 0
         # Group shots of similar weight into the same lockstep sub-batch:
         # a sub-batch runs until its *slowest* shot completes, so sorting
         # retires the easy sub-batches in a handful of iterations instead
@@ -246,21 +260,35 @@ class BatchedUnionFind:
         for lo in range(0, dets.shape[0], self.lockstep):
             sel = order[lo : lo + self.lockstep]
             rows = dets[sel]
-            support = self.grow_batch(rows)
-            predictions[sel] = self._peel_batch(rows, support)
+            t0 = perf_counter()
+            shot, edge = self.grow_batch(rows, sparse=True)
+            t1 = perf_counter()
+            predictions[sel], fell_back = self._peel_batch(rows, shot, edge)
+            grow_s += t1 - t0
+            peel_s += perf_counter() - t1
+            fallbacks += fell_back
+        reg = obs.active()
         if reg is not None:
             reg.counter("repro_decode_kernel_calls_total").inc()
             reg.counter("repro_decode_kernel_rows_total").inc(dets.shape[0])
-            reg.histogram("repro_decode_kernel_seconds").observe(
-                perf_counter() - t0
-            )
+            reg.counter("repro_decode_kernel_peel_fallback_total").inc(fallbacks)
+            reg.histogram("repro_decode_kernel_grow_seconds").observe(grow_s)
+            reg.histogram("repro_decode_kernel_peel_seconds").observe(peel_s)
         return predictions
 
     # ------------------------------------------------------------------
     def grow_batch(
-        self, dets: np.ndarray, traces: list[list] | None = None
-    ) -> np.ndarray:
+        self,
+        dets: np.ndarray,
+        traces: list[list] | None = None,
+        *,
+        sparse: bool = False,
+    ):
         """Grow all shots of one sub-batch; returns a (shots, edges) support mask.
+
+        With ``sparse=True`` the support comes back as its ``(shot,
+        edge)`` entry arrays instead (the peel's input; order is
+        unspecified), which spares the dense mask.
 
         ``traces``, when given, must hold one list per shot; each live
         shot appends one ``(unit_round, {edge: growth})`` entry per
@@ -278,11 +306,17 @@ class BatchedUnionFind:
                 f"expected (shots, {self.num_detectors}) syndromes, got {dets.shape}"
             )
         if traces is not None:
-            return self._grow_exact(dets, traces)
-        return self._grow_fast(dets)
+            support = self._grow_exact(dets, traces)
+            return np.nonzero(support) if sparse else support
+        shot, edge = self._grow_fast(dets)
+        if sparse:
+            return shot, edge
+        support = np.zeros((dets.shape[0], len(self._len16)), dtype=bool)
+        support[shot, edge] = True
+        return support
 
     # ------------------------------------------------------------------
-    def _grow_fast(self, dets: np.ndarray) -> np.ndarray:
+    def _grow_fast(self, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sparse-frontier lockstep growth (the decode hot path).
 
         Per iteration the frontier is *discovered*, not scanned: the
@@ -295,18 +329,19 @@ class BatchedUnionFind:
         root)`` — an edge between two active clusters appears once per
         side, with both copies agreeing on rate and growth, so last-wins
         scatters are deterministic.  No pass in the loop touches a
-        ``(rows, n_edges)`` array.
+        ``(rows, n_edges)`` array: completions are recorded as they
+        happen, and the support is returned as ``(shot, edge)`` entries.
         """
-        batch, n = dets.shape
-        n1 = n + 1
+        n1 = dets.shape[1] + 1
         num_edges = len(self._len16)
-        support = np.zeros((batch, num_edges), dtype=bool)
+        done_shot: list[np.ndarray] = [np.empty(0, np.int64)]
+        done_edge: list[np.ndarray] = [np.empty(0, np.int32)]
 
         # Rows with no events are done before the first round.
         live_ids = np.flatnonzero(dets.any(axis=1))
         a = live_ids.size
         if a == 0:
-            return support
+            return done_shot[0], done_edge[0]
         self._ensure(a)
         self._init_state(dets, live_ids)
 
@@ -338,15 +373,13 @@ class BatchedUnionFind:
             np.multiply(act[:a], par[:a], out=act[:a])
             alive = act[:a].any(axis=1)
 
-            # Retire finished shots: freeze their support, compact the
-            # live rows to the front so every later pass narrows.
+            # Retire finished shots: compact the live rows to the front
+            # so every later pass narrows.
             if not alive.all():
-                done = ~alive
-                support[live_ids[done]] = complete[:a][done]
                 keep = np.flatnonzero(alive)
                 a = keep.size
                 if a == 0:
-                    return support
+                    return np.concatenate(done_shot), np.concatenate(done_edge)
                 for buf in (parent, par, bnd, act, growth, complete, surf):
                     buf[:a] = buf[: alive.size][keep]
                 unit_round[:a] = unit_round[: alive.size][keep]
@@ -433,6 +466,8 @@ class BatchedUnionFind:
             finished = g >= lens
             finished &= (rate == np.int8(1)) | (rsrc < roth)
             cflat[fi[finished]] = True
+            done_shot.append(live_ids.take(sh[finished]))
+            done_edge.append(ed[finished])
 
             # Merge across the newly completed edges — their pre-merge
             # endpoint roots are the entry's (rsrc, roth) pair, already
@@ -641,25 +676,110 @@ class BatchedUnionFind:
             np.bitwise_or.at(bndflat, new_roots, vals_bnd)
 
     # ------------------------------------------------------------------
-    def _peel_batch(self, dets: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """Canonical peel per shot — the flat decoder's own ``_peel``.
+    def _peel_batch(
+        self, dets: np.ndarray, shot: np.ndarray, edge: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Peel a whole sub-batch in one vectorized XOR-potential pass.
 
-        ``np.nonzero`` on the support mask yields each shot's completed
-        edges already in sorted-id order; the peel itself is delegated to
-        the flat decoder so predictions cannot diverge from it.
+        ``(shot, edge)`` lists the grown support.  Support nodes are
+        labelled ``shot * n1 + node`` and joined by min-root hooking plus
+        pointer jumping — the growth kernel's union pattern — with every
+        hook recording the XOR offset that makes its edge consistent, so
+        at convergence ``φ(x)`` is the observable parity of a forest path
+        from ``x`` to its component root.  The prediction is the XOR of
+        ``φ`` over the events, and over the boundary node when the event
+        count is odd.  It equals the flat decoder's ``_peel`` whenever
+        every support edge satisfies ``φ(u) ^ φ(v) == obs(e)`` (see the
+        module docstring); the rows that fail that check are peeled by
+        ``_peel`` itself.  Returns the predictions and the number of
+        those fallback rows.
+
+        A component with an odd number of events and no boundary node
+        raises the same error ``_peel`` raises.
         """
-        predictions = np.zeros(dets.shape[0], dtype=np.int64)
-        peel = self.decoder._peel
-        seg = np.arange(dets.shape[0] + 1)
-        shot_idx, edge_idx = np.nonzero(support)
-        bounds = np.searchsorted(shot_idx, seg)
+        rows = dets.shape[0]
+        predictions = np.zeros(rows, dtype=np.int64)
         ev_shot, ev_col = np.nonzero(dets)
-        ev_bounds = np.searchsorted(ev_shot, seg)
-        for b in range(dets.shape[0]):
-            if ev_bounds[b] == ev_bounds[b + 1]:
-                continue
+        if ev_shot.size == 0:
+            return predictions, 0
+        self._ensure(rows)
+        n1 = self.num_detectors + 1
+        parent, phi = self._pl_parent, self._pl_phi
+        w = self.decoder.edge_obs.take(edge)
+        base = shot * n1
+        ends = np.concatenate(
+            [base + self.edge_u.take(edge), base + self.edge_v.take(edge)]
+        )
+        ev_node = ev_shot * n1 + ev_col
+        b_node = np.arange(rows) * n1 + self.boundary
+        # Events and boundary slots outside the support keep the -1 mark.
+        parent[ev_node] = -1
+        parent[b_node] = -1
+        parent[ends] = ends
+        phi[ends] = 0
+
+        h = edge.size
+        while True:
+            # Invariant: every support node points at its root, and its
+            # ``φ`` is relative to that root.
+            roots = parent.take(ends)
+            cross = np.flatnonzero(roots[:h] != roots[h:])
+            if cross.size == 0:
+                break
+            cross_v = cross + h
+            ru = roots.take(cross)
+            rv = roots.take(cross_v)
+            val = phi.take(ends.take(cross)) ^ phi.take(ends.take(cross_v))
+            val ^= w.take(cross)
+            lo = np.minimum(ru, rv)
+            hi = np.maximum(ru, rv)
+            # Each hooked root takes its smallest neighbouring root, and
+            # the offset of one edge that achieved it.
+            np.minimum.at(parent, hi, lo)
+            won = parent.take(hi) == lo
+            phi[hi[won]] = val[won]
+            while True:  # pointer jumping, offsets accumulated on the way
+                up = parent.take(ends)
+                upup = parent.take(up)
+                if (up == upup).all():
+                    break
+                phi[ends] = phi.take(ends) ^ phi.take(up)
+                parent[ends] = upup
+
+        # Components with odd event parity must hold the boundary node.
+        ev_root = parent.take(ev_node)
+        if (ev_root < 0).any():
+            self._raise_unmatched(ev_shot, ev_col, ev_root < 0)
+        off_boundary = ev_root != parent.take(b_node).take(ev_shot)
+        if off_boundary.any():
+            stray = np.sort(ev_root[off_boundary])
+            run_start = np.flatnonzero(np.r_[True, stray[1:] != stray[:-1]])
+            run_len = np.diff(np.r_[run_start, stray.size])
+            odd_roots = stray.take(run_start[run_len % 2 == 1])
+            if odd_roots.size:
+                self._raise_unmatched(ev_shot, ev_col, np.isin(ev_root, odd_roots))
+
+        # XOR of φ over each shot's events (rows of ``ev_shot`` are
+        # sorted), then over the boundary node for odd shots.
+        first = np.flatnonzero(np.r_[True, ev_shot[1:] != ev_shot[:-1]])
+        hit = ev_shot.take(first)
+        predictions[hit] = np.bitwise_xor.reduceat(phi.take(ev_node), first)
+        odd = hit[np.diff(np.r_[first, ev_shot.size]) % 2 == 1]
+        predictions[odd] ^= phi.take(b_node.take(odd))
+
+        # Observable-odd support cycles: peel those rows exactly.
+        pe = phi.take(ends)
+        bad = np.unique(shot[(pe[:h] ^ pe[h:]) != w])
+        peel = self.decoder._peel
+        for b in bad.tolist():
             predictions[b] = peel(
-                ev_col[ev_bounds[b] : ev_bounds[b + 1]].tolist(),
-                edge_idx[bounds[b] : bounds[b + 1]].tolist(),
+                ev_col[ev_shot == b].tolist(), edge[shot == b].tolist()
             )
-        return predictions
+        return predictions, bad.size
+
+    @staticmethod
+    def _raise_unmatched(ev_shot, ev_col, mask) -> NoReturn:
+        """``_peel``'s invariant error for the first shot flagged in ``mask``."""
+        at = ev_shot[mask]
+        events = sorted(ev_col[mask][at == at[0]].tolist())
+        raise RuntimeError(f"peeling left unmatched events: {events}")

@@ -139,8 +139,9 @@ class UnionFindDecoder(SyndromeDecoder):
         # Peeling state, also generation-stamped: per-node support
         # adjacency, visited marks and event flags live in preallocated
         # lists so the peel allocates nothing but the tiny per-cluster
-        # DFS order (the batched kernel calls ``_peel`` once per shot, so
-        # its constant factor is on the decode hot path).
+        # DFS order.  The batched kernel peels whole sub-batches in one
+        # vectorized pass and calls ``_peel`` only for the rare shots
+        # whose support holds an observable-odd cycle.
         self._pl_adj: list[list[int]] = [[] for _ in range(n + 1)]
         self._pl_node_gen = [0] * (n + 1)
         self._pl_visit_gen = [0] * (n + 1)

@@ -10,6 +10,20 @@ from repro.dem.sensitivity import extract_fault_mechanisms
 __all__ = ["DetectorErrorModel", "FaultMechanism"]
 
 
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of ``mask``, lowest bit first.
+
+    Linear in the number of set bits (each step strips the lowest one),
+    where a scan over every possible index is linear in the mask width.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FaultMechanism:
     """One independent error mechanism.
@@ -45,15 +59,11 @@ class DetectorErrorModel:
         self.detector_coords = [det.coord for det in circuit.detectors]
         self.observable_basis = [obs.basis for obs in circuit.observables]
         self.faults: list[FaultMechanism] = []
+        det_bits = (1 << self.num_detectors) - 1
+        obs_bits = (1 << self.num_observables) - 1
         for mask, probability in extract_fault_mechanisms(circuit).items():
-            detectors = tuple(
-                i for i in range(self.num_detectors) if mask >> i & 1
-            )
-            observables = tuple(
-                j
-                for j in range(self.num_observables)
-                if mask >> (self.num_detectors + j) & 1
-            )
+            detectors = _set_bits(mask & det_bits)
+            observables = _set_bits(mask >> self.num_detectors & obs_bits)
             self.faults.append(FaultMechanism(probability, detectors, observables))
         self.faults.sort(key=lambda f: (f.detectors, f.observables))
 

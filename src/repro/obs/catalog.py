@@ -120,7 +120,18 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "repro_decode_kernel_rows_total",
         "Syndrome rows decoded by the lockstep kernel",
     ),
-    _h("repro_decode_kernel_seconds", "Wall time inside the lockstep kernel"),
+    _c(
+        "repro_decode_kernel_peel_fallback_total",
+        "Kernel rows whose support has an observable-odd cycle, peeled per shot",
+    ),
+    _h(
+        "repro_decode_kernel_grow_seconds",
+        "Wall time growing clusters in one kernel call",
+    ),
+    _h(
+        "repro_decode_kernel_peel_seconds",
+        "Wall time peeling the grown supports in one kernel call",
+    ),
     # --- campaign: VLQ program lowering + per-unit experiments --------------
     _c(
         "repro_campaign_units_total",

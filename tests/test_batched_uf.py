@@ -2,13 +2,14 @@
 
 The kernel's whole contract is that it is indistinguishable from calling
 the flat ``UnionFindDecoder`` per shot — same support, same canonical
-peel, same predictions, same failures.  These tests pin that from four
+peel, same predictions, same failures.  These tests pin that from five
 directions: hypothesis-driven element-wise equality on both embeddings,
 round-by-round growth traces against the independent unit-step
 reference (including the shared-edge double-growth scenario on the hand
 graphs), exact corrections-equality on sampled d=3/5/7 syndromes at
-threshold, and the durable executor's graceful degradation when the
-batched tier raises mid-block.
+threshold, the vectorized peel against the per-shot ``_peel`` (including
+the observable-odd cycles that must fall back to it), and the durable
+executor's graceful degradation when the batched tier raises mid-block.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from test_decoders import line_graph, reference_unit_step_growth
 
+from repro import obs
 from repro.arch import compact_memory_circuit
 from repro.decoders import BatchedUnionFind, MatchingGraph, UnionFindDecoder
 from repro.decoders.batched_uf import DEFAULT_LOCKSTEP
@@ -161,6 +163,130 @@ class TestBatchedEqualsFlat:
             kernel.decode_batch(np.zeros((4, flat.graph.num_detectors + 1), dtype=bool))
         with pytest.raises(ValueError):
             BatchedUnionFind(flat, lockstep=0)
+
+
+def _per_shot_peel(flat, dets, support):
+    out = np.zeros(dets.shape[0], dtype=np.int64)
+    for i, row in enumerate(dets):
+        events = np.flatnonzero(row).tolist()
+        if events:
+            out[i] = flat._peel(events, np.flatnonzero(support[i]).tolist())
+    return out
+
+
+def _vectorized_peel(kernel, dets):
+    shot, edge = kernel.grow_batch(dets, sparse=True)
+    return kernel._peel_batch(dets, shot, edge)
+
+
+def _fallback_count(kernel, dets):
+    """Rows ``decode_batch`` sent to the per-shot ``_peel``, via the obs counter."""
+    reg = obs.enable()
+    try:
+        kernel.decode_batch(dets)
+        snap = reg.snapshot()
+    finally:
+        obs.disable()
+    return snap["repro_decode_kernel_peel_fallback_total"]["values"].get("", 0)
+
+
+class TestVectorizedPeel:
+    """The batched XOR-potential peel equals the per-shot canonical ``_peel``."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(event_sets=_batches)
+    @example(event_sets=[set(), {5}, {1, 2}, {0, 3, 6, 9}])
+    def test_baseline_embedding(self, baseline_setup, event_sets):
+        _, _, flat = baseline_setup
+        kernel = BatchedUnionFind(flat)
+        dets = _batch_from_events(event_sets, flat.graph.num_detectors)
+        predictions, _ = _vectorized_peel(kernel, dets)
+        np.testing.assert_array_equal(
+            predictions, _per_shot_peel(flat, dets, kernel.grow_batch(dets))
+        )
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(event_sets=_batches)
+    @example(event_sets=[set(), {5}, {1, 2}, {0, 3, 6, 9}])
+    def test_compact_embedding(self, compact_setup, event_sets):
+        _, _, flat = compact_setup
+        kernel = BatchedUnionFind(flat)
+        n = flat.graph.num_detectors
+        dets = _batch_from_events(
+            [{e % n for e in events} for events in event_sets], n
+        )
+        predictions, _ = _vectorized_peel(kernel, dets)
+        np.testing.assert_array_equal(
+            predictions, _per_shot_peel(flat, dets, kernel.grow_batch(dets))
+        )
+
+    def test_sparse_support_matches_dense_mask(self, baseline_setup):
+        _, _, flat = baseline_setup
+        kernel = BatchedUnionFind(flat)
+        dets = np.random.default_rng(3).random((32, flat.graph.num_detectors)) < 0.25
+        shot, edge = kernel.grow_batch(dets, sparse=True)
+        dense = np.zeros((32, flat.graph.num_edges), dtype=bool)
+        dense[shot, edge] = True
+        assert len(set(zip(shot.tolist(), edge.tolist()))) == shot.size
+        np.testing.assert_array_equal(dense, kernel.grow_batch(dets))
+
+    def test_spanning_supports_fall_back_and_still_agree(self):
+        # At p=2e-2, d=3 some clusters span boundary to boundary, so
+        # their supports hold observable-odd cycles: those rows must take
+        # the exact per-shot peel, and every prediction must still match.
+        memory, dem, flat = _setup(baseline_memory_circuit, d=3, p=2e-2)
+        sampler = make_sampler(memory.circuit, "packed")
+        dets = sampler.sample(2048, np.random.SeedSequence(5)).detectors[
+            :, dem.basis_detectors(memory.basis)
+        ]
+        dets = np.ascontiguousarray(dets, dtype=bool)
+        kernel = BatchedUnionFind(flat)
+        assert _fallback_count(kernel, dets) > 0
+        np.testing.assert_array_equal(kernel.decode_batch(dets), _flat_loop(flat, dets))
+
+    def test_observable_odd_cycle_through_the_boundary(self):
+        # The cycle B-0-1-2-B with the observable on (0, B) only.  Events
+        # {0, 2} grow all four equal-length edges in the same round, so
+        # the support is the whole cycle: matching 0-1-2 flips nothing,
+        # matching both events to B flips the observable.  The answer
+        # depends on the peeling tree, so the row must fall back.  {1}
+        # spans the cycle too; {0} reaches B before closing it.
+        graph = line_graph(obs_on_last=False)
+        flat = UnionFindDecoder(graph)
+        kernel = BatchedUnionFind(flat)
+        dets = _batch_from_events([{0, 2}, {0}, {1}], graph.num_detectors)
+        support = kernel.grow_batch(dets)
+        assert support[0].all() and support[2].all() and not support[1].all()
+        assert _fallback_count(kernel, dets) == 2
+        np.testing.assert_array_equal(kernel.decode_batch(dets), _flat_loop(flat, dets))
+
+    def test_odd_component_without_boundary_raises_like_peel(self):
+        # A support that leaves one event with no partner and no boundary
+        # violates the parity invariant: both peels must refuse it.
+        flat = UnionFindDecoder(line_graph())
+        kernel = BatchedUnionFind(flat)
+        n = flat.graph.num_detectors
+        inner = next(
+            i for i, e in enumerate(flat.graph.edges)
+            if flat.graph.boundary not in (e.u, e.v)
+        )
+        event = flat.graph.edges[inner].u
+        dets = _batch_from_events([set(), {event}], n)
+        with pytest.raises(RuntimeError, match="unmatched events"):
+            flat._peel([event], [inner])
+        with pytest.raises(RuntimeError, match="unmatched events"):
+            kernel._peel_batch(dets, np.array([1]), np.array([inner], np.int32))
+        # An event outside the support altogether fails the same way.
+        with pytest.raises(RuntimeError, match="unmatched events"):
+            kernel._peel_batch(dets, np.array([], np.int64), np.array([], np.int32))
 
 
 class TestGrowthTracePinning:

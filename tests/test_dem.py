@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, GateKind
-from repro.dem import DetectorErrorModel, extract_fault_mechanisms
+from repro.dem import DetectorErrorModel, FaultMechanism, extract_fault_mechanisms
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel
 from repro.sim import sample_detection_data
 from repro.surface_code import baseline_memory_circuit
@@ -143,6 +143,31 @@ class TestMechanismStructure:
     def test_projection_rejects_bad_basis(self, baseline_dem):
         with pytest.raises(ValueError):
             baseline_dem.projected("Y")
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize(
+        "build,hardware",
+        [(baseline_memory_circuit, BASELINE_HARDWARE), (compact_memory_circuit, MEMORY_HARDWARE)],
+    )
+    def test_fault_list_matches_full_detector_scan(self, build, hardware, d):
+        # The set-bit decode must give exactly the fault list of a scan
+        # over every detector and observable index: same tuples, same order.
+        circuit = build(d, ErrorModel(hardware=hardware, p=2e-3)).circuit
+        nd, no = circuit.num_detectors, circuit.num_observables
+        reference = sorted(
+            (
+                FaultMechanism(
+                    probability,
+                    tuple(i for i in range(nd) if mask >> i & 1),
+                    tuple(j for j in range(no) if mask >> (nd + j) & 1),
+                )
+                for mask, probability in extract_fault_mechanisms(circuit).items()
+            ),
+            key=lambda f: (f.detectors, f.observables),
+        )
+        faults = DetectorErrorModel(circuit).faults
+        assert faults == reference
+        assert all(type(i) is int for f in faults for i in f.detectors + f.observables)
 
 
 class TestCombination:
