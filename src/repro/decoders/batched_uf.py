@@ -8,60 +8,70 @@ lives in 2-D numpy arrays shaped ``(batch, n_nodes)`` / ``(batch,
 n_edges)`` over the *shared* flat edge arrays the
 :class:`~repro.decoders.unionfind.UnionFindDecoder` already built, so
 every growth round is a handful of vectorized passes instead of an
-interpreted per-edge loop per shot.
+interpreted per-edge loop per shot.  Those passes follow the clusters,
+not the state: each one runs over a sorted **member list** or over the
+frontier entries the members expand into.
 
 Per lockstep iteration:
 
-1. **Cluster activity** — cluster parity and boundary contact are kept
-   *incrementally* at root positions only (merges XOR the absorbed
-   root's parity into the surviving root and zero the stale slot), so
-   activity is two elementwise int8 passes, not a per-round reduction.
-   The boundary node starts as a boundary-flagged parity-0 singleton, so
-   any cluster that absorbs it goes inactive automatically.
-2. **Frontier discovery** — the frontier is *discovered*, not scanned:
-   one gather of per-root activity through the (global-coordinate)
-   parent array marks the members of active clusters as "hot", and hot
-   nodes expand through a CSR adjacency built once over the shared
+1. **Members and activity** — the member list holds the global ids
+   ``row*n1 + node`` of the nodes inside some cluster: each live row's
+   event nodes at the start, plus the far endpoint of every completed
+   edge.  Any other node is an untouched even singleton — its own root,
+   inactive — so no pass needs to visit it.  Cluster parity and
+   boundary contact are kept *incrementally* at root positions only
+   (merges XOR the absorbed root's parity into the surviving root and
+   zero the stale slot), and members stay compressed, so a member's
+   activity is ``par & ~bnd`` gathered at its root.  The boundary node
+   starts as a boundary-flagged parity-0 singleton, so any cluster that
+   absorbs it goes inactive automatically.  A shot is live while some
+   member root is active; the members of finished shots leave the list
+   (row slots never move), so the loop narrows to the *last* shots
+   still growing.
+2. **Frontier discovery** — the members of active clusters ("hot"
+   nodes) expand through a CSR adjacency built once over the shared
    endpoint arrays into an entry list of candidate ``(shot, edge)``
-   pairs.  Entries whose other endpoint has the same root (internal
-   edges) or whose edge already completed are dropped — what survives
-   is exactly the edge set the flat decoder's pass 1 rates, each entry
-   carrying the full rate ``1 + activity(other root)``.  A node whose
-   every incident edge has become internal or complete is permanently
-   retired from expansion (both conditions are monotone), so per-round
-   work tracks the live cluster surface, not the graph size.
+   pairs, row-major because the member list is sorted.  Entries whose
+   other endpoint has the same root (internal edges) or whose edge
+   already completed (its growth reached its length) are dropped —
+   what survives is exactly the edge set the flat decoder's pass 1
+   rates, each entry carrying the full rate ``1 + activity(other
+   root)``.  A node whose every incident edge has become internal or
+   complete is permanently retired from expansion (both conditions are
+   monotone), so per-round work tracks the live cluster surface, not
+   the graph size.
 3. **Completion jump** — the flat decoder's fast-forward trick
    generalized per shot, computed on the entry list: remaining
    lengths, ceil-divided slack, and the per-shot ``k = min over the
    frontier of ceil(remaining / rate)`` run segmented per shot
-   (``minimum.reduceat`` over the row-major entries).  Every live shot
-   completes at least one edge per iteration; shots whose clusters are
-   all even or boundary-tied are retired — rows compacted away — so
-   the loop narrows to the *last* shots still growing, and no pass in
-   the loop touches a ``(rows, n_edges)`` array.
+   (``minimum.reduceat`` over the row-major entries).  Growth is read
+   and written at the entries only.  Every live shot completes at
+   least one edge per iteration, and the far endpoints of completed
+   edges that were not yet members join the list.
 4. **Merges** — an edge between two active clusters appears in the
    entry list once per side, with both copies agreeing on rate and
    growth; at completion the copy seen from the smaller root is kept so
    each genuine completion is processed exactly once and is recorded
-   as a ``(shot, edge)`` support entry.  Genuine edges union their endpoint clusters by iterated
-   min-root hooking on the small per-edge root arrays — hook the larger
-   root id onto the smaller, re-chase lost writes, then recompress the
-   live rows by pointer jumping.  Min-root hooking keeps every parent
-   pointer non-increasing, so the pointer graph stays acyclic and a
-   retired root can never become a root again — which is what lets
-   parity live only at root slots.
+   as a ``(shot, edge)`` support entry.  Genuine edges union their
+   endpoint clusters by iterated min-root hooking on the small per-edge
+   root arrays — hook the larger root id onto the smaller, re-chase
+   lost writes, then recompress the members by pointer jumping.
+   Min-root hooking keeps every parent pointer non-increasing, so the
+   pointer graph stays acyclic and a retired root can never become a
+   root again — which is what lets parity live only at root slots.
 
-All working arrays are allocated once per kernel and reused across calls
-(``growth`` is int16, rates and parities int8), and every full-width
-pass is an ``out=``-targeted ufunc: the kernel's steady-state allocation
-rate is ~zero, which matters because numpy routes MB-sized temporaries
-through mmap and the page-fault churn costs more than the arithmetic.
+No pass in the loop touches a full ``(rows, n_nodes)`` or ``(rows,
+n_edges)`` array; those are reset once per sub-batch.  The pooled
+state is allocated once per kernel and reused across calls (``growth``
+is int16, rates and parities int8), and the full-width resets (and the
+exact ``traces`` loop's passes) write through ``out=`` or slice fills:
+numpy routes MB-sized temporaries through mmap, and the page-fault
+churn costs more than the arithmetic.
 
 **Determinism contract.**  The support returned per shot is identical
-to the flat decoder's (both realize the unit-step growth trajectory —
-the internal-edge rating only subdivides the exact path's jumps, never
-changes any cluster's growth or merge round; ``traces`` mode runs the
-exact full-width loop and the regression tests pin it round by round).
+to the flat decoder's (both realize the unit-step growth trajectory;
+``traces`` mode runs the exact full-width loop and the regression tests
+pin it round by round, and the member-list loop against it).
 Peeling is one vectorized pass over the whole sub-batch: a small
 union-find over the support entries with XOR offsets assigns every
 support node a potential ``φ`` (the observable parity of a forest path
@@ -90,10 +100,13 @@ from repro import obs
 
 __all__ = ["BatchedUnionFind", "DEFAULT_LOCKSTEP"]
 
-#: Shots grown per lockstep sub-batch.  Bounds the kernel's working set
-#: (the preallocated ``(lockstep, n_edges)`` buffer pool is ~15 MB at
-#: d=7) while keeping the vectorized passes wide enough to amortize
-#: numpy dispatch.
+#: Shots grown per lockstep sub-batch.  Each iteration's passes cover the
+#: members and frontier entries of every shot in the sub-batch, so wider
+#: sub-batches amortize numpy dispatch over more shots, while the
+#: per-sub-batch state reset and the wait for the slowest shot grow
+#: with it.  In a kernel-only sweep over 256–2048, 512 was fastest at
+#: d=11 p=1e-3, while 1024 ran about 9% faster at d=7 p=5e-3.  It also
+#: bounds the preallocated ``(lockstep, n_edges)`` pool.
 DEFAULT_LOCKSTEP = 512
 
 _MAX_GROWTH_ROUNDS = 1_000_000
@@ -103,6 +116,14 @@ _NO_FRONTIER = np.int16(32767)
 #: Largest edge length the int16 growth state supports: growth can
 #: overshoot its length by at most ``2 * max_length`` in the final jump.
 _MAX_LENGTH = 10922
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in ``x``."""
+    starts = np.empty(x.size, bool)
+    starts[:1] = True
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
 
 
 class BatchedUnionFind:
@@ -174,13 +195,14 @@ class BatchedUnionFind:
         self._parent = np.empty(shape_n, np.int32)
         self._par = np.empty(shape_n, np.int8)
         self._bnd = np.empty(shape_n, np.int8)
-        self._act = np.empty(shape_n, np.int8)
-        self._nact = np.empty(shape_n, np.int8)
         self._growth = np.empty(shape_e, np.int16)
-        self._complete = np.empty(shape_e, bool)
-        self._surf = np.empty(shape_n, np.int8)
         self._unit_round = np.empty(rows, np.int32)
-        # Gather/scratch buffers, one per hot pass.
+        # Member-list loop: surface and member masks.
+        self._surf = np.empty(shape_n, np.int8)
+        self._member = np.empty(shape_n, bool)
+        # Exact (traces) loop: activity, completion, one buffer per pass.
+        self._act = np.empty(shape_n, np.int8)
+        self._complete = np.empty(shape_e, bool)
         self._au = np.empty(shape_e, np.int8)
         self._av = np.empty(shape_e, np.int8)
         self._rate = np.empty(shape_e, np.int8)
@@ -201,17 +223,14 @@ class BatchedUnionFind:
         # flat offset r*n1, so ``row_off + node`` gathers straight out of
         # the raveled buffer with no 2-D advanced indexing.
         self._row_off = (np.arange(rows, dtype=np.int32) * n1)[:, None]
-        self._idx_u = self.edge_u[None, :] + self._row_off
-        self._idx_v = self.edge_v[None, :] + self._row_off
         # Raveled views for flat takes/scatters (share the buffers above).
         self._pflat = self._parent.reshape(-1)
-        self._ixnflat = self._ixn.reshape(-1)
         self._parflat = self._par.reshape(-1)
         self._bndflat = self._bnd.reshape(-1)
         self._actflat = self._act.reshape(-1)
         self._gflat = self._growth.reshape(-1)
-        self._cflat = self._complete.reshape(-1)
         self._surfflat = self._surf.reshape(-1)
+        self._memflat = self._member.reshape(-1)
         self._rows = rows
 
     def _init_state(self, dets: np.ndarray, live_ids: np.ndarray) -> None:
@@ -219,8 +238,8 @@ class BatchedUnionFind:
 
         Every event node starts as its own odd singleton, the boundary a
         boundary-flagged even one, everything else an even singleton
-        (absorbing a node is just hooking it into a cluster, so occupancy
-        needs no array).
+        (absorbing a node is just hooking it into a cluster).  Each
+        growth loop resets the buffers only it uses.
         """
         a = live_ids.size
         n = dets.shape[1]
@@ -230,8 +249,6 @@ class BatchedUnionFind:
         self._bnd[:a] = 0
         self._bnd[:a, self.boundary] = 1
         self._growth[:a] = 0
-        self._complete[:a] = False
-        self._surf[:a] = 1
         self._unit_round[:a] = 0
 
     # ------------------------------------------------------------------
@@ -295,10 +312,9 @@ class BatchedUnionFind:
         completion round in unit-round numbering — the same format the
         flat decoder and the unit-step reference emit, so the regression
         tests can pin all three against each other.  Tracing runs the
-        exact full-width loop (internal edges masked at rating time, as
-        in the flat decoder); the default path rates internal edges too
-        and filters them at completion time, which subdivides some jumps
-        but returns the identical support.
+        exact full-width loop (the flat decoder's rating rule over every
+        edge of every row); the default path runs the member-list loop,
+        which rates the same edges and returns the identical support.
         """
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2 or dets.shape[1] != self.num_detectors:
@@ -317,20 +333,15 @@ class BatchedUnionFind:
 
     # ------------------------------------------------------------------
     def _grow_fast(self, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse-frontier lockstep growth (the decode hot path).
+        """Member-list lockstep growth (the decode hot path).
 
-        Per iteration the frontier is *discovered*, not scanned: the
-        members of active clusters ("hot" nodes — found with one small
-        ``(rows, n_nodes)`` gather) expand through the shared CSR
-        adjacency into an entry list of candidate edges, and internal
-        (same root on both sides) and completed edges are dropped from
-        it.  What survives is exactly the edge set the flat decoder
-        rates, each entry carrying its full rate ``1 + activity(other
-        root)`` — an edge between two active clusters appears once per
-        side, with both copies agreeing on rate and growth, so last-wins
-        scatters are deterministic.  No pass in the loop touches a
-        ``(rows, n_edges)`` array: completions are recorded as they
-        happen, and the support is returned as ``(shot, edge)`` entries.
+        Steps 1–4 of the module docstring.  Every pass runs over the
+        sorted *member list* — the global ids ``row*n1 + node`` of the
+        nodes inside some cluster — or over the entry list the members
+        expand into; no pass in the loop touches a full ``(rows,
+        n_nodes)`` or ``(rows, n_edges)`` array.  Completions are
+        recorded as they happen, and the support is returned as
+        ``(shot, edge)`` entries.
         """
         n1 = dets.shape[1] + 1
         num_edges = len(self._len16)
@@ -346,67 +357,66 @@ class BatchedUnionFind:
         self._init_state(dets, live_ids)
 
         len16 = self._len16
-        eu, ev = self.edge_u, self.edge_v
-        parent, pflat = self._parent, self._pflat
-        par, bnd, act, nact = self._par, self._bnd, self._act, self._nact
+        pflat = self._pflat
         parflat, bndflat = self._parflat, self._bndflat
-        actflat = self._actflat
-        growth, complete = self._growth, self._complete
-        surf, surfflat = self._surf, self._surfflat
-        gflat, cflat = self._gflat, self._cflat
+        surfflat, memflat = self._surfflat, self._memflat
+        gflat = self._gflat
         unit_round = self._unit_round
-        row_off = self._row_off
         adj_edge, adj_other = self._adj_edge, self._adj_other
         indptr, deg = self._indptr, self._deg
-        seg = np.arange(a + 1, dtype=np.int32)
         # The fast path keeps parents in *global* flat coordinates
         # (``row*n1 + node``): every root gather, activity lookup,
         # hook, chase and compression pass then indexes the raveled
         # buffers directly, with no per-pass row-offset add.
-        np.add(parent[:a], row_off[:a], out=parent[:a])
+        np.add(self._parent[:a], self._row_off[:a], out=self._parent[:a])
+        self._surf[:a] = 1
+        # Each live row starts with its event nodes as members, each its
+        # own root (the raveled ``(rows, n1)`` layout makes flat
+        # positions global ids; parity is still 0/1, so it views as
+        # bool).  Row slots never move: a member's row is ``// n1``.
+        members = np.flatnonzero(self._par[:a].view(bool)).astype(np.int32)
+        roots = members
+        self._member[:a] = False
+        memflat[members] = True
+        step = np.empty(a, np.int16)  # per-shot jump of this iteration
 
         while True:
-            # Active roots: odd parity, no boundary contact.  Stale
-            # non-root slots are zeroed at merge time, so activity (and
-            # the per-shot done test) is exact on the whole row.
-            np.subtract(1, bnd[:a], out=act[:a])
-            np.multiply(act[:a], par[:a], out=act[:a])
-            alive = act[:a].any(axis=1)
+            # Member activity: odd parity, no boundary contact at the
+            # member's root.  Root slots hold exact parity/boundary flags
+            # and ``par & ~bnd`` is 0/1 in int8, so it views as bool.
+            active = parflat.take(roots) & ~bndflat.take(roots)
+            mrow = members // n1
 
-            # Retire finished shots: compact the live rows to the front
-            # so every later pass narrows.
-            if not alive.all():
-                keep = np.flatnonzero(alive)
-                a = keep.size
-                if a == 0:
-                    return np.concatenate(done_shot), np.concatenate(done_edge)
-                for buf in (parent, par, bnd, act, growth, complete, surf):
-                    buf[:a] = buf[: alive.size][keep]
-                unit_round[:a] = unit_round[: alive.size][keep]
-                live_ids = live_ids[keep]
-                seg = seg[: a + 1]
-                # Global parent values encode the row they lived in —
-                # rebase rows that moved during compaction.
-                shift = ((keep - seg[:a]) * n1).astype(np.int32)
-                if shift.any():
-                    parent[:a] -= shift[:, None]
+            # A shot is live iff some member root is active; members of
+            # finished shots leave the list for good.
+            live = np.zeros(a, bool)
+            live[mrow[active.view(bool)]] = True
+            n_live = int(np.count_nonzero(live))
+            if n_live == 0:
+                return np.concatenate(done_shot), np.concatenate(done_edge)
+            keep = live.take(mrow)
+            if not keep.all():
+                members = members[keep]
+                roots = roots[keep]
+                active = active[keep]
+                mrow = mrow[keep]
 
             # Hot nodes — members of active clusters, minus nodes whose
             # every incident edge has become internal or complete (both
             # conditions are permanent, so once a node stops producing
             # frontier entries it never produces one again and the
             # ``surf`` mask retires it from expansion for good).
-            np.take(actflat, parent[:a], out=nact[:a], mode="clip")
-            np.multiply(nact[:a], surf[:a], out=nact[:a])
-            hs, hn = np.nonzero(nact[:a])
-            hs = hs.astype(np.int32)
-            hn = hn.astype(np.int32)
+            hsel = np.flatnonzero(active & surfflat.take(members))
+            if hsel.size == 0:
+                raise RuntimeError("union-find growth failed to terminate")
+            hidx = members.take(hsel)
+            hs = mrow.take(hsel)
             hb = hs * n1
-            hidx = hb + hn
+            hn = hidx - hb
 
             # Expand hot nodes through the CSR adjacency into an entry
             # list (shot, edge, other endpoint) — row-major in the shot
-            # index by construction, so segments need no sort.
+            # index because the member list is sorted.
             dh = deg.take(hn)
             cum = np.cumsum(dh)
             starts = cum - dh
@@ -415,16 +425,20 @@ class BatchedUnionFind:
                 self._seq = np.arange(total * 2, dtype=np.int32)
             pos = self._seq[:total] + np.repeat(indptr.take(hn) - starts, dh)
             eidx = adj_edge.take(pos)
-            gbase = np.repeat(hb, dh)  # shot offset per entry
+            far = np.repeat(hb, dh) + adj_other.take(pos)  # global far node
             shr = np.repeat(hs, dh)
             fi = shr * num_edges + eidx
 
             # Keep the edges the flat decoder would rate: not internal
-            # (other endpoint's root differs) and not completed.
-            ro = pflat.take(gbase + adj_other.take(pos))
-            rrep = np.repeat(pflat.take(hidx), dh)
+            # (other endpoint's root differs) and not completed.  A far
+            # node outside the member list is its own root, and an edge
+            # is complete exactly when its growth reached its length.
+            ro = pflat.take(far)
+            rrep = np.repeat(roots.take(hsel), dh)
             m = rrep != ro
-            m &= ~cflat.take(fi)
+            g = gflat.take(fi)
+            lens = len16.take(eidx)
+            m &= g < lens
             if total and dh.all():
                 produced = np.logical_or.reduceat(m, starts)
                 exhausted = hidx[~produced]
@@ -434,25 +448,30 @@ class BatchedUnionFind:
             fi = fi.take(sel)
             ed = eidx.take(sel)
             sh = shr.take(sel)
+            far = far.take(sel)
+            g = g.take(sel)
+            lens = lens.take(sel)
             rsrc = rrep.take(sel)  # this side's root (the hot node's cluster)
             roth = ro.take(sel)  # other endpoint's root
-            rate = actflat.take(roth)
-            np.add(rate, np.int8(1), out=rate)  # 1 + other side's activity
+            # 1 + other side's activity (0 for an even singleton)
+            rate = parflat.take(roth) & ~bndflat.take(roth)
+            rate += np.int8(1)
 
-            bounds = np.searchsorted(sh, seg)
-            if bounds[-1] == 0 or (np.diff(bounds) == 0).any():
-                # An active cluster with no frontier left (disconnected
-                # component) — the same failure the flat decoder raises.
+            # Per-shot segments of the row-major entry list; every live
+            # shot needs one, or an active cluster has no frontier left
+            # (disconnected component) — the flat decoder's failure.
+            first = np.flatnonzero(_run_starts(sh))
+            if first.size != n_live:
                 raise RuntimeError("union-find growth failed to terminate")
 
             # Per-shot completion jump on the entry list: k = min over
             # the shot's frontier of ceil(remaining / rate).
-            g = gflat.take(fi)
-            lens = len16.take(ed)
             shift = rate >> 1  # 0 for rate 1, 1 for rate 2
             need = np.right_shift(np.subtract(lens, g) + shift, shift)
-            k = np.minimum.reduceat(need, bounds[:-1])
-            np.add(unit_round[:a], k, out=unit_round[:a])
+            k = np.minimum.reduceat(need, first)
+            shots = sh.take(first)
+            step[shots] = k
+            unit_round[shots] += k
             if int(unit_round[:a].max()) > _MAX_GROWTH_ROUNDS:  # pragma: no cover
                 raise RuntimeError("union-find growth failed to terminate")
 
@@ -461,13 +480,24 @@ class BatchedUnionFind:
             # straight into the support.  A rate-2 edge finished from
             # both sides — keep the copy seen from the smaller root so
             # each completion is processed once.
-            g += rate.astype(np.int16) * k.take(sh)
+            g += rate * step.take(sh)
             gflat[fi] = g
             finished = g >= lens
             finished &= (rate == np.int8(1)) | (rsrc < roth)
-            cflat[fi[finished]] = True
-            done_shot.append(live_ids.take(sh[finished]))
-            done_edge.append(ed[finished])
+            done = np.flatnonzero(finished)
+            done_shot.append(live_ids.take(sh.take(done)))
+            done_edge.append(ed.take(done))
+
+            # Far endpoints not yet in a cluster join the member list,
+            # once each and in sorted place, so hot nodes stay row-major
+            # (the stable sort merges the two sorted runs in linear time).
+            joined = far.take(done)
+            joined = joined[~memflat.take(joined)]
+            if joined.size:
+                joined.sort()
+                memflat[joined] = True
+                members = np.concatenate((members, joined[_run_starts(joined)]))
+                members.sort(kind="stable")
 
             # Merge across the newly completed edges — their pre-merge
             # endpoint roots are the entry's (rsrc, roth) pair, already
@@ -475,41 +505,40 @@ class BatchedUnionFind:
             # is lifted out, the slots zeroed, and the values scattered
             # back onto the post-merge roots (XOR for parity, OR for
             # boundary) so root slots stay exact.
-            root_a = rsrc[finished]
-            root_b = roth[finished]
+            root_a = rsrc.take(done)
+            root_b = roth.take(done)
             # Sorted dedup of the involved root slots (every live shot
             # completes at least one edge, so the list is never empty);
             # plain sort beats hash-unique at these sizes.
             rf = np.sort(np.concatenate([root_a, root_b]))
-            first = np.empty(rf.size, bool)
-            first[0] = True
-            np.not_equal(rf[1:], rf[:-1], out=first[1:])
-            roots_flat = rf[first]
+            roots_flat = rf[_run_starts(rf)]
             vals_par = parflat[roots_flat]
             vals_bnd = bndflat[roots_flat]
             parflat[roots_flat] = 0
             bndflat[roots_flat] = 0
-            self._merge_sparse(a, root_a, root_b)
+            roots = self._merge_sparse(members, root_a, root_b)
             new_roots = pflat[roots_flat]
             np.bitwise_xor.at(parflat, new_roots, vals_par)
             np.bitwise_or.at(bndflat, new_roots, vals_bnd)
 
     # ------------------------------------------------------------------
     def _merge_sparse(
-        self, a: int, root_a: np.ndarray, root_b: np.ndarray
-    ) -> None:
+        self, members: np.ndarray, root_a: np.ndarray, root_b: np.ndarray
+    ) -> np.ndarray:
         """Union across completed edges by iterated min-root hooking.
 
         Roots arrive in global flat coordinates, so hooks and the root
         re-chasing after lost writes (two merges sharing a root in one
         pass) index the raveled parent buffer directly and run on the
-        small per-edge arrays only; the full rows are recompressed by
-        pointer jumping *once*, after the hook loop converges.
+        small per-edge arrays only.  Once the hook loop converges, the
+        members are recompressed by pointer jumping, and their roots
+        are returned; every other node is an untouched singleton and
+        already its own root.
         Min-hooking keeps parent pointers non-increasing, hence acyclic,
         so a retired root can never become a root again — which is what
         lets parity live only at root slots.
         """
-        pflat, parent = self._pflat, self._parent
+        pflat = self._pflat
         h = root_a.size
         rr = np.concatenate([root_a, root_b])
         while True:
@@ -526,12 +555,13 @@ class BatchedUnionFind:
                 if (nxt == rr).all():
                     break
                 rr = nxt
+        up = pflat.take(members)
         while True:
-            np.take(pflat, parent[:a], out=self._hop[:a], mode="clip")
-            np.equal(self._hop[:a], parent[:a], out=self._beq[:a])
-            if self._beq[:a].all():
-                break
-            parent[:a] = self._hop[:a]
+            upup = pflat.take(up)
+            if (upup == up).all():
+                return up
+            pflat[members] = upup
+            up = upup
 
     # ------------------------------------------------------------------
     def _hook_and_compress(
@@ -583,6 +613,7 @@ class BatchedUnionFind:
             return support
         self._ensure(a)
         self._init_state(dets, live_ids)
+        self._complete[:a] = False
 
         len16 = self._len16
         eu, ev = self.edge_u, self.edge_v
@@ -595,6 +626,8 @@ class BatchedUnionFind:
         rate, need, t16 = self._rate, self._need, self._t16
         b1, b2 = self._b1, self._b2
         row_off = self._row_off
+        idx_u = eu + row_off[:a]  # flat endpoint slots of every row
+        idx_v = ev + row_off[:a]
 
         while True:
             np.subtract(1, bnd[:a], out=act[:a])
@@ -615,8 +648,8 @@ class BatchedUnionFind:
             # Endpoint roots and their activity; internal (same-root) and
             # completed edges are masked to rate 0, exactly as in the
             # flat decoder's pass 1.
-            np.take(pflat, self._idx_u[:a], out=ru[:a], mode="clip")
-            np.take(pflat, self._idx_v[:a], out=rv[:a], mode="clip")
+            np.take(pflat, idx_u[:a], out=ru[:a], mode="clip")
+            np.take(pflat, idx_v[:a], out=rv[:a], mode="clip")
             np.add(ru[:a], row_off[:a], out=ru[:a])
             np.add(rv[:a], row_off[:a], out=rv[:a])
             np.take(actflat, ru[:a], out=au[:a], mode="clip")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import queue as queue_mod
 import signal
 import time
@@ -119,7 +120,7 @@ class SupervisedResult:
     aborted: bool = False
 
 
-def _worker_main(wid: int, task_q, result_q) -> None:
+def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
     """Worker loop: serve ``cfg``/``task`` messages until the None sentinel.
 
     A ``("cfg", epoch, worker_args, fault)`` message (re)arms the worker
@@ -128,6 +129,10 @@ def _worker_main(wid: int, task_q, result_q) -> None:
     abandoned).  Failures are reported in-band; a genuinely dying worker
     (injected ``os._exit`` or a real crash) is detected by the parent's
     liveness check instead.
+
+    The queue is polled with a timeout so an orphaned worker notices
+    when its spawning process ``parent_pid`` is gone (SIGKILLed, so no
+    sentinel ever arrives) and exits instead of blocking forever.
     """
     # Forked workers inherit the parent's graceful-interrupt handlers,
     # under which SIGTERM merely requests a stop — so the supervisor's
@@ -139,7 +144,12 @@ def _worker_main(wid: int, task_q, result_q) -> None:
     epoch = None
     sampler = decoder = basis_ids = obs_ids = fault = None
     while True:
-        message = task_q.get()
+        try:
+            message = task_q.get(timeout=1.0)
+        except queue_mod.Empty:
+            if os.getppid() != parent_pid:
+                return
+            continue
         if message is None:
             return
         if message[0] == "cfg":
@@ -224,7 +234,7 @@ class WorkerFleet:
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, self.result_q),
+            args=(wid, task_q, self.result_q, os.getpid()),
             daemon=True,
         )
         proc.start()

@@ -295,6 +295,7 @@ def run_block(
             index,
             _seed_label(seed),
         ) from exc
+    t1 = perf_counter() if reg is not None else 0.0
     fallback = False
     try:
         if fault is not None:
@@ -316,10 +317,13 @@ def run_block(
         stats["fallback"] = 1
     errors = int(np.count_nonzero(predictions != actual))
     if reg is not None:
+        t2 = perf_counter()
         reg.counter("repro_engine_shots_total").inc(block_shots)
         reg.counter("repro_engine_blocks_total").inc(1)
         reg.counter("repro_engine_logical_errors_total").inc(errors)
-        reg.histogram("repro_engine_chunk_seconds").observe(perf_counter() - t0)
+        reg.histogram("repro_engine_sample_seconds").observe(t1 - t0)
+        reg.histogram("repro_engine_decode_seconds").observe(t2 - t1)
+        reg.histogram("repro_engine_chunk_seconds").observe(t2 - t0)
     return errors, stats
 
 

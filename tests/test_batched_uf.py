@@ -110,7 +110,21 @@ class TestBatchedEqualsFlat:
             kernel.decode_batch(dets), _flat_loop(flat, dets)
         )
 
-    @pytest.mark.parametrize("d,p,shots", [(3, 5e-3, 512), (5, 5e-3, 256), (7, 5e-3, 128)])
+    @pytest.mark.parametrize(
+        "d,p,shots",
+        [
+            (3, 5e-3, 512),
+            (5, 5e-3, 256),
+            (7, 5e-3, 128),
+            # Large graphs with small clusters: the member list is a
+            # sliver of the (rows, n_nodes) state.
+            (9, 1e-3, 256),
+            (11, 1e-3, 256),
+            # Far above threshold merges re-activate even clusters, whose
+            # members must turn hot again.
+            (5, 2e-2, 256),
+        ],
+    )
     def test_sampled_syndromes_at_threshold(self, d, p, shots):
         memory, dem, flat = _setup(baseline_memory_circuit, d=d, p=p)
         sampler = make_sampler(memory.circuit, "packed")
@@ -349,15 +363,23 @@ class TestGrowthTracePinning:
         assert round_one[graph._edge_index[(1, 2)]] == 1
 
     def test_fast_path_support_equals_exact_path_support(self, baseline_setup):
-        # The default (internal-edges-rated) path must return the same
-        # support set as the exact traced loop on random batches.
+        # The default (member-list) path must return the same support
+        # set as the exact full-width traced loop, on random batches and
+        # on sampled d=7 syndromes at threshold.
         _, _, flat = baseline_setup
-        kernel = BatchedUnionFind(flat)
         rng = np.random.default_rng(11)
-        dets = rng.random((32, flat.graph.num_detectors)) < 0.25
-        fast = kernel.grow_batch(dets)
-        traced = kernel.grow_batch(dets, traces=[[] for _ in range(32)])
-        np.testing.assert_array_equal(fast, traced)
+        memory, dem, flat7 = _setup(baseline_memory_circuit, d=7, p=5e-3)
+        sampled = make_sampler(memory.circuit, "packed").sample(
+            64, np.random.SeedSequence(13)
+        ).detectors[:, dem.basis_detectors(memory.basis)]
+        for decoder, dets in (
+            (flat, rng.random((32, flat.graph.num_detectors)) < 0.25),
+            (flat7, np.ascontiguousarray(sampled, dtype=bool)),
+        ):
+            kernel = BatchedUnionFind(decoder)
+            fast = kernel.grow_batch(dets)
+            traced = kernel.grow_batch(dets, traces=[[] for _ in range(len(dets))])
+            np.testing.assert_array_equal(fast, traced)
 
 
 class TestDurableDegradation:

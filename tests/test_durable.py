@@ -11,6 +11,9 @@ block's result; and every corrupted-ledger case is either tolerated
 """
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -721,6 +724,51 @@ class TestWorkerFleetReuse:
                 assert executor.total_retries > 0
             assert fleet.respawns > 0  # crashes really killed workers
             assert fleet.alive_workers() == 2  # ...and the fleet healed
+
+
+def _pid_alive(pid):
+    """True while ``pid`` runs; a zombie nobody reaps counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestFleetOrphans:
+    """Fleet workers exit when the process that spawned them dies."""
+
+    def test_workers_exit_after_parent_sigkill(self):
+        script = (
+            "import time\n"
+            "from repro.durable import WorkerFleet\n"
+            "fleet = WorkerFleet(2)\n"
+            "print(*fleet.worker_pids(), flush=True)\n"
+            "time.sleep(300)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2 and all(_pid_alive(pid) for pid in pids)
+        finally:
+            proc.kill()  # SIGKILL: the fleet never sends its sentinels
+            proc.wait(timeout=10.0)
+            proc.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while any(_pid_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _pid_alive(pid)]
 
 
 def _run_with_fleet(path, fleet, *, fault=None, policy=FAST):

@@ -260,6 +260,31 @@ class TestEngineIntegration:
         for key in ("shots", "unique", "lru_hits", "lru_misses", *TIER_NAMES):
             assert view[key] == decode_stats.get(key, 0), key
 
+    def test_durable_blocks_record_sample_and_decode_time(self, tmp_path):
+        """The durable path splits every block into sample and decode time,
+        and arming the registry does not change its counts."""
+        from repro.durable import DurableExecutor, RunLedger
+
+        def run(name):
+            ledger = RunLedger(tmp_path / name, {"command": "obs-split", "seed": 5})
+            try:
+                return run_memory_experiment(
+                    _memory(), shots=2100, seed=5,
+                    executor=DurableExecutor(ledger, workers=1),
+                )
+            finally:
+                ledger.close()
+
+        plain = run("off.jsonl")
+        reg = obs.enable()
+        armed = run("on.jsonl")
+        totals = obs.summarize_snapshot(reg.snapshot())
+        assert totals["repro_engine_blocks_total"] == 3  # 1024 + 1024 + 52
+        for name in ("sample", "decode", "chunk"):
+            assert totals[f"repro_engine_{name}_seconds"] == 3, name
+        assert armed.logical_errors == plain.logical_errors
+        assert armed.decode_stats == plain.decode_stats
+
     def test_observability_never_changes_results(self):
         """Campaign results are bit-identical with obs on vs off."""
         memory = _memory()
