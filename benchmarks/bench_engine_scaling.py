@@ -252,10 +252,11 @@ def test_engine_scaling(once):
                 for w in WORKER_COUNTS:
                     decode_stats = {}
                     start = time.perf_counter()
-                    # chunk_size=1024 -> one chunk per block, so every worker
-                    # count gets at least `w` chunks at the default n=4096.
+                    # workers > 1 fans each 1024-shot block out to the
+                    # supervised fleet, so every worker count gets at least
+                    # `w` blocks at the default n=4096.
                     result = run_memory_experiment(
-                        memory, shots=n, seed=0, workers=w, chunk_size=1024,
+                        memory, shots=n, seed=0, workers=w,
                         backend=backend, decode_stats=decode_stats,
                     )
                     end_to_end.append({
@@ -290,8 +291,7 @@ def test_engine_scaling(once):
             decode_stats = {}
             start = time.perf_counter()
             result = run_memory_experiment(
-                below_memory, shots=n, seed=0, workers=1, chunk_size=1024,
-                decode_stats=decode_stats,
+                below_memory, shots=n, seed=0, workers=1, decode_stats=decode_stats,
             )
             below.append({
                 "distance": d,
@@ -437,9 +437,7 @@ def test_obs_overhead(once):
 
     def run_once() -> tuple[float, int]:
         start = time.perf_counter()
-        result = run_memory_experiment(
-            memory, shots=n, seed=0, workers=1, chunk_size=1024
-        )
+        result = run_memory_experiment(memory, shots=n, seed=0, workers=1)
         return time.perf_counter() - start, result.logical_errors
 
     def measure():

@@ -89,7 +89,6 @@ def test_program_sweep(once):
         shots=n,
         seed=0,
         workers=1 if w != 1 else 2,
-        chunk_size=1024,
         program_name="pairs",
     )
     baseline_row = next(
@@ -196,7 +195,6 @@ def test_correlated_sweep(once):
         shots=n,
         seed=0,
         workers=1 if w != 1 else 2,
-        chunk_size=1024,
         policy="surgery_only",
         correlated=True,
         certify_joint=False,  # certified above; shapes are identical

@@ -51,7 +51,7 @@ def _cli_run(spec, path, w):
     ledger = RunLedger(path, spec)
     executor = DurableExecutor(ledger, workers=w, policy=FAST)
     try:
-        return execute_spec(spec, executor, workers=w)
+        return execute_spec(spec, executor)
     finally:
         ledger.close()
 

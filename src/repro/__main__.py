@@ -127,9 +127,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         default="unionfind")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for the Monte-Carlo engine")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        help="shots materialized per chunk (memory bound; "
-                             "defaults to the engine default)")
     parser.add_argument("--backend", choices=("packed", "reference"),
                         default="packed",
                         help="sampling backend: compiled bit-plane (packed)"
@@ -186,8 +183,8 @@ def _obs_session(args):
     """Arm metrics + tracing for one campaign command when requested.
 
     With ``--obs-dir`` the registry and tracer are enabled before the
-    body runs (``REPRO_OBS=1`` is exported so spawned pool workers arm
-    themselves and ship metric deltas back with their chunk results),
+    body runs (``REPRO_OBS=1`` is exported so spawned fleet workers arm
+    themselves and ship metric deltas back with their block results),
     and the snapshot/spans are dumped on the way out — including on an
     interrupted run, so a checkpointed campaign still leaves its
     telemetry behind.  Observability never changes results; the engine's
@@ -370,11 +367,10 @@ def _cmd_inventory(args) -> int:
 
 def _cmd_threshold(args) -> int:
     from repro.report import format_series
-    from repro.sim import DEFAULT_CHUNK_SIZE, SHOT_BLOCK
+    from repro.sim import SHOT_BLOCK
     from repro.threshold import estimate_program_threshold, estimate_threshold
 
     ps = [2e-3, 4e-3, 6e-3, 9e-3, 1.3e-2]
-    chunk_size = DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
     program_flags = (
         ("--qubits", args.qubits),
         ("--embedding", args.embedding),
@@ -408,7 +404,6 @@ def _cmd_threshold(args) -> int:
                 policy="surgery_only" if args.correlated else "auto",
                 decoder=args.decoder,
                 workers=args.workers,
-                chunk_size=chunk_size,
                 backend=args.backend,
                 program_name=args.program,
                 executor=executor,
@@ -444,7 +439,6 @@ def _cmd_threshold(args) -> int:
             shots=args.shots,
             decoder=args.decoder,
             workers=args.workers,
-            chunk_size=chunk_size,
             backend=args.backend,
             executor=executor,
         )
@@ -462,7 +456,7 @@ def _cmd_memory(args) -> int:
     from repro.decoders import TIER_NAMES
     from repro.noise import ErrorModel
     from repro.service.specs import build_memory_spec
-    from repro.sim import DEFAULT_CHUNK_SIZE, run_memory_experiment
+    from repro.sim import run_memory_experiment
     from repro.threshold import build_memory_circuit
     from repro.threshold.estimator import default_hardware_for
 
@@ -489,8 +483,6 @@ def _cmd_memory(args) -> int:
             decoder=args.decoder,
             seed=args.seed,
             workers=args.workers,
-            chunk_size=(DEFAULT_CHUNK_SIZE if args.chunk_size is None
-                        else args.chunk_size),
             backend=args.backend,
             executor=executor,
         )
@@ -535,7 +527,6 @@ def _cmd_compare(args) -> int:
 def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int:
     from repro.decoders import TIER_NAMES
     from repro.report import ascii_table
-    from repro.sim import DEFAULT_CHUNK_SIZE
     from repro.vlq import ArchitectureComparison, compare_architectures
 
     comparison = compare_architectures(
@@ -551,7 +542,6 @@ def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int
         decoder=args.decoder,
         seed=args.seed,
         workers=args.workers,
-        chunk_size=DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size,
         backend=args.backend,
         program_name=args.program,
         correlated=args.correlated,
@@ -675,7 +665,7 @@ def _cmd_metrics(args) -> int:
                   file=sys.stderr)
             return 2
         # Counters/histograms diff; gauges pass through at their newer
-        # reading (same semantics workers use to ship chunk deltas).
+        # reading (same semantics workers use to ship block deltas).
         snapshot = obs.snapshot_delta(snapshot, before)
         title = f"{args.snapshot} minus {args.diff}"
     if args.prometheus:
@@ -733,7 +723,6 @@ def _cmd_serve(args) -> int:
         fault=args.chaos,
         job_timeout=args.job_timeout,
         breaker_threshold=args.breaker_threshold,
-        chunk_size=args.chunk_size,
         verbose=args.verbose,
     )
 
@@ -988,7 +977,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--breaker-threshold", type=_positive_int, default=3,
                        help="failed runs of one spec before its circuit "
                             "breaker opens (submissions get 409)")
-    serve.add_argument("--chunk-size", type=_positive_int, default=None)
     serve.add_argument("--block-timeout", type=_positive_float, default=300.0,
                        metavar="SECONDS")
     serve.add_argument("--max-attempts", type=_positive_int, default=3)

@@ -23,7 +23,7 @@ syndrome through a tier ladder, cheapest first:
 ``cached``
     A bounded cross-batch LRU of full-decoder predictions
     (:class:`~repro.decoders.cache.PackedLRU`), keyed by the packed
-    syndrome bytes, so repeated heavy syndromes across chunks are never
+    syndrome bytes, so repeated heavy syndromes across batches are never
     re-decoded.  The capacity bound keeps worker memory flat at any
     total shot count (the seed's per-shot dict cache grew without bound).
 ``batched``

@@ -17,15 +17,18 @@ which
 5. writes a ``unit`` summary reconciling
    ``completed + quarantined == scheduled``.
 
-**Determinism contract.**  Every block is executed with fresh decoder
-batch state (``run_block``), so its ``(errors, stats)`` is a pure
-function of ``(circuit, seed, block index)`` — which makes an
+An invalid unit (over 63 observables, ``workers < 1``) is rejected by
+the engine's ``check_count_args`` before anything reaches the ledger.
+
+**Determinism contract.**  Every block is executed alone with fresh
+decoder batch state (``run_block``), so its ``(errors, stats)`` is a
+pure function of ``(circuit, seed, block index)`` — which makes an
 interrupted-and-resumed campaign *bit-identical* to an uninterrupted
 one: same block records, same unit totals, same Wilson intervals,
 regardless of workers, scheduling, crashes or retries.  (Durable stats
-differ from non-durable chunked runs in one declared way: the
-``cached`` tier is always 0, because cross-block LRU reuse would make
-stats depend on scheduling.)
+differ from in-process plain runs, which decode 16 blocks per batch, in
+one declared way: the ``cached`` tier is always 0, because cross-block
+LRU reuse would make stats depend on scheduling.)
 
 **Early stopping.**  ``target_ci_width`` stops a unit once the Wilson
 interval over its completed blocks is at most that wide.  The check
@@ -51,7 +54,12 @@ from repro import obs
 from repro.durable.faults import InjectedTornWrite
 from repro.durable.ledger import RunLedger
 from repro.durable.supervise import RetryPolicy, run_supervised
-from repro.sim.engine import accumulate_decode_stats, block_seeds, make_sampler
+from repro.sim.engine import (
+    accumulate_decode_stats,
+    block_seeds,
+    check_count_args,
+    make_sampler,
+)
 from repro.sim.stats import wilson_interval
 
 __all__ = [
@@ -178,6 +186,7 @@ class DurableExecutor:
         sampler=None,
     ) -> UnitOutcome:
         """Run one unit durably; returns its (possibly resumed) outcome."""
+        check_count_args(obs_ids, self.workers)
         if self._stop_requested:
             raise self._interrupted(unit, 0)
 

@@ -1,10 +1,15 @@
 """Supervised block execution: timeouts, retry with backoff, quarantine.
 
-``multiprocessing.Pool`` cannot express the failure model durable
-campaigns need — a hung worker blocks ``imap`` forever, and a crashed
-worker poisons the pool.  This module runs raw ``Process`` workers, each
-with its own task queue and a shared result queue, under a parent-side
-supervisor that:
+This is the engine's only way to fan shot blocks out to processes: the
+durable executor runs every unit through :func:`run_supervised`, and so
+does a plain ``count_logical_errors(workers > 1)`` (no ledger; a block
+it would quarantine is raised as ``BlockExecutionError`` instead).  Both
+therefore count their attempts in ``repro_durable_attempts_total``.
+
+``multiprocessing.Pool`` cannot express this failure model — a hung
+worker blocks ``imap`` forever, and a crashed worker poisons the pool.
+This module runs raw ``Process`` workers, each with its own task queue
+and a shared result queue, under a parent-side supervisor that:
 
 - enforces a **per-block deadline** (``RetryPolicy.block_timeout``) and
   checks ``Process.is_alive`` every poll tick, so hangs and crashes are
@@ -34,8 +39,9 @@ unit's ``worker_args`` to every worker; tasks and results are tagged
 with the epoch, so a straggler result from a previous unit can never be
 mistaken for current work.
 
-Because every block's result is a pure function of ``(circuit, seed,
-index)`` (see ``repro.sim.engine.run_block``), none of this machinery
+Every worker runs one block per ``repro.sim.engine.run_block`` call,
+with fresh decoder state.  Because every block's result is therefore a
+pure function of ``(circuit, seed, index)``, none of this machinery
 can change the answer — retries re-execute bit-identical work, and the
 completion order only affects scheduling, never the sums.
 
@@ -173,9 +179,7 @@ def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
                 decoder,
                 basis_ids,
                 obs_ids,
-                index,
-                shots,
-                seed,
+                [(index, shots, seed)],
                 fault=fault,
                 unit=unit,
             )
@@ -419,7 +423,7 @@ def _run_inline(
             if fault is not None:
                 fault.apply(unit, index, attempt, inline=True)
             errors, stats = run_block(
-                sampler, decoder, basis_ids, obs_ids, index, shots, seed,
+                sampler, decoder, basis_ids, obs_ids, [(index, shots, seed)],
                 fault=fault, unit=unit,
             )
             if t0:

@@ -91,7 +91,7 @@ def _h(name, help, labels=(), buckets=DURATION_BUCKETS):
 
 
 CATALOG: tuple[InstrumentSpec, ...] = (
-    # --- engine: packed sampler + chunked Monte-Carlo loop ------------------
+    # --- engine: packed sampler + batched Monte-Carlo blocks ----------------
     _c("repro_engine_shots_total", "Shots simulated by count_logical_errors"),
     _c("repro_engine_blocks_total", "1024-shot seed blocks executed"),
     _c("repro_engine_logical_errors_total", "Logical errors observed"),
@@ -100,9 +100,9 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "Circuit-to-sampler compiles, by backend",
         labels=("backend",),
     ),
-    _h("repro_engine_sample_seconds", "Wall time sampling one chunk"),
-    _h("repro_engine_decode_seconds", "Wall time decoding one chunk"),
-    _h("repro_engine_chunk_seconds", "Wall time for one sample+decode chunk"),
+    _h("repro_engine_sample_seconds", "Wall time sampling one run_block batch"),
+    _h("repro_engine_decode_seconds", "Wall time decoding one run_block batch"),
+    _h("repro_engine_chunk_seconds", "Wall time for one run_block sample+decode"),
     # --- decode: tier dispatcher + batched union-find kernel ----------------
     _c(
         "repro_decode_tier_shots_total",
@@ -164,7 +164,7 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     ),
     _c("repro_durable_respawns_total", "Fleet worker processes respawned"),
     _c("repro_durable_waves_total", "Early-stop waves executed"),
-    _h("repro_durable_block_seconds", "Wall time for one durable block attempt"),
+    _h("repro_durable_block_seconds", "Wall time for one supervised block attempt"),
     # --- service: long-lived campaign server --------------------------------
     _c(
         "repro_service_admissions_total",

@@ -7,7 +7,7 @@ Design constraints (see EXPERIMENTS.md "Observability"):
   through the module-level :func:`counter`/:func:`gauge`/:func:`histogram`
   helpers, which return a shared no-op instrument when disabled — the
   disabled cost is one global read and one ``is None`` check, and all
-  instrumentation sits at chunk/block granularity (>= 1024 shots per
+  instrumentation sits at block granularity (>= 1024 shots per
   event), so the hot path never sees per-shot overhead.
 - **Deterministic merges.**  Histograms use *fixed* bucket edges declared
   in :mod:`repro.obs.catalog`, so merging two snapshots is a plain per-key
@@ -17,7 +17,7 @@ Design constraints (see EXPERIMENTS.md "Observability"):
   and the parent merge them in any arrival order without changing a single
   campaign number.
 - **Snapshots are plain JSON.**  ``MetricsRegistry.snapshot()`` returns a
-  nested dict of builtin types only, safe to pickle across a Pool, append
+  nested dict of builtin types only, safe to pickle across processes, append
   to a service payload, or write to ``metrics.json``.
 
 The single stats-merge implementation for the whole repo lives here as

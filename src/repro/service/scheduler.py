@@ -76,7 +76,6 @@ class Scheduler:
         fault=None,
         job_timeout: float | None = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        chunk_size: int | None = None,
     ):
         from repro.decoders import BuildCache
 
@@ -87,7 +86,6 @@ class Scheduler:
         self.fault = fault
         self.job_timeout = job_timeout
         self.breaker_threshold = breaker_threshold
-        self.chunk_size = chunk_size
         self.caches = {
             "lowering": BuildCache("lowering"),
             "decoder_graph": BuildCache("decoder-graph"),
@@ -316,7 +314,7 @@ class Scheduler:
             on_block=on_block,
             # Block-granular stop checks: a drain or job timeout takes
             # effect at the next completed block, not the next 8-block
-            # wave.  Never affects results (worker/chunk invariance).
+            # wave.  Never affects results (worker invariance).
             stop_interval_blocks=1,
         )
         with self._cond:
@@ -327,8 +325,6 @@ class Scheduler:
             result = execute_spec(
                 job.spec,
                 executor,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
                 lowering_cache=self.caches["lowering"],
                 graph_cache=self.caches["decoder_graph"],
                 joint_cache=self.caches["joint_lowering"],

@@ -232,7 +232,6 @@ def serve_forever(
     fault=None,
     job_timeout: float | None = None,
     breaker_threshold: int = 3,
-    chunk_size: int | None = None,
     verbose: bool = False,
 ) -> int:
     """Run the campaign service until SIGTERM/SIGINT; returns exit code.
@@ -256,7 +255,6 @@ def serve_forever(
         fault=fault,
         job_timeout=job_timeout,
         breaker_threshold=breaker_threshold,
-        chunk_size=chunk_size,
     )
     server = CampaignServer((host, port), store, scheduler, verbose=verbose)
     server.write_address_file()

@@ -10,9 +10,9 @@ source of truth: ``__main__.py`` calls them for ``memory``/``compare``
 and the service calls them for every submitted payload.
 
 ``execute_spec`` is the matching single source of execution truth: it
-reconstructs the campaign from nothing but the spec (plus
-non-result-affecting knobs like worker count and shared caches), so a
-job runs the same computation no matter which front-end accepted it.
+reconstructs the campaign from nothing but the spec (plus the durable
+executor and shared caches, which never affect results), so a job runs
+the same computation no matter which front-end accepted it.
 """
 
 from __future__ import annotations
@@ -219,8 +219,6 @@ def execute_spec(
     spec: dict,
     executor,
     *,
-    workers: int = 1,
-    chunk_size: int | None = None,
     lowering_cache=None,
     graph_cache=None,
     joint_cache=None,
@@ -228,19 +226,18 @@ def execute_spec(
 ) -> dict:
     """Run the campaign a spec describes; returns a JSON-able summary.
 
-    Only the spec affects results — ``workers``, ``chunk_size`` and the
-    shared caches change wall-clock, never block records (the engine's
-    worker/chunk-invariance contract).  The summary reports per-unit
-    errors/shots/CI plus decode-tier totals, and is what a job's
-    ``result`` field holds once it completes.
+    Only the spec affects results — the durable ``executor`` (which
+    carries the worker count) and the shared caches change wall-clock,
+    never block records (the engine's worker-invariance contract).  The
+    summary reports per-unit errors/shots/CI plus decode-tier totals,
+    and is what a job's ``result`` field holds once it completes.
     """
     command = spec["command"]
     if command == "memory":
-        return _execute_memory(spec, executor, workers=workers,
-                               chunk_size=chunk_size)
+        return _execute_memory(spec, executor)
     if command == "compare":
         return _execute_compare(
-            spec, executor, workers=workers, chunk_size=chunk_size,
+            spec, executor,
             lowering_cache=lowering_cache, graph_cache=graph_cache,
             joint_cache=joint_cache, joint_graph_cache=joint_graph_cache,
         )
@@ -261,9 +258,9 @@ def _rate(result) -> float:
     return result.logical_error_rate if result.shots > 0 else 0.0
 
 
-def _execute_memory(spec, executor, *, workers, chunk_size) -> dict:
+def _execute_memory(spec, executor) -> dict:
     from repro.noise import ErrorModel
-    from repro.sim import DEFAULT_CHUNK_SIZE, run_memory_experiment
+    from repro.sim import run_memory_experiment
     from repro.threshold import build_memory_circuit
     from repro.threshold.estimator import default_hardware_for
 
@@ -281,8 +278,6 @@ def _execute_memory(spec, executor, *, workers, chunk_size) -> dict:
         shots=spec["shots"],
         decoder=spec["decoder"],
         seed=spec["seed"],
-        workers=workers,
-        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
         backend=spec["backend"],
         executor=executor,
     )
@@ -302,10 +297,9 @@ def _execute_memory(spec, executor, *, workers, chunk_size) -> dict:
 
 
 def _execute_compare(
-    spec, executor, *, workers, chunk_size,
+    spec, executor, *,
     lowering_cache, graph_cache, joint_cache, joint_graph_cache,
 ) -> dict:
-    from repro.sim import DEFAULT_CHUNK_SIZE
     from repro.vlq import build_program, compare_architectures
 
     program = build_program(spec["program"], spec["qubits"])
@@ -321,8 +315,6 @@ def _execute_compare(
         rounds_per_timestep=spec["rounds_per_timestep"],
         decoder=spec["decoder"],
         seed=spec["seed"],
-        workers=workers,
-        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
         backend=spec["backend"],
         program_name=spec["program"],
         correlated=spec["correlated"],

@@ -4,7 +4,6 @@ from repro.sim.compiled import CompiledCircuit, compile_circuit
 from repro.sim.engine import (
     BACKENDS,
     BlockExecutionError,
-    DEFAULT_CHUNK_SIZE,
     SHOT_BLOCK,
     accumulate_decode_stats,
     block_seeds,
@@ -31,7 +30,6 @@ __all__ = [
     "BACKENDS",
     "BlockExecutionError",
     "CompiledCircuit",
-    "DEFAULT_CHUNK_SIZE",
     "DecodingSetup",
     "FrameSimulator",
     "LogicalErrorResult",

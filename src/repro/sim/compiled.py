@@ -34,7 +34,7 @@ differs from the reference bool-array simulator's (which draws one float
 array per target per instruction): the packed backend consumes, in
 compiled-op order, one geometric-gap batch per noise/flip op plus one
 ``integers`` draw for Pauli-kind selection.  Both backends are individually
-deterministic and worker/chunk-invariant; matched seeds across backends
+deterministic and worker-invariant; matched seeds across backends
 give statistically identical — not bitwise identical — noise.
 """
 
@@ -244,7 +244,7 @@ class CompiledCircuit:
     """A circuit lowered once for bit-packed frame sampling.
 
     Instances are cheap to pickle (index arrays + CSR matrices), which is
-    how the engine ships them once per worker via the pool initializer.
+    how the supervisor ships them once per worker when it arms the fleet.
     """
 
     def __init__(self, circuit: Circuit):

@@ -6,9 +6,8 @@ on the total shot count), and ``np.random.SeedSequence(seed).spawn`` gives
 every block its own independent child stream.  A block's sampled data —
 and hence its logical-error count — is therefore a pure function of
 ``(circuit, seed, block index)``.  Summing per-block counts makes the
-total **bit-identical for any ``workers`` or ``chunk_size``**; those knobs
-only choose which process handles which blocks and how many blocks are
-materialized at once.
+total **bit-identical for any ``workers``**, durable or not; the knob
+only chooses which process handles which blocks.
 
 Two sampling backends implement that contract:
 
@@ -16,25 +15,21 @@ Two sampling backends implement that contract:
   :func:`count_logical_errors` call into a
   :class:`~repro.sim.compiled.CompiledCircuit` — fused vectorized ops over
   uint64 bit-planes plus sparse GF(2) detector/observable matrices — and
-  shipped once per worker via the pool initializer, not rebuilt per chunk.
+  shipped once per worker when the fleet is armed, not rebuilt per block.
 - ``"reference"``: the original per-instruction bool-array
   :class:`~repro.sim.frame.FrameSimulator`, kept as the semantic oracle.
 
 Each backend defines its own canonical random stream (see
 ``repro/sim/compiled.py``); within a backend, results are deterministic
-and invariant to ``workers``/``chunk_size`` at fixed seed.
+and invariant to ``workers`` at fixed seed.
 
-A *chunk* is a run of consecutive blocks sized by ``chunk_size``: the
-memory high-water mark (one detector array of ``chunk_size`` rows per
-in-flight chunk) and the multiprocessing work unit.  Within a chunk the
-syndromes of all its blocks are decoded together through
-``decoder.decode_batch``, so duplicate syndromes across the whole chunk
-are decoded once.
+:func:`run_block` is the one function that samples, decodes and scores
+shot blocks; :func:`repro.durable.supervise.run_supervised` is the one
+way blocks fan out to processes, for plain and durable runs alike.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from time import perf_counter
 from typing import Sequence
 
@@ -49,10 +44,10 @@ from repro.sim.frame import DetectionData, sample_detection_data
 __all__ = [
     "BACKENDS",
     "BlockExecutionError",
-    "DEFAULT_CHUNK_SIZE",
     "SHOT_BLOCK",
     "accumulate_decode_stats",
     "block_seeds",
+    "check_count_args",
     "count_logical_errors",
     "decode_block_full",
     "make_sampler",
@@ -60,12 +55,14 @@ __all__ = [
     "shot_blocks",
 ]
 
-#: RNG granularity: shots per independently-seeded block.  Fixed — never
-#: derived from ``chunk_size`` — so results are invariant to chunking.
+#: RNG granularity: shots per independently-seeded block.  Fixed, so
+#: results are invariant to how blocks are batched or distributed.
 SHOT_BLOCK = 1024
 
-#: Default shots materialized (and batch-decoded) per chunk.
-DEFAULT_CHUNK_SIZE = 16384
+#: Blocks per ``decode_batch`` call in an in-process run (16384 shots).
+#: Cross-block syndrome dedup pays here: at d=3, one block per call
+#: decoded 41% more kernel rows and lost 4-13% of end-to-end throughput.
+_INLINE_BATCH_BLOCKS = 16
 
 #: Sampling backends accepted by :func:`count_logical_errors`.
 BACKENDS = ("packed", "reference")
@@ -101,26 +98,37 @@ def block_seeds(
     return list(zip(range(len(sizes)), sizes, seeds))
 
 
+def check_count_args(obs_ids: Sequence[int], workers: int) -> None:
+    """Reject a unit no block of which could run, before any block does.
+
+    Shared by :func:`count_logical_errors` and the durable executor, so
+    neither retries and quarantines a permanent error as if transient.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if len(obs_ids) > 63:
+        raise ValueError(
+            f"cannot pack {len(obs_ids)} observables into an int64 mask "
+            "(at most 63 observables per basis are supported)"
+        )
+
+
 def _seed_label(seed: np.random.SeedSequence) -> str:
     return f"entropy={seed.entropy}, spawn_key={seed.spawn_key}"
 
 
 class BlockExecutionError(RuntimeError):
-    """A shot block (or chunk of blocks) failed inside the engine.
+    """A shot block failed inside the engine.
 
     The message pins the failing block index and its SeedSequence
     identity so the failure is reproducible from the message alone —
-    replay with ``run_block`` at that index, no pool required.
+    replay with ``run_block`` at that index, no worker required.
     """
 
     def __init__(self, message: str, block: int, seed_label: str):
         super().__init__(message)
         self.block = block
         self.seed_label = seed_label
-
-    def __reduce__(self):
-        # Keep the custom fields across pickling (worker -> pool parent).
-        return (type(self), (str(self), self.block, self.seed_label))
 
 
 class _ReferenceSampler:
@@ -157,78 +165,17 @@ def _pack_observables(observables: np.ndarray, obs_ids: Sequence[int]) -> np.nda
     return packed
 
 
-def _run_chunk(
-    sampler,
-    decoder: SyndromeDecoder,
-    basis_ids: Sequence[int],
-    obs_ids: Sequence[int],
-    blocks: list[tuple[int, int, np.random.SeedSequence]],
-) -> tuple[int, dict[str, int]]:
-    """Sample, decode and score one chunk of ``(index, shots, seed)`` blocks.
-
-    Returns the chunk's logical-error count and the decode-tier occupancy
-    of its ``decode_batch`` call (see ``repro.decoders.batch.TIER_NAMES``).
-    Any failure is re-raised as :class:`BlockExecutionError` carrying the
-    block index and seed, so a poisoned block is reproducible from the
-    message alone instead of a bare pool traceback.
-    """
-    # Preallocate the chunk's syndrome array and fill block-by-block, so
-    # peak detector memory really is the documented one-chunk bound (a
-    # concatenate of per-block slices would transiently double it).
-    reg = obs.active()
-    t0 = perf_counter() if reg is not None else 0.0
-    chunk_shots = sum(block_shots for _, block_shots, _ in blocks)
-    dets = np.empty((chunk_shots, len(basis_ids)), dtype=bool)
-    actual = np.empty(chunk_shots, dtype=np.int64)
-    at = 0
-    for index, block_shots, seed in blocks:
-        try:
-            data = sampler.sample(block_shots, seed)
-            dets[at : at + data.shots] = data.detectors[:, basis_ids]
-            actual[at : at + data.shots] = _pack_observables(data.observables, obs_ids)
-        except Exception as exc:
-            raise BlockExecutionError(
-                f"sampling block {index} ({_seed_label(seed)}) failed: {exc!r}",
-                index,
-                _seed_label(seed),
-            ) from exc
-        at += data.shots
-    t1 = perf_counter() if reg is not None else 0.0
-    try:
-        predictions = decoder.decode_batch(dets)
-    except Exception as exc:
-        first_index, _, first_seed = blocks[0]
-        last_index = blocks[-1][0]
-        raise BlockExecutionError(
-            f"decoding chunk of blocks {first_index}..{last_index} "
-            f"(first block {_seed_label(first_seed)}) failed: {exc!r}",
-            first_index,
-            _seed_label(first_seed),
-        ) from exc
-    stats = decoder.last_batch_stats or {}
-    errors = int(np.count_nonzero(predictions != actual))
-    if reg is not None:
-        t2 = perf_counter()
-        reg.counter("repro_engine_shots_total").inc(chunk_shots)
-        reg.counter("repro_engine_blocks_total").inc(len(blocks))
-        reg.counter("repro_engine_logical_errors_total").inc(errors)
-        reg.histogram("repro_engine_sample_seconds").observe(t1 - t0)
-        reg.histogram("repro_engine_decode_seconds").observe(t2 - t1)
-        reg.histogram("repro_engine_chunk_seconds").observe(t2 - t0)
-    return errors, stats
-
-
 def decode_block_full(
     decoder: SyndromeDecoder, dets: np.ndarray
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Tier-free fallback decode: every unique syndrome through ``decode``.
 
-    The graceful-degradation path for durable blocks — when the tiered
+    The graceful-degradation path of :func:`run_block` — when the tiered
     dispatcher raises (a tier assertion, or an injected decode fault),
-    the block is re-decoded with nothing but the full decoder, which the
-    tiers are provably equivalent to, so the error count is preserved.
-    Stats keep the tier-sum == unique identity with everything heavy in
-    ``full``.
+    the blocks are re-decoded with nothing but the full decoder, which
+    the tiers are provably equivalent to, so the error count is
+    preserved.  Stats keep the tier-sum == unique identity with
+    everything heavy in ``full``.
     """
     dets = np.asarray(dets, dtype=bool)
     shots = dets.shape[0]
@@ -258,68 +205,78 @@ def run_block(
     decoder: SyndromeDecoder,
     basis_ids: Sequence[int],
     obs_ids: Sequence[int],
-    index: int,
-    block_shots: int,
-    seed: np.random.SeedSequence,
+    blocks: Sequence[tuple[int, int, np.random.SeedSequence]],
     *,
     fresh_decoder_state: bool = True,
     fault=None,
     unit: str = "",
 ) -> tuple[int, dict[str, int]]:
-    """Sample, decode and score ONE shot block — the durable unit of work.
+    """Sample, decode and score ``(index, shots, seed)`` shot blocks.
+
+    All blocks go through one ``decode_batch`` call, so a syndrome
+    repeated across them is decoded once.  Returns the logical-error
+    count and that call's decode-tier occupancy (see
+    ``repro.decoders.batch.TIER_NAMES``).
 
     With ``fresh_decoder_state`` (the default) the decoder's cross-batch
     LRU is cleared first, so the returned ``(errors, stats)`` pair is a
-    pure function of ``(sampler, seed, index)`` — bit-identical no matter
-    which worker runs the block, in what order, or after which others.
-    That purity is what makes checkpointed results safe to resume from
-    and byte-comparable across interrupted and uninterrupted runs.
+    pure function of ``(sampler, blocks)`` — bit-identical no matter
+    which worker runs it, in what order, or after which others.  That
+    purity is what makes checkpointed results safe to resume from and
+    byte-comparable across interrupted and uninterrupted runs.
 
-    ``fault`` is an optional fault-injection hook (duck-typed; see
-    ``repro.durable.faults.FaultPlan``): ``fault.check_decode(unit,
-    index)`` may raise to simulate a decode-tier failure, which — like a
-    real tier assertion — degrades gracefully to the tier-free
-    :func:`decode_block_full` fallback instead of failing the block.
+    A sampling failure raises :class:`BlockExecutionError` naming the
+    block and its seed.  A decode failure — a real tier assertion, or
+    one injected by ``fault.check_decode(unit, index)`` (duck-typed; see
+    ``repro.durable.faults.FaultPlan``) — degrades to the tier-free
+    :func:`decode_block_full` and sets ``stats["fallback"]``.
     """
     reg = obs.active()
     t0 = perf_counter() if reg is not None else 0.0
     if fresh_decoder_state:
         decoder.reset_batch_state()
-    try:
-        data = sampler.sample(block_shots, seed)
-        dets = data.detectors[:, basis_ids]
-        actual = _pack_observables(data.observables, obs_ids)
-    except Exception as exc:
-        raise BlockExecutionError(
-            f"sampling block {index} ({_seed_label(seed)}) failed: {exc!r}",
-            index,
-            _seed_label(seed),
-        ) from exc
+    # Preallocate and fill block by block, so peak detector memory is one
+    # batch (a concatenate of per-block slices would transiently double it).
+    total = sum(block_shots for _, block_shots, _ in blocks)
+    dets = np.empty((total, len(basis_ids)), dtype=bool)
+    actual = np.empty(total, dtype=np.int64)
+    at = 0
+    for index, block_shots, seed in blocks:
+        try:
+            data = sampler.sample(block_shots, seed)
+            dets[at : at + data.shots] = data.detectors[:, basis_ids]
+            actual[at : at + data.shots] = _pack_observables(data.observables, obs_ids)
+        except Exception as exc:
+            raise BlockExecutionError(
+                f"sampling block {index} ({_seed_label(seed)}) failed: {exc!r}",
+                index,
+                _seed_label(seed),
+            ) from exc
+        at += data.shots
     t1 = perf_counter() if reg is not None else 0.0
-    fallback = False
     try:
         if fault is not None:
-            fault.check_decode(unit, index)
+            for index, _, _ in blocks:
+                fault.check_decode(unit, index)
         predictions = decoder.decode_batch(dets)
         stats = dict(decoder.last_batch_stats or {})
     except Exception:
         try:
             predictions, stats = decode_block_full(decoder, dets)
-            fallback = True
         except Exception as exc:
+            index, _, seed = blocks[0]
             raise BlockExecutionError(
-                f"decoding block {index} ({_seed_label(seed)}) failed even "
-                f"in the tier-free fallback: {exc!r}",
+                f"decoding from block {index} ({_seed_label(seed)}) failed "
+                f"even in the tier-free fallback: {exc!r}",
                 index,
                 _seed_label(seed),
             ) from exc
-    if fallback:
         stats["fallback"] = 1
     errors = int(np.count_nonzero(predictions != actual))
     if reg is not None:
         t2 = perf_counter()
-        reg.counter("repro_engine_shots_total").inc(block_shots)
-        reg.counter("repro_engine_blocks_total").inc(1)
+        reg.counter("repro_engine_shots_total").inc(total)
+        reg.counter("repro_engine_blocks_total").inc(len(blocks))
         reg.counter("repro_engine_logical_errors_total").inc(errors)
         reg.histogram("repro_engine_sample_seconds").observe(t1 - t0)
         reg.histogram("repro_engine_decode_seconds").observe(t2 - t1)
@@ -327,37 +284,10 @@ def run_block(
     return errors, stats
 
 
-# Per-worker state installed by the pool initializer, so the sampler
-# (compiled circuit) and decoder are pickled once per worker, not per chunk.
-_WORKER: dict = {}
-
-
-def _init_worker(sampler, decoder, basis_ids, obs_ids) -> None:
-    _WORKER["args"] = (sampler, decoder, basis_ids, obs_ids)
-
-
-def _run_chunk_in_worker(blocks) -> tuple[int, dict[str, int], dict | None]:
-    """Pool work unit: chunk result plus the worker's metrics delta.
-
-    When observability is on in the worker (inherited by fork, or re-armed
-    via ``REPRO_OBS=1`` under spawn), the chunk's instrument increments are
-    shipped back as a snapshot delta for the parent to merge — metrics
-    survive process fan-out without touching the ``(errors, stats)`` pair
-    that campaign results are built from.
-    """
-    reg = obs.active()
-    if reg is None:
-        errors, stats = _run_chunk(*_WORKER["args"], blocks)
-        return errors, stats, None
-    before = reg.snapshot()
-    errors, stats = _run_chunk(*_WORKER["args"], blocks)
-    return errors, stats, obs.snapshot_delta(reg.snapshot(), before)
-
-
 def accumulate_decode_stats(into: dict, stats: dict[str, int]) -> None:
     """Sum one decode-tier stats dict into an accumulator in place.
 
-    The shared convention for tier accounting across chunks, workers,
+    The shared convention for tier accounting across batches, workers,
     circuits of a campaign, and points of a sweep: plain per-key sums,
     so ``sum(into[t] for t in TIER_NAMES) == into["unique"]`` holds for
     any aggregate whose parts each satisfy it.  Delegates to
@@ -365,9 +295,6 @@ def accumulate_decode_stats(into: dict, stats: dict[str, int]) -> None:
     metric snapshot merging.
     """
     obs.merge_counts(into, stats)
-
-
-_accumulate_stats = accumulate_decode_stats
 
 
 def count_logical_errors(
@@ -378,7 +305,6 @@ def count_logical_errors(
     shots: int,
     seed: int | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     decode_stats: dict | None = None,
     sampler=None,
@@ -388,76 +314,66 @@ def count_logical_errors(
     Parameters
     ----------
     workers:
-        Processes to shard chunks across; ``1`` runs inline.
-    chunk_size:
-        Shots materialized per chunk, rounded down to whole blocks
-        (minimum one block).  Bounds peak memory at any total shot count.
+        ``1`` runs in process, :data:`_INLINE_BATCH_BLOCKS` blocks per
+        :func:`run_block` call, keeping the decoder's LRU across calls.
+        More fans blocks out to supervised worker processes, one block
+        per call; a block still failing after the supervisor's retries
+        raises :class:`BlockExecutionError`, so no shots are dropped.
     backend:
         ``"packed"`` (compiled uint64 bit-plane sampler, default) or
         ``"reference"`` (per-instruction bool-array simulator).  Each is
-        deterministic and worker/chunk-invariant, but they define
-        different canonical random streams, so counts agree across
-        backends statistically rather than bitwise.
+        deterministic and worker-invariant, but they define different
+        canonical random streams, so counts agree across backends
+        statistically rather than bitwise.
     decode_stats:
-        Optional dict that accumulates per-chunk decode-tier occupancy
+        Optional dict that accumulates the decode-tier occupancy
         (``trivial``/``weight1``/``weight2``/``cached``/``batched``/
         ``full`` plus ``unique``, ``shots`` and the raw LRU counter
-        deltas ``lru_hits``/``lru_misses``) summed over every chunk and
-        worker.
-        Per ``decode_batch``'s contract the tier counts of each chunk sum
+        deltas ``lru_hits``/``lru_misses``) of every ``run_block`` call.
+        Per ``decode_batch``'s contract the tier counts of each call sum
         to its unique-syndrome count; the engine-scaling bench asserts
         the aggregate identity.  Note that ``unique``/``cached`` are
-        per-chunk notions: a syndrome occurring in two chunks counts as
+        per-call notions: a syndrome occurring in two batches counts as
         unique in both, and as ``cached`` in the second only via the
-        decoder's cross-batch LRU (per worker process).
+        decoder's cross-batch LRU (in-process runs only).
     sampler:
         Optional pre-built sampler (the object :func:`make_sampler`
         returns for this ``circuit``/``backend``), so multi-circuit
         campaigns compile each distinct circuit shape once and reuse it
         across calls.  When omitted, the circuit is compiled here.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if len(obs_ids) > 63:
-        raise ValueError(
-            f"cannot pack {len(obs_ids)} observables into an int64 mask "
-            "(at most 63 observables per basis are supported)"
-        )
+    check_count_args(obs_ids, workers)
     if sampler is None:
         sampler = make_sampler(circuit, backend)
     blocks = block_seeds(shots, seed)
-    per_chunk = max(1, chunk_size // SHOT_BLOCK)
-    chunks = [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
-
     errors = 0
-    if workers == 1 or len(chunks) == 1:
-        with obs.span("engine.count", shots=shots, workers=1, backend=backend):
-            for chunk in chunks:
-                chunk_errors, stats = _run_chunk(
-                    sampler, decoder, basis_ids, obs_ids, chunk
-                )
-                errors += chunk_errors
-                if decode_stats is not None:
-                    _accumulate_stats(decode_stats, stats)
-        return errors
-
-    reg = obs.active()
-    ctx = multiprocessing.get_context()
     with obs.span("engine.count", shots=shots, workers=workers, backend=backend):
-        with ctx.Pool(
-            processes=min(workers, len(chunks)),
-            initializer=_init_worker,
-            initargs=(sampler, decoder, basis_ids, obs_ids),
-        ) as pool:
-            # Summation is order-independent, so drain shards as they finish.
-            for chunk_errors, stats, delta in pool.imap_unordered(
-                _run_chunk_in_worker, chunks
-            ):
-                errors += chunk_errors
+        if workers == 1:
+            for i in range(0, len(blocks), _INLINE_BATCH_BLOCKS):
+                batch_errors, stats = run_block(
+                    sampler, decoder, basis_ids, obs_ids,
+                    blocks[i : i + _INLINE_BATCH_BLOCKS],
+                    fresh_decoder_state=False,
+                )
+                errors += batch_errors
                 if decode_stats is not None:
-                    _accumulate_stats(decode_stats, stats)
-                if reg is not None and delta is not None:
-                    reg.merge_snapshot(delta)
+                    accumulate_decode_stats(decode_stats, stats)
+            return errors
+        # Imported here: the supervisor module imports this one.
+        from repro.durable.supervise import run_supervised
+
+        result = run_supervised(
+            blocks, (sampler, decoder, basis_ids, obs_ids), unit="", workers=workers
+        )
+    if result.quarantined:
+        failed = min(result.quarantined, key=lambda outcome: outcome.index)
+        label = _seed_label(blocks[failed.index][2])
+        raise BlockExecutionError(
+            f"block {failed.index} ({label}) failed {failed.attempts} "
+            f"attempt(s): {failed.failure}", failed.index, label,
+        )
+    for outcome in result.completed:
+        errors += outcome.errors
+        if decode_stats is not None:
+            accumulate_decode_stats(decode_stats, outcome.stats)
     return errors

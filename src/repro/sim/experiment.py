@@ -3,10 +3,10 @@
 Pipeline per experiment: build the noisy circuit → extract its detector
 error model → build the basis matching graph → hand everything to the
 batched Monte-Carlo engine (:mod:`repro.sim.engine`), which samples
-detection events in bounded-memory chunks, deduplicates syndromes, and
-decodes each unique syndrome once — optionally sharded across worker
-processes.  For a fixed ``seed`` the error count is bit-identical
-regardless of ``workers`` and ``chunk_size``.
+detection events in bounded-memory batches of shot blocks, deduplicates
+syndromes, and decodes each unique syndrome once — optionally sharded
+across worker processes.  For a fixed ``seed`` the error count is
+bit-identical regardless of ``workers``.
 
 :func:`prepare_decoding` exposes the expensive middle of that pipeline
 (DEM extraction + matching-graph + decoder construction) so that
@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.decoders import MatchingGraph, SyndromeDecoder, make_decoder
 from repro.dem import DetectorErrorModel
-from repro.sim.engine import (
-    DEFAULT_CHUNK_SIZE,
-    accumulate_decode_stats,
-    count_logical_errors,
-)
+from repro.sim.engine import accumulate_decode_stats, count_logical_errors
 from repro.sim.stats import wilson_interval
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -105,7 +101,6 @@ def run_memory_experiment(
     decoder: str = "unionfind",
     seed: int | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     decode_stats: dict | None = None,
     executor=None,
@@ -123,16 +118,14 @@ def run_memory_experiment(
     decoder:
         ``"unionfind"`` (fast, default) or ``"mwpm"`` (reference).
     workers:
-        Worker processes for the sharded engine (1 = run inline).
-    chunk_size:
-        Shots materialized per chunk; bounds peak memory.  Neither knob
+        Worker processes for the sharded engine (1 = run inline).  Never
         changes the result for a fixed ``seed`` (see EXPERIMENTS.md).
     backend:
         Sampling backend: ``"packed"`` (compiled bit-plane simulator,
         default) or ``"reference"`` (bool-array per-instruction
         simulator).  Each backend has its own canonical random stream.
     decode_stats:
-        Optional dict accumulating decode-tier occupancy over all chunks
+        Optional dict accumulating decode-tier occupancy over all batches
         (see :func:`repro.sim.engine.count_logical_errors`).  The stats
         are always collected and attached to the result's
         ``decode_stats`` field (a fresh dict per run); passing a dict
@@ -172,7 +165,6 @@ def run_memory_experiment(
             shots,
             seed=seed,
             workers=workers,
-            chunk_size=chunk_size,
             backend=backend,
             decode_stats=stats,
         )

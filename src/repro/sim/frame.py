@@ -172,7 +172,7 @@ def sample_detection_chunks(
     Each block gets its own independent RNG stream, so memory stays
     bounded by the largest block and the sampled data for a given block is
     identical no matter which process, or in what order, consumes it —
-    the foundation of the engine's worker/chunk-invariant determinism.
+    the foundation of the engine's worker-invariant determinism.
     """
     for block_shots, seed in blocks:
         yield sample_detection_data(circuit, block_shots, np.random.default_rng(seed))

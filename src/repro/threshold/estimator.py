@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.arch import compact_memory_circuit, natural_memory_circuit
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel, HardwareParams
 from repro.sim import (
-    DEFAULT_CHUNK_SIZE,
     LogicalErrorResult,
     accumulate_decode_stats,
     run_memory_experiment,
@@ -197,15 +196,14 @@ def estimate_threshold(
     scale_coherence: bool = False,
     t1_cavity_override: float | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     executor=None,
 ) -> ThresholdStudy:
     """Sweep p × d for one scheme and return the full study.
 
-    ``workers``, ``chunk_size`` and ``backend`` are forwarded to the
-    Monte-Carlo engine; the first two change runtime and memory, never
-    the measured counts (``backend`` selects a canonical random stream).
+    ``workers`` and ``backend`` are forwarded to the Monte-Carlo engine;
+    ``workers`` changes runtime, never the measured counts (``backend``
+    selects a canonical random stream).
     ``executor`` (optional durable executor) checkpoints every sweep
     point under a ``scheme/d…/p…`` unit label, making the whole study
     resumable.
@@ -246,7 +244,6 @@ def estimate_threshold(
                 decoder=decoder,
                 seed=None if seed is None else seed + 1000 * d + i,
                 workers=workers,
-                chunk_size=chunk_size,
                 backend=backend,
                 executor=executor,
                 unit=f"{scheme}/d{d}/p{i}",

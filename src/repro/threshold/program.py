@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core import LogicalProgram
-from repro.sim import DEFAULT_CHUNK_SIZE
 from repro.threshold.estimator import _crossing
 from repro.vlq import compare_architectures
 
@@ -82,7 +81,6 @@ def estimate_program_threshold(
     decoder: str = "unionfind",
     seed: int | None = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     program_name: str = "program",
     executor=None,
@@ -120,7 +118,6 @@ def estimate_program_threshold(
             decoder=decoder,
             seed=None if seed is None else seed + 9973 * i,
             workers=workers,
-            chunk_size=chunk_size,
             backend=backend,
             program_name=program_name,
             correlated=correlated,

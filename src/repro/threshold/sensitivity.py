@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
-from repro.sim import DEFAULT_CHUNK_SIZE, accumulate_decode_stats, run_memory_experiment
+from repro.sim import accumulate_decode_stats, run_memory_experiment
 from repro.threshold.estimator import build_memory_circuit
 
 __all__ = [
@@ -136,14 +136,13 @@ def run_sensitivity_panel(
     decoder: str = "unionfind",
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
 ) -> SensitivityPanel:
     """Measure one sensitivity panel (default: Compact, Interleaved).
 
-    ``workers``/``chunk_size``/``backend`` tune the Monte-Carlo engine
-    only.  Decode-tier occupancy accumulates onto the panel's
-    ``decode_stats`` across every (distance, x) point.
+    ``workers``/``backend`` tune the Monte-Carlo engine only.
+    Decode-tier occupancy accumulates onto the panel's ``decode_stats``
+    across every (distance, x) point.
     """
     if panel not in SENSITIVITY_PANELS:
         raise ValueError(f"unknown panel {panel!r}; options: {sorted(SENSITIVITY_PANELS)}")
@@ -167,7 +166,6 @@ def run_sensitivity_panel(
                 decoder=decoder,
                 seed=seed + 1000 * d + i,
                 workers=workers,
-                chunk_size=chunk_size,
                 backend=backend,
             )
             accumulate_decode_stats(out.decode_stats, result.decode_stats)

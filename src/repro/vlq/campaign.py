@@ -17,8 +17,8 @@ be passed in so a whole architecture sweep shares them.
 
 Determinism: qubit ``i`` (in sorted-qubit order) runs with seed
 ``seed + 104729·i``; within each run the engine's SeedSequence block
-contract makes the count bit-identical for any ``workers``/
-``chunk_size``.  The whole campaign is therefore a pure function of
+contract makes the count bit-identical for any ``workers``.  The
+whole campaign is therefore a pure function of
 ``(program, machine, noise, seed)`` per backend.
 
 Correlated mode (``correlated=True``) additionally partitions the
@@ -55,7 +55,6 @@ from repro.core import (
 from repro.decoders import BuildCache
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
 from repro.sim import (
-    DEFAULT_CHUNK_SIZE,
     LogicalErrorResult,
     accumulate_decode_stats,
     count_logical_errors,
@@ -256,7 +255,6 @@ def run_program_experiment(
     decoder: str = "unionfind",
     seed: int | None = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     lowering_cache: BuildCache | None = None,
     graph_cache: BuildCache | None = None,
@@ -383,7 +381,6 @@ def run_program_experiment(
                     shots,
                     seed=unit_seed,
                     workers=workers,
-                    chunk_size=chunk_size,
                     backend=backend,
                     decode_stats=stats,
                     sampler=sampler,
@@ -472,7 +469,6 @@ def run_program_experiment(
                         shots,
                         seed=pair_seed,
                         workers=workers,
-                        chunk_size=chunk_size,
                         backend=backend,
                         decode_stats=stats,
                         sampler=sampler,
@@ -630,7 +626,6 @@ def compare_architectures(
     decoder: str = "unionfind",
     seed: int | None = 0,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
     program_name: str = "program",
     correlated: bool = False,
@@ -702,7 +697,6 @@ def compare_architectures(
                         decoder=decoder,
                         seed=seed,
                         workers=workers,
-                        chunk_size=chunk_size,
                         backend=backend,
                         lowering_cache=lowering_cache,
                         graph_cache=graph_cache,

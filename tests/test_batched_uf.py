@@ -395,7 +395,7 @@ class TestDurableDegradation:
 
         errors, stats = run_block(
             sampler, setup.decoder, setup.basis_detectors,
-            setup.basis_observables, index, shots, seed,
+            setup.basis_observables, [(index, shots, seed)],
         )
         assert stats.get("batched", 0) > 0
         assert "fallback" not in stats
@@ -408,7 +408,7 @@ class TestDurableDegradation:
         broken._decode_heavy_batch = boom
         errors_fb, stats_fb = run_block(
             sampler, broken, setup.basis_detectors,
-            setup.basis_observables, index, shots, seed,
+            setup.basis_observables, [(index, shots, seed)],
         )
         # Same counts (the tiers are provably equivalent), flagged as
         # degraded, and everything heavy lands in ``full``.

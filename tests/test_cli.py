@@ -30,7 +30,7 @@ class TestCLI:
     def test_threshold_engine_flags(self, capsys):
         assert main([
             "threshold", "--scheme", "baseline", "--shots", "60",
-            "--workers", "2", "--chunk-size", "1024",
+            "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "threshold estimate" in out

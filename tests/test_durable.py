@@ -403,7 +403,7 @@ class TestBlockErrorContext:
         index, shots, seed = block_seeds(SHOTS, SEED)[2]
         with pytest.raises(BlockExecutionError) as excinfo:
             run_block(BrokenSampler(), setup.decoder, setup.basis_detectors,
-                      setup.basis_observables, index, shots, seed)
+                      setup.basis_observables, [(index, shots, seed)])
         err = excinfo.value
         assert err.block == 2
         assert "block 2" in str(err)
@@ -511,6 +511,26 @@ class TestCLIDurable:
         from repro.__main__ import main
         assert main(["lint", "--ledger-only"]) == 2
         assert "--ledger" in capsys.readouterr().err
+
+
+class TestInvalidUnitRejected:
+    """A unit no block of which can run is rejected up front, as the
+    plain engine rejects it, instead of retried and quarantined."""
+
+    @pytest.mark.parametrize("workers, obs_ids", [(1, list(range(64))), (0, [0])])
+    def test_rejected_before_any_ledger_record(self, tmp_path, workers, obs_ids):
+        setup = prepare_decoding(_MEMORY)
+        path = tmp_path / "invalid.jsonl"
+        with RunLedger(path, SPEC) as ledger:
+            executor = DurableExecutor(ledger, workers=workers, policy=FAST)
+            with pytest.raises(ValueError):
+                executor.count(
+                    unit="memory", circuit=_MEMORY.circuit,
+                    decoder=setup.decoder, basis_ids=setup.basis_detectors,
+                    obs_ids=obs_ids, shots=2048, seed=SEED,
+                )
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["kind"] for r in records] == ["header"]
 
 
 class TestDurableVsPlainEngine:

@@ -1,9 +1,11 @@
 """Tests for the batched, sharded Monte-Carlo engine and decode_batch.
 
 The engine's contract: for a fixed seed, the logical-error count is a pure
-function of (circuit, seed, shots) — bit-identical for any ``workers`` or
-``chunk_size`` — and decode work scales with *unique* syndromes, not shots
-(the regression the old unbounded per-shot dict cache guarded poorly).
+function of (circuit, seed, shots) — bit-identical for any ``workers``,
+whether blocks are decoded in process in one batch or one per call on
+the supervised fleet — and decode work scales with *unique* syndromes,
+not shots (the regression the old unbounded per-shot dict cache guarded
+poorly).
 """
 
 import numpy as np
@@ -12,13 +14,35 @@ import pytest
 from repro.decoders import MatchingGraph, UnionFindDecoder, make_decoder
 from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
-from repro.sim import SHOT_BLOCK, run_memory_experiment, shot_blocks
+from repro.sim import (
+    SHOT_BLOCK,
+    BlockExecutionError,
+    count_logical_errors,
+    make_sampler,
+    prepare_decoding,
+    run_memory_experiment,
+    shot_blocks,
+)
 from repro.sim.frame import sample_detection_chunks, sample_detection_data
 from repro.surface_code import baseline_memory_circuit
 
 
 def _memory(p=5e-3, d=3):
     return baseline_memory_circuit(d, ErrorModel(hardware=BASELINE_HARDWARE, p=p))
+
+
+class _FailingSampler:
+    """A real sampler that raises on one block (module level: it is
+    pickled to the fleet workers)."""
+
+    def __init__(self, inner, spawn_key):
+        self.inner = inner
+        self.spawn_key = spawn_key
+
+    def sample(self, shots, seed):
+        if seed.spawn_key == self.spawn_key:
+            raise RuntimeError("sampler fault")
+        return self.inner.sample(shots, seed)
 
 
 class TestShotBlocks:
@@ -38,7 +62,7 @@ class TestShotBlocks:
 
 
 class TestDeterminism:
-    """Same seed ⇒ identical result for any workers / chunk_size.
+    """Same seed ⇒ identical result for any workers.
 
     Holds per backend: each of ``packed``/``reference`` defines its own
     canonical random stream, and within a stream the count is a pure
@@ -55,17 +79,18 @@ class TestDeterminism:
         reference = run_memory_experiment(
             memory, shots=self.SHOTS, decoder=decoder, seed=11, backend=backend
         )
-        for workers, chunk_size in [(1, 1024), (1, 1500), (4, 1024), (4, 4096)]:
+        # workers=1 decodes all three blocks in one batch; the fleet
+        # decodes them one per call with fresh decoder state.
+        for workers in (2, 4):
             result = run_memory_experiment(
                 memory,
                 shots=self.SHOTS,
                 decoder=decoder,
                 seed=11,
                 workers=workers,
-                chunk_size=chunk_size,
                 backend=backend,
             )
-            assert result == reference, (workers, chunk_size, backend)
+            assert result == reference, (workers, backend)
 
     @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_different_seeds_differ(self, backend):
@@ -89,8 +114,6 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_memory_experiment(memory, shots=100, workers=0)
         with pytest.raises(ValueError):
-            run_memory_experiment(memory, shots=100, chunk_size=0)
-        with pytest.raises(ValueError):
             run_memory_experiment(memory, shots=100, backend="simd")
 
     def test_decode_stats_accumulator_does_not_alias_results(self):
@@ -110,6 +133,39 @@ class TestDeterminism:
         assert accumulator["shots"] == 500
         assert first.decode_stats is not accumulator
         assert second.decode_stats is not accumulator
+
+
+class TestPlainRunFailures:
+    """A plain run never silently drops shots."""
+
+    def _count(self, decoder=None, **kwargs):
+        memory = _memory()
+        setup = prepare_decoding(memory)
+        return count_logical_errors(
+            memory.circuit, decoder or setup.decoder, setup.basis_detectors,
+            setup.basis_observables, seed=5, **kwargs,
+        )
+
+    def test_fleet_block_failure_raises_naming_the_block(self):
+        sampler = _FailingSampler(make_sampler(_memory().circuit, "packed"), (2,))
+        with pytest.raises(BlockExecutionError) as excinfo:
+            self._count(sampler=sampler, shots=4 * SHOT_BLOCK, workers=2)
+        err = excinfo.value
+        assert err.block == 2
+        assert "spawn_key=(2,)" in err.seed_label
+        assert "block 2" in str(err) and "sampler fault" in str(err)
+
+    def test_inline_decode_failure_falls_back_to_the_same_count(self):
+        healthy = self._count(shots=2100)
+        broken = prepare_decoding(_memory()).decoder
+
+        def boom(dets):
+            raise RuntimeError("batched kernel corrupted")
+
+        broken._decode_heavy_batch = boom
+        stats: dict = {}
+        assert self._count(broken, shots=2100, decode_stats=stats) == healthy
+        assert stats["fallback"] >= 1
 
 
 class TestPackObservables:
@@ -252,7 +308,7 @@ class TestBoundedDecodeWork:
 
         At low p most shots repeat a handful of syndromes; total decode
         invocations (the cache-miss analogue, and the working-set bound)
-        must stay far below the shot count even across many chunks.
+        must stay far below the shot count even across many blocks.
         """
         memory = _memory(p=3e-4)
         shots = 8192
@@ -263,5 +319,5 @@ class TestBoundedDecodeWork:
             "decode",
             lambda self, events: calls.append(1) or inner(self, events),
         )
-        run_memory_experiment(memory, shots=shots, seed=0, chunk_size=1024)
+        run_memory_experiment(memory, shots=shots, seed=0)
         assert 0 < len(calls) < shots // 4

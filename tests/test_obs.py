@@ -185,26 +185,24 @@ class TestMergeSemantics:
 # ---------------------------------------------------------------------------
 class TestEngineIntegration:
     SHOTS = 4096
-    CHUNK = 1024  # unique/cached are per-chunk notions: counter totals
-    #               only compare across worker counts at fixed chunking.
 
-    def _run(self, workers):
+    def _run(self, workers, executor=None):
         reg = obs.enable()
         memory = _memory()
         result = run_memory_experiment(
-            memory, shots=self.SHOTS, seed=7, workers=workers,
-            chunk_size=self.CHUNK,
+            memory, shots=self.SHOTS, seed=7, workers=workers, executor=executor,
         )
         snap = reg.snapshot()
         obs.disable()
         return result, snap
 
-    #: Counters that are invariant under worker fan-out at fixed
-    #: chunking.  The cached/batched tier split, LRU traffic, and kernel
-    #: row counts are NOT in this set: the cross-batch LRU is per worker
-    #: process, so which tier a repeated syndrome lands in depends on
-    #: which worker saw its first occurrence (results never do — pinned
-    #: below and by test_engine).
+    #: Counters that are invariant under worker fan-out at fixed batching
+    #: (unique/cached are per-``decode_batch`` notions).  The
+    #: cached/batched tier split, LRU traffic, and kernel row counts are
+    #: NOT in this set: the cross-batch LRU is per worker process, so
+    #: which tier a repeated syndrome lands in can depend on which worker
+    #: saw its first occurrence (results never do — pinned below and by
+    #: test_engine).
     INVARIANT = (
         "repro_engine_shots_total",
         "repro_engine_blocks_total",
@@ -214,11 +212,18 @@ class TestEngineIntegration:
         "repro_decode_batches_total",
     )
 
-    def test_fanout_merge_matches_workers_1(self, monkeypatch):
-        # Spawned pool workers arm themselves from the environment and
-        # ship snapshot deltas back with their chunk results.
+    def test_fanout_merge_matches_workers_1(self, monkeypatch, tmp_path):
+        # Spawned fleet workers arm themselves from the environment and
+        # ship snapshot deltas back with their block results.  Both runs
+        # decode one block per batch: the fleet always does, and so does
+        # the durable executor running in process.
+        from repro.durable import DurableExecutor, RunLedger
+
         monkeypatch.setenv("REPRO_OBS", "1")
-        result_1, snap_1 = self._run(workers=1)
+        with RunLedger(tmp_path / "inline.jsonl", {"command": "obs-fanout"}) as ledger:
+            result_1, snap_1 = self._run(
+                workers=1, executor=DurableExecutor(ledger, workers=1)
+            )
         result_2, snap_2 = self._run(workers=2)
         assert result_1.logical_errors == result_2.logical_errors
         totals_1 = obs.summarize_snapshot(snap_1)
@@ -253,8 +258,7 @@ class TestEngineIntegration:
         reg = obs.enable()
         memory = _memory()
         run_memory_experiment(
-            memory, shots=2048, seed=3, workers=1, chunk_size=self.CHUNK,
-            decode_stats=decode_stats,
+            memory, shots=2048, seed=3, workers=1, decode_stats=decode_stats,
         )
         view = obs.decode_stats_view(reg.snapshot())
         for key in ("shots", "unique", "lru_hits", "lru_misses", *TIER_NAMES):
@@ -290,15 +294,13 @@ class TestEngineIntegration:
         memory = _memory()
         baseline_stats = {}
         baseline = run_memory_experiment(
-            memory, shots=2048, seed=11, workers=1, chunk_size=self.CHUNK,
-            decode_stats=baseline_stats,
+            memory, shots=2048, seed=11, workers=1, decode_stats=baseline_stats,
         )
         obs.enable()
         obs.enable_tracing()
         armed_stats = {}
         armed = run_memory_experiment(
-            memory, shots=2048, seed=11, workers=1, chunk_size=self.CHUNK,
-            decode_stats=armed_stats,
+            memory, shots=2048, seed=11, workers=1, decode_stats=armed_stats,
         )
         assert armed.logical_errors == baseline.logical_errors
         assert armed_stats == baseline_stats

@@ -195,11 +195,9 @@ class TestCampaign:
         """Acceptance: bit-identical across --workers 1 and --workers 4."""
         program = LogicalProgram.bell_pairs(4)
         machine = _machine()
-        reference = run_program_experiment(
-            program, machine, shots=self.SHOTS, seed=7, chunk_size=1024
-        )
+        reference = run_program_experiment(program, machine, shots=self.SHOTS, seed=7)
         sharded = run_program_experiment(
-            program, machine, shots=self.SHOTS, seed=7, chunk_size=1024, workers=4
+            program, machine, shots=self.SHOTS, seed=7, workers=4
         )
         for a, b in zip(reference.per_qubit, sharded.per_qubit):
             assert a.result == b.result, a.qubit

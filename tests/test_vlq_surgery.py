@@ -327,7 +327,6 @@ class TestCorrelatedCampaign:
             seed=11,
             policy="surgery_only",
             correlated=True,
-            chunk_size=512,
             backend=backend,
         )
         reference = run_program_experiment(program, machine, **kwargs)
