@@ -8,8 +8,8 @@ uploaded as a workflow artifact):
 
 - **sampling** — the frame-simulation pipeline alone (circuit →
   detector/observable data, block-by-block exactly as the engine consumes
-  it).  This is where the compiled ``packed`` backend (uint64 bit-planes,
-  fused ops, sparse GF(2) detector matrix) must beat the seed
+  it).  This is where the compiled ``packed`` backend (fused noise
+  draws, precomputed symptom table) must beat the seed
   per-instruction bool-array simulator by ≥ ``REPRO_BENCH_MIN_SPEEDUP``
   (default 5x; CI smoke runs with 2x as the regression gate).
 - **decode_only** — the tiered ``decode_batch`` path (dedup → weight-1

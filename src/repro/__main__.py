@@ -129,7 +129,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the Monte-Carlo engine")
     parser.add_argument("--backend", choices=("packed", "reference"),
                         default="packed",
-                        help="sampling backend: compiled bit-plane (packed)"
+                        help="sampling backend: compiled symptom table (packed)"
                              " or per-instruction bool-array (reference)")
 
 
@@ -564,6 +564,12 @@ def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int
             comparison.correlated_table_rows(),
             title="Independent vs joint (merged surgery windows, one decode per pair)",
         ))
+        uncovered = comparison.uncovered_rows()
+        if uncovered:
+            print(ArchitectureComparison.UNCOVERED_FOOTNOTE)
+            print(f"warning: uncovered surgery windows in {'; '.join(uncovered)}: "
+                  "the joint rates of these rows are not joint estimates",
+                  file=sys.stderr)
     print()
     for row in comparison.rows:
         for qubit in row.per_qubit:

@@ -1,41 +1,49 @@
-"""Precompiled bit-packed frame simulation.
+"""Precompiled symptom-table sampling (the *packed* backend).
 
-:class:`CompiledCircuit` lowers a :class:`~repro.circuits.Circuit` **once**
-into a form the hot sampling loop can execute without re-interpreting the
-Python instruction list:
+:class:`CompiledCircuit` prepares a :class:`~repro.circuits.Circuit`
+**once**, so the hot sampling loop neither re-interprets the Python
+instruction list nor propagates a Pauli frame:
 
-1. **Fused vectorized ops.**  Consecutive instructions of the same kind
-   (and same probability argument) are merged into a single op holding
-   flat target-index arrays, so executing a circuit is a short list of
-   numpy dispatches instead of one Python branch per instruction.  Fusing
-   unitaries is only legal when the merged targets are disjoint (gates on
-   disjoint qubits commute); the lowering pass splits at collisions, so
-   e.g. ``CX 0 1`` followed by ``CX 1 2`` stays sequential.  Noise and
-   measurement ops are duplicate-safe (they scatter with unbuffered
-   ``bitwise_xor.at`` / gather read-only rows) and fuse unconditionally.
+1. **Fused ops.**  Consecutive instructions of the same kind (and same
+   probability argument) are merged into a single op holding flat
+   target-index arrays.  Fusing unitaries is only legal when the merged
+   targets are disjoint (gates on disjoint qubits commute); the lowering
+   pass splits at collisions, so e.g. ``CX 0 1`` followed by ``CX 1 2``
+   stays sequential.  Noise and measurement ops fuse unconditionally: a
+   repeated target is just one more noise location or record slot.
 
-2. **uint64 bit-planes.**  Error frames are stored 64 shots per word:
-   ``x`` and ``z`` have shape ``(num_qubits, words)``; H/S/CX/CZ/SWAP/reset
-   become whole-row bitwise ops.  Noise channels exploit sparsity: instead
-   of drawing one float per (target, shot) cell, hit *positions* are drawn
-   directly via geometric inter-arrival gaps — exactly iid Bernoulli(p),
-   but O(n·p) random numbers instead of O(n) — and XOR-scattered into the
-   planes.
+2. **Symptom table.**  Every gate is Clifford and every channel Pauli,
+   so a fault at a fixed place flips a fixed set of detectors and
+   observables, and a shot's output bits are the XOR of the sets of the
+   faults that fired in it.  One backward pass over the fused ops — the
+   conjugation rules of :mod:`repro.dem.sensitivity`, vectorized over
+   each op's targets on uint64 words of detector and observable bits —
+   records that set for every *noise location*: one target of a noise op
+   and one Pauli part of it (X or Z, per operand for ``DEPOLARIZE2``; a
+   Y hits both parts), or one record slot of a measurement with a flip
+   probability.  The table is CSR over the nonzero words of each set and
+   is built in bounded chunks, so no dense ``(locations × annotations)``
+   array is ever materialised.
 
-3. **GF(2) transfer matrices.**  Measurement→detector and
-   measurement→observable reduction is a sparse scipy CSR multiply
-   (``@`` then ``& 1``) over the unpacked measurement record, replacing
-   the per-detector Python XOR loops.
+3. **Sampling.**  The noise ops are drawn in compiled-op order.  Hit
+   *positions* come from geometric inter-arrival gaps — exactly iid
+   Bernoulli(p), but O(n·p) random numbers instead of O(n).  Then one
+   vectorized pass maps every hit to its table rows and XORs their words
+   into per-shot uint64 words, which unpack into
+   :class:`~repro.sim.frame.DetectionData`.
 
 RNG contract (the packed canonical stream)
 ------------------------------------------
-A sample is a pure function of ``(circuit, seed, shots)``.  The stream
-differs from the reference bool-array simulator's (which draws one float
-array per target per instruction): the packed backend consumes, in
-compiled-op order, one geometric-gap batch per noise/flip op plus one
-``integers`` draw for Pauli-kind selection.  Both backends are individually
-deterministic and worker-invariant; matched seeds across backends
-give statistically identical — not bitwise identical — noise.
+A sample is a pure function of ``(circuit, seed, shots)``.  The packed
+backend consumes, in compiled-op order, one geometric-gap batch per noise
+op and per measurement op with a flip probability, plus one ``integers``
+draw for the Pauli kind of a ``DEPOLARIZE1``/``DEPOLARIZE2`` batch with
+hits.  A hit is a flat index into its op's C-order ``(targets, shots)``
+grid.  How the hits reach the output (frame propagation or the symptom
+table) is not part of the stream: any GF(2)-exact method gives the same
+bits.  The reference bool-array simulator draws one float array per
+target per instruction instead, so matched seeds across backends give
+statistically identical — not bitwise identical — noise.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.circuits import Circuit, GateKind
 from repro.sim.frame import DetectionData
@@ -80,6 +87,33 @@ _NOISE1_OPS = {
     "Z_ERROR": _OP_ZERR,
 }
 
+# A hit's *kind* selects the table parts it touches (rows of _PART_BITS):
+# a DEPOLARIZE2 hit is kind ``which`` (1..15), a DEPOLARIZE1 hit kind
+# ``_DEP1_KIND + which`` (0 X, 1 Y, 2 Z); the undrawn ops have fixed kinds.
+_DEP1_KIND = 16
+_ONE_PART = 19  # X_ERROR, Z_ERROR, measurement flip: part 0
+_TWO_PARTS = 20  # Y_ERROR: the X and the Z part
+
+
+def _part_bits() -> np.ndarray:
+    """``(kinds, 4)`` bool: does a hit of this kind touch table part j?
+
+    Parts are ``(X, Z)`` of the target for one-qubit ops and
+    ``(X_a, Z_a, X_b, Z_b)`` for ``DEPOLARIZE2``, whose ``which`` packs
+    the Paulis on ``a`` and ``b`` as ``4·P_a + P_b`` with I, X, Y, Z = 0..3.
+    """
+    xz = (0b00, 0b01, 0b11, 0b10)  # I, X, Y, Z -> (X part, Z part) bits
+    masks = [xz[w >> 2] | xz[w & 3] << 2 for w in range(16)]
+    masks += [xz[w + 1] for w in range(3)]
+    masks += [0b01, 0b11]
+    return np.array([[m >> j & 1 for j in range(4)] for m in masks], dtype=bool)
+
+
+_PART_BITS = _part_bits()
+
+#: uint64 words per symptom-table build chunk (256 KiB).
+_CHUNK_WORDS = 1 << 15
+
 
 def _bernoulli_positions(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Strictly increasing positions of iid Bernoulli(p) hits in ``[0, n)``.
@@ -92,55 +126,116 @@ def _bernoulli_positions(rng: np.random.Generator, n: int, p: float) -> np.ndarr
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n, dtype=np.int64)
+    # ndarray methods, not np.* wrappers: this runs once per noise op.
     chunks = []
     last = -1
     while last < n:
         mean = (n - last) * p
         size = int(mean + 10.0 * math.sqrt(mean + 1.0)) + 16
-        positions = last + np.cumsum(rng.geometric(p, size))
+        positions = rng.geometric(p, size).cumsum()
+        positions += last
         chunks.append(positions)
         last = int(positions[-1])
     positions = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return positions[: int(np.searchsorted(positions, n, side="left"))]
+    return positions[: positions.searchsorted(n)]
 
 
-def _scatter_xor(
-    plane: np.ndarray, rows: np.ndarray, positions: np.ndarray, shots: int
-) -> None:
-    """XOR hit bits into ``plane`` (``(num_qubits, words)`` uint64).
+def _csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices of CSR ``rows`` (concatenated in order) and row lengths."""
+    start = indptr[rows]
+    lengths = indptr[rows + 1] - start
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(start - ends + lengths, lengths), lengths
 
-    ``positions`` are flat indices into the C-order ``(len(rows), shots)``
-    grid.  ``bitwise_xor.at`` is unbuffered, so duplicate qubit rows (a
-    fused op hitting the same qubit twice) accumulate correctly.
+
+def _annotation_words(circuit: Circuit, detector_words: int, words: int):
+    """CSR ``(indptr, cols, values)``: each measurement's annotation words.
+
+    Bit ``i`` of the word row is detector ``i``; observable ``j`` sits at
+    bit ``64·detector_words + j``.  A measurement referenced twice by one
+    annotation cancels, as XOR requires.
     """
-    if positions.size == 0:
-        return
-    r, s = np.divmod(positions, shots)
-    flat_index = rows[r] * plane.shape[1] + (s >> 6)
-    bits = np.left_shift(np.uint64(1), (s & 63).astype(np.uint64))
-    np.bitwise_xor.at(plane.reshape(-1), flat_index, bits)
+    meas: list[int] = []
+    bits: list[int] = []
+    for i, det in enumerate(circuit.detectors):
+        meas.extend(det.measurements)
+        bits.extend([i] * len(det.measurements))
+    base = 64 * detector_words
+    for j, observable in enumerate(circuit.observables):
+        meas.extend(observable.measurements)
+        bits.extend([base + j] * len(observable.measurements))
+    bit = np.asarray(bits, dtype=np.int64)
+    key = np.asarray(meas, dtype=np.int64) * words + (bit >> 6)
+    value = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+    order = np.argsort(key)
+    key, value = key[order], value[order]
+    if key.size:
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, value = key[first], np.bitwise_xor.reduceat(value, first)
+        keep = value != 0
+        key, value = key[keep], value[keep]
+    row, col = np.divmod(key, words)
+    indptr = np.zeros(circuit.num_measurements + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=circuit.num_measurements), out=indptr[1:])
+    return indptr, col, value
 
 
-def _transfer_matrix(groups, num_measurements: int) -> csr_matrix:
-    """Sparse GF(2) measurement→annotation matrix (one row per annotation).
+class _SymptomTable:
+    """CSR rows of nonzero symptom words, appended in bounded chunks.
 
-    Duplicate measurement references sum to an even entry and vanish under
-    the final ``& 1`` — i.e. CSR construction already implements XOR.
+    It starts with the rows of an existing CSR table.  Dense rows are then
+    gathered into one reusable chunk buffer and peeled to their nonzero
+    words whenever it fills, so peak memory is the chunk plus the sparse
+    table, never ``rows × words``.
     """
-    rows, cols = [], []
-    for i, group in enumerate(groups):
-        for m in group.measurements:
-            rows.append(i)
-            cols.append(m)
-    # uint8 keeps the multiply against the uint8 bit matrix in one byte per
-    # cell; parity sums can only reach the widest row's reference count, so
-    # fall back to int64 in the (pathological) >255-measurement case.
-    widest = int(np.bincount(rows).max()) if rows else 0
-    dtype = np.uint8 if widest < 256 else np.int64
-    data = np.ones(len(rows), dtype=dtype)
-    return csr_matrix(
-        (data, (rows, cols)), shape=(len(groups), num_measurements), dtype=dtype
-    )
+
+    def __init__(self, words: int, indptr: np.ndarray, cols: np.ndarray, values):
+        self.words = words
+        self.chunk = np.empty((max(1, _CHUNK_WORDS // words), words), dtype=np.uint64)
+        self.fill = 0
+        self.rows = len(indptr) - 1
+        self.lengths = [np.diff(indptr)]
+        self.cols = [cols]
+        self.values = [values]
+
+    def gather(self, plane: np.ndarray, targets: np.ndarray) -> None:
+        """Append rows ``plane[targets]``."""
+        done = 0
+        while done < len(targets):
+            take = min(len(targets) - done, len(self.chunk) - self.fill)
+            # mode="clip" writes straight into the chunk (mode="raise"
+            # buffers); the targets are valid row indices by construction.
+            np.take(
+                plane,
+                targets[done : done + take],
+                axis=0,
+                out=self.chunk[self.fill : self.fill + take],
+                mode="clip",
+            )
+            self.fill += take
+            done += take
+            if self.fill == len(self.chunk):
+                self._flush()
+        self.rows += len(targets)
+
+    def _flush(self) -> None:
+        if not self.fill:
+            return
+        flat = self.chunk[: self.fill].reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        row, col = np.divmod(nonzero, self.words)
+        self.lengths.append(np.bincount(row, minlength=self.fill))
+        self.cols.append(col)
+        self.values.append(flat[nonzero])
+        self.fill = 0
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table as CSR ``(indptr, cols, values)``."""
+        self._flush()
+        indptr = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(self.lengths), out=indptr[1:])
+        return indptr, np.concatenate(self.cols), np.concatenate(self.values)
 
 
 def _lower(circuit: Circuit) -> list[tuple]:
@@ -241,10 +336,11 @@ def _lower(circuit: Circuit) -> list[tuple]:
 
 
 class CompiledCircuit:
-    """A circuit lowered once for bit-packed frame sampling.
+    """A circuit lowered once into noise draws plus a symptom table.
 
-    Instances are cheap to pickle (index arrays + CSR matrices), which is
-    how the supervisor ships them once per worker when it arms the fleet.
+    Instances are cheap to pickle (the draw list plus the symptom
+    table's CSR arrays), which is how the supervisor ships them once per
+    worker when it arms the fleet.
     """
 
     def __init__(self, circuit: Circuit):
@@ -252,57 +348,80 @@ class CompiledCircuit:
         self.num_measurements = circuit.num_measurements
         self.num_detectors = circuit.num_detectors
         self.num_observables = circuit.num_observables
-        self.ops = _lower(circuit)
-        self.detector_matrix = _transfer_matrix(
-            circuit.detectors, circuit.num_measurements
-        )
-        self.observable_matrix = _transfer_matrix(
-            circuit.observables, circuit.num_measurements
-        )
+        self._detector_words = (self.num_detectors + 63) >> 6
+        self._words = max(1, self._detector_words + ((self.num_observables + 63) >> 6))
+        draws = self._backward_pass(circuit)
+        # (opcode, target count, probability) per draw, in compiled-op order.
+        self._draws = [(code, n, p) for code, n, p, _, _ in draws]
+        kind, width, first = np.array(
+            [(kind, n, first) for _, n, _, kind, first in draws], dtype=np.int64
+        ).reshape(-1, 3).T
+        self._kind = kind
+        # Table row of (draw, part, target 0); part j starts j·n rows on.
+        self._part_base = first[:, None] + width[:, None] * np.arange(4)
 
-    # ------------------------------------------------------------------
-    def run(
-        self, shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Execute the compiled ops; returns the packed measurement record.
+    def _backward_pass(self, circuit: Circuit) -> list[tuple]:
+        """Build the symptom table; returns ``(code, n, p, kind, first row)``.
 
-        The record has shape ``(num_measurements, words)`` uint64 with shot
-        ``s`` at word ``s >> 6``, bit ``s & 63``.  Padding bits past
-        ``shots`` in the last word stay zero throughout.
+        Rows ``[0, num_measurements)`` are the measurements' annotation
+        words: the symptom of flipping record slot ``m`` is row ``m``.
+        ``x[q]``/``z[q]`` hold the annotation words an X/Z inserted on
+        qubit ``q`` at the current point would flip.  Walking backwards,
+        a Clifford conjugates them, a measurement XORs its annotation
+        words into ``x``, and a reset clears both.  Noise ops do not move
+        them, so each run of consecutive noise ops is gathered into the
+        table with one ``take`` before the next op changes them; an op's
+        parts are consecutive row blocks of ``n`` rows from ``first``.
         """
-        words = (shots + 63) >> 6
-        x = np.zeros((max(self.num_qubits, 1), words), dtype=np.uint64)
-        z = np.zeros_like(x)
-        record = np.zeros((self.num_measurements, words), dtype=np.uint64)
-        for code, cols, param in self.ops:
-            if code == _OP_DEP1:
-                (q,) = cols
-                pos = _bernoulli_positions(rng, len(q) * shots, param)
-                if pos.size:
-                    which = rng.integers(0, 3, pos.size)
-                    _scatter_xor(x, q, pos[which != 2], shots)  # X or Y
-                    _scatter_xor(z, q, pos[which != 0], shots)  # Y or Z
-            elif code == _OP_DEP2:
-                a, b = cols
-                pos = _bernoulli_positions(rng, len(a) * shots, param)
-                if pos.size:
-                    which = rng.integers(1, 16, pos.size)  # skip I⊗I
-                    pa, pb = which >> 2, which & 3
-                    _scatter_xor(x, a, pos[(pa == 1) | (pa == 2)], shots)
-                    _scatter_xor(z, a, pos[(pa == 2) | (pa == 3)], shots)
-                    _scatter_xor(x, b, pos[(pb == 1) | (pb == 2)], shots)
-                    _scatter_xor(z, b, pos[(pb == 2) | (pb == 3)], shots)
-            elif code == _OP_CX:
+        words = self._words
+        m_indptr, m_cols, m_values = _annotation_words(
+            circuit, self._detector_words, words
+        )
+        nq = max(self.num_qubits, 1)
+        sens = np.zeros((2 * nq, words), dtype=np.uint64)
+        x, z = sens[:nq], sens[nq:]
+        table = _SymptomTable(words, m_indptr, m_cols, m_values)
+        draws = []
+        run: list[np.ndarray] = []  # sens rows of the pending noise run
+        run_rows = 0
+        for code, cols, param in reversed(_lower(circuit)):
+            if code >= _OP_DEP1:
+                if code == _OP_DEP2:
+                    a, b = cols
+                    parts: tuple = (a, a + nq, b, b + nq)
+                    kind = 0
+                else:
+                    (q,) = cols
+                    if code == _OP_DEP1:
+                        parts, kind = (q, q + nq), _DEP1_KIND
+                    elif code == _OP_YERR:
+                        parts, kind = (q, q + nq), _TWO_PARTS
+                    else:
+                        parts = (q,) if code == _OP_XERR else (q + nq,)
+                        kind = _ONE_PART
+                n = len(parts[0])
+                draws.append((code, n, param, kind, table.rows + run_rows))
+                run.extend(parts)
+                run_rows += n * len(parts)
+                continue
+            if run:
+                table.gather(sens, np.concatenate(run))
+                run, run_rows = [], 0
+            if code == _OP_CX:
                 c, t = cols
-                x[t] ^= x[c]
-                z[c] ^= z[t]
+                x[c] ^= x[t]
+                z[t] ^= z[c]
             elif code == _OP_MEASURE:
                 q, slots = cols
-                outcome = x[q]  # fancy index -> fresh copy
-                if param:
-                    pos = _bernoulli_positions(rng, len(q) * shots, param)
-                    _scatter_xor(outcome, np.arange(len(q)), pos, shots)
-                record[slots] = outcome
+                if param:  # a fused op's record slots are consecutive
+                    draws.append((code, len(q), param, _ONE_PART, int(slots[0])))
+                entries, lengths = _csr_entries(m_indptr, slots)
+                # Unbuffered: a fused op may measure one qubit twice.
+                np.bitwise_xor.at(
+                    x.reshape(-1),
+                    np.repeat(q * words, lengths) + m_cols[entries],
+                    m_values[entries],
+                )
             elif code == _OP_H:
                 (q,) = cols
                 swapped = x[q]
@@ -310,11 +429,11 @@ class CompiledCircuit:
                 z[q] = swapped
             elif code == _OP_S:
                 (q,) = cols
-                z[q] ^= x[q]
+                x[q] ^= z[q]
             elif code == _OP_CZ:
                 a, b = cols
-                z[b] ^= x[a]
-                z[a] ^= x[b]
+                x[a] ^= z[b]
+                x[b] ^= z[a]
             elif code == _OP_SWAP:
                 a, b = cols
                 swapped = x[a]
@@ -327,20 +446,13 @@ class CompiledCircuit:
                 (q,) = cols
                 x[q] = 0
                 z[q] = 0
-            elif code == _OP_XERR:
-                (q,) = cols
-                _scatter_xor(x, q, _bernoulli_positions(rng, len(q) * shots, param), shots)
-            elif code == _OP_YERR:
-                (q,) = cols
-                pos = _bernoulli_positions(rng, len(q) * shots, param)
-                _scatter_xor(x, q, pos, shots)
-                _scatter_xor(z, q, pos, shots)
-            elif code == _OP_ZERR:
-                (q,) = cols
-                _scatter_xor(z, q, _bernoulli_positions(rng, len(q) * shots, param), shots)
             else:  # pragma: no cover
                 raise NotImplementedError(code)
-        return record
+        if run:
+            table.gather(sens, np.concatenate(run))
+        self._indptr, self._cols, self._values = table.finish()
+        draws.reverse()
+        return draws
 
     # ------------------------------------------------------------------
     def sample(
@@ -358,23 +470,49 @@ class CompiledCircuit:
             if isinstance(seed, np.random.Generator)
             else np.random.default_rng(seed)
         )
-        record = self.run(shots, rng)
-        # Packing used arithmetic shifts (shot s -> bit s & 63 of its
-        # word), so the byte view must be little-endian; on big-endian
-        # hosts astype('<u8') byteswaps (a no-op view elsewhere).
-        bits = np.unpackbits(
-            record.astype("<u8", copy=False).view(np.uint8),
-            axis=1,
-            bitorder="little",
-            count=shots,
+        hits, hit_draws, paulis = [], [], []
+        for k, (code, n, p) in enumerate(self._draws):
+            pos = _bernoulli_positions(rng, n * shots, p)
+            if pos.size:
+                hits.append(pos)
+                hit_draws.append(k)
+                if code == _OP_DEP1:
+                    paulis.append(rng.integers(0, 3, pos.size))
+                elif code == _OP_DEP2:
+                    paulis.append(rng.integers(1, 16, pos.size))
+        words = np.zeros((shots, self._words), dtype=np.uint64)
+        if hits:
+            self._xor_symptoms(words, shots, hits, hit_draws, paulis)
+        # Bit b of a word is bit b & 7 of byte b >> 3 only little-endian;
+        # astype('<u8') byteswaps on big-endian hosts (a no-op view elsewhere).
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        split = 8 * self._detector_words
+        detectors = np.unpackbits(
+            octets[:, :split], axis=1, count=self.num_detectors, bitorder="little"
         )
-        detectors = np.asarray((self.detector_matrix @ bits) & 1, dtype=bool)
-        observables = np.asarray((self.observable_matrix @ bits) & 1, dtype=bool)
-        return DetectionData(
-            np.ascontiguousarray(detectors.T), np.ascontiguousarray(observables.T)
+        observables = np.unpackbits(
+            octets[:, split:], axis=1, count=self.num_observables, bitorder="little"
+        )
+        return DetectionData(detectors.view(bool), observables.view(bool))
+
+    def _xor_symptoms(self, words, shots, hits, hit_draws, paulis) -> None:
+        """XOR the table rows of every hit into its shot's words."""
+        pos = np.concatenate(hits)
+        draw = np.repeat(np.asarray(hit_draws), [h.size for h in hits])
+        target, shot = np.divmod(pos, shots)
+        kind = self._kind[draw]
+        if paulis:
+            kind[kind < _ONE_PART] += np.concatenate(paulis)
+        hit, part = np.nonzero(_PART_BITS[kind])
+        rows = self._part_base[draw[hit], part] + target[hit]
+        entries, lengths = _csr_entries(self._indptr, rows)
+        np.bitwise_xor.at(
+            words.reshape(-1),
+            np.repeat(shot[hit] * self._words, lengths) + self._cols[entries],
+            self._values[entries],
         )
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Lower ``circuit`` once for repeated bit-packed sampling."""
+    """Lower ``circuit`` once for repeated symptom-table sampling."""
     return CompiledCircuit(circuit)

@@ -11,11 +11,12 @@ only chooses which process handles which blocks.
 
 Two sampling backends implement that contract:
 
-- ``"packed"`` (default): the circuit is lowered **once** per
+- ``"packed"`` (default): the circuit is compiled **once** per
   :func:`count_logical_errors` call into a
-  :class:`~repro.sim.compiled.CompiledCircuit` — fused vectorized ops over
-  uint64 bit-planes plus sparse GF(2) detector/observable matrices — and
-  shipped once per worker when the fleet is armed, not rebuilt per block.
+  :class:`~repro.sim.compiled.CompiledCircuit` — its fused noise draws
+  plus a CSR table of every noise location's detector/observable
+  symptoms — and shipped once per worker when the fleet is armed, not
+  rebuilt per block.
 - ``"reference"``: the original per-instruction bool-array
   :class:`~repro.sim.frame.FrameSimulator`, kept as the semantic oracle.
 
@@ -320,7 +321,7 @@ def count_logical_errors(
         per call; a block still failing after the supervisor's retries
         raises :class:`BlockExecutionError`, so no shots are dropped.
     backend:
-        ``"packed"`` (compiled uint64 bit-plane sampler, default) or
+        ``"packed"`` (compiled symptom-table sampler, default) or
         ``"reference"`` (per-instruction bool-array simulator).  Each is
         deterministic and worker-invariant, but they define different
         canonical random streams, so counts agree across backends

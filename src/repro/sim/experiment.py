@@ -121,7 +121,7 @@ def run_memory_experiment(
         Worker processes for the sharded engine (1 = run inline).  Never
         changes the result for a fixed ``seed`` (see EXPERIMENTS.md).
     backend:
-        Sampling backend: ``"packed"`` (compiled bit-plane simulator,
+        Sampling backend: ``"packed"`` (compiled symptom-table sampler,
         default) or ``"reference"`` (bool-array per-instruction
         simulator).  Each backend has its own canonical random stream.
     decode_stats:

@@ -10,9 +10,10 @@ sampled frame directly yields detector values.
 This module interprets the instruction list per shot-batch with bool
 arrays — deliberately simple, kept as the semantic oracle behind the
 engine's ``backend="reference"``.  The production path is
-:mod:`repro.sim.compiled`, which lowers the circuit once into fused ops
-over uint64 bit-planes (64 shots/word) and is ~10x faster; its random
-stream differs, so the two backends agree statistically, not bitwise.
+:mod:`repro.sim.compiled`, which precomputes every noise location's
+detector/observable symptom set once and samples by XORing the sets of
+the faults that fire, with no per-shot propagation; its random stream
+differs, so the two backends agree statistically, not bitwise.
 """
 
 from __future__ import annotations

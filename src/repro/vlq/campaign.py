@@ -571,7 +571,12 @@ class ArchitectureComparison:
     )
 
     def correlated_table_rows(self) -> list[tuple]:
-        """Side-by-side independent-vs-joint rows (correlated sweeps)."""
+        """Side-by-side independent-vs-joint rows (correlated sweeps).
+
+        A row with uncovered surgery windows marks its joint cell ``*``
+        (see :data:`UNCOVERED_FOOTNOTE`): some of its surgery was not
+        decoded jointly, so the rate is not a joint estimate.
+        """
         out = []
         for row in self.rows:
             if row.pieces is None:
@@ -586,7 +591,7 @@ class ArchitectureComparison:
                     row.refresh,
                     row.distance,
                     f"{independent:.2e}",
-                    f"{joint:.2e}",
+                    f"{joint:.2e}" + ("*" if row.uncovered_windows else ""),
                     f"[{lo:.2e}, {hi:.2e}]",
                     f"{joint - independent:+.2e}",
                     f"{pairs}+{len(row.pieces) - pairs}",
@@ -608,6 +613,21 @@ class ArchitectureComparison:
         "windows",
         "uncovered",
     )
+
+    #: Printed under a correlated table with any ``*`` joint cell.
+    UNCOVERED_FOOTNOTE = (
+        "* not a joint estimate: surgery components of three or more qubits "
+        "were decoded as independent pieces ('uncovered' windows)"
+    )
+
+    def uncovered_rows(self) -> list[str]:
+        """``"embedding/refresh d=N (K windows)"`` per row with uncovered windows."""
+        return [
+            f"{row.embedding}/{row.refresh} d={row.distance} "
+            f"({row.uncovered_windows} window{'s' if row.uncovered_windows != 1 else ''})"
+            for row in self.rows
+            if row.uncovered_windows
+        ]
 
 
 def compare_architectures(

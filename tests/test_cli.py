@@ -95,6 +95,36 @@ class TestCLI:
         assert "proven deterministic by symbolic GF(2) propagation" in out
         assert "tier accounting balances" in out
 
+    def test_compare_correlated_flags_uncovered_windows(self, capsys):
+        # A 3-qubit GHZ chain is one surgery component: no pair decodes
+        # jointly, so the "joint" cell must not pass as a joint estimate.
+        assert main([
+            "compare", "--program", "ghz", "--qubits", "3", "--correlated",
+            "--grid", "2", "--distance", "3", "--shots", "64",
+            "--embedding", "natural", "--refresh", "dram",
+        ]) == 0
+        captured = capsys.readouterr()
+        row = next(line for line in captured.out.splitlines()
+                   if line.startswith("natural") and "0+3" in line)
+        joint = row.split("|")[4].strip()
+        assert joint.endswith("*") and float(joint[:-1]) > 0
+        assert "* not a joint estimate" in captured.out
+        warnings = [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [
+            "warning: uncovered surgery windows in natural/dram d=3 (2 windows): "
+            "the joint rates of these rows are not joint estimates"
+        ]
+
+    def test_compare_correlated_covered_rows_unmarked(self, capsys):
+        assert main([
+            "compare", "--correlated", "--distance", "3", "--shots", "64",
+            "--qubits", "2", "--embedding", "natural", "--refresh", "dram",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "*" not in captured.out
+        assert "warning" not in captured.err
+
     def test_compare_correlated_respects_explicit_policy(self, capsys):
         assert main([
             "compare", "--correlated", "--policy", "auto", "--shots", "64",

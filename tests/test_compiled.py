@@ -1,30 +1,59 @@
-"""Tests for the precompiled bit-packed frame-simulation pipeline.
+"""Tests for the precompiled symptom-table sampling pipeline.
 
-The packed backend's contract against the reference bool-array simulator:
+The packed backend's contracts:
 
-- **Exact frame equality** on the deterministic part: any Clifford circuit
-  whose noise channels fire with probability 0 or 1 produces bit-identical
-  detector/observable data on both backends (no randomness reaches the
-  outcome, whatever each backend draws).
-- **Statistical agreement** under real noise at matched seeds: the two
-  backends define different canonical random streams, so rates (not bits)
-  must match.
+- **Bit identity with frame propagation.**  ``CompiledCircuit.sample``
+  XORs precomputed symptom-table rows; the forward uint64 bit-plane
+  frame simulator it replaced is kept here as the oracle, and under real
+  noise (0 < p < 1) both must give the same bits for the same seed.
+- **Pinned stream.**  sha256 digests of sampled data recorded from the
+  forward sampler, so the canonical packed stream cannot drift.
+- **Exact frame equality** with the reference bool-array simulator on the
+  deterministic part: any Clifford circuit whose noise channels fire with
+  probability 0 or 1 produces bit-identical detector/observable data on
+  both backends (no randomness reaches the outcome, whatever each backend
+  draws).
+- **Statistical agreement** with the reference under real noise at
+  matched seeds: the two backends define different canonical random
+  streams, so rates (not bits) must match.
 - A pinned end-to-end logical-error-rate regression at d=3 for both
   backends, so a silent semantics change cannot hide behind statistics.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from repro.circuits import Circuit
-from repro.noise import BASELINE_HARDWARE, ErrorModel
+from repro.core import Machine, compile_program
+from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel
 from repro.sim import compile_circuit, run_memory_experiment
-from repro.sim.compiled import _bernoulli_positions, _lower
-from repro.sim.frame import sample_detection_data
+from repro.sim.compiled import (
+    _OP_CX,
+    _OP_CZ,
+    _OP_DEP1,
+    _OP_DEP2,
+    _OP_H,
+    _OP_MEASURE,
+    _OP_RESET,
+    _OP_S,
+    _OP_SWAP,
+    _OP_XERR,
+    _OP_YERR,
+    _OP_ZERR,
+    _bernoulli_positions,
+    _lower,
+)
+from repro.sim.frame import DetectionData, sample_detection_data
 from repro.sim.stats import wilson_interval
 from repro.surface_code import baseline_memory_circuit
+from repro.vlq.campaign import build_program
+from repro.vlq.lowering import LoweringSpec, lower_timeline
+from repro.vlq.surgery import JointLoweringSpec, lower_joint_timelines, partition_surgery
 
 
 def _assert_backends_bit_identical(circuit: Circuit, shots: int = 130) -> None:
@@ -33,6 +62,133 @@ def _assert_backends_bit_identical(circuit: Circuit, shots: int = 130) -> None:
     packed = compile_circuit(circuit).sample(shots, 1)
     assert np.array_equal(reference.detectors, packed.detectors)
     assert np.array_equal(reference.observables, packed.observables)
+
+
+# ----------------------------------------------------------------------
+# The forward bit-plane sampler: the symptom table's oracle
+# ----------------------------------------------------------------------
+def _scatter_xor(
+    plane: np.ndarray, rows: np.ndarray, positions: np.ndarray, shots: int
+) -> None:
+    """XOR hit bits into ``plane`` (``(num_qubits, words)`` uint64).
+
+    ``positions`` are flat indices into the C-order ``(len(rows), shots)``
+    grid.  ``bitwise_xor.at`` is unbuffered, so duplicate qubit rows (a
+    fused op hitting the same qubit twice) accumulate correctly.
+    """
+    if positions.size == 0:
+        return
+    r, s = np.divmod(positions, shots)
+    flat_index = rows[r] * plane.shape[1] + (s >> 6)
+    bits = np.left_shift(np.uint64(1), (s & 63).astype(np.uint64))
+    np.bitwise_xor.at(plane.reshape(-1), flat_index, bits)
+
+
+def _transfer_matrix(groups, num_measurements: int) -> csr_matrix:
+    """Sparse measurement→annotation matrix; parity is the product ``& 1``."""
+    rows = [i for i, group in enumerate(groups) for _ in group.measurements]
+    cols = [m for group in groups for m in group.measurements]
+    data = np.ones(len(rows), dtype=np.int64)
+    return csr_matrix((data, (rows, cols)), shape=(len(groups), num_measurements))
+
+
+def _forward_sample(circuit: Circuit, shots: int, seed: int) -> DetectionData:
+    """Propagate uint64 X/Z frame planes (64 shots per word) forward.
+
+    Consumes the packed stream exactly as the sampler does, scatters the
+    hits into the planes, records measured X frames and reduces the record
+    with GF(2) transfer matrices.
+    """
+    rng = np.random.default_rng(seed)
+    words = (shots + 63) >> 6
+    x = np.zeros((max(circuit.num_qubits, 1), words), dtype=np.uint64)
+    z = np.zeros_like(x)
+    record = np.zeros((circuit.num_measurements, words), dtype=np.uint64)
+    for code, cols, param in _lower(circuit):
+        if code == _OP_DEP1:
+            (q,) = cols
+            pos = _bernoulli_positions(rng, len(q) * shots, param)
+            if pos.size:
+                which = rng.integers(0, 3, pos.size)
+                _scatter_xor(x, q, pos[which != 2], shots)  # X or Y
+                _scatter_xor(z, q, pos[which != 0], shots)  # Y or Z
+        elif code == _OP_DEP2:
+            a, b = cols
+            pos = _bernoulli_positions(rng, len(a) * shots, param)
+            if pos.size:
+                which = rng.integers(1, 16, pos.size)  # skip I⊗I
+                pa, pb = which >> 2, which & 3
+                _scatter_xor(x, a, pos[(pa == 1) | (pa == 2)], shots)
+                _scatter_xor(z, a, pos[(pa == 2) | (pa == 3)], shots)
+                _scatter_xor(x, b, pos[(pb == 1) | (pb == 2)], shots)
+                _scatter_xor(z, b, pos[(pb == 2) | (pb == 3)], shots)
+        elif code == _OP_CX:
+            c, t = cols
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+        elif code == _OP_MEASURE:
+            q, slots = cols
+            outcome = x[q]  # fancy index -> fresh copy
+            if param:
+                pos = _bernoulli_positions(rng, len(q) * shots, param)
+                _scatter_xor(outcome, np.arange(len(q)), pos, shots)
+            record[slots] = outcome
+        elif code == _OP_H:
+            (q,) = cols
+            swapped = x[q]
+            x[q] = z[q]
+            z[q] = swapped
+        elif code == _OP_S:
+            (q,) = cols
+            z[q] ^= x[q]
+        elif code == _OP_CZ:
+            a, b = cols
+            z[b] ^= x[a]
+            z[a] ^= x[b]
+        elif code == _OP_SWAP:
+            a, b = cols
+            swapped = x[a]
+            x[a] = x[b]
+            x[b] = swapped
+            swapped = z[a]
+            z[a] = z[b]
+            z[b] = swapped
+        elif code == _OP_RESET:
+            (q,) = cols
+            x[q] = 0
+            z[q] = 0
+        elif code == _OP_XERR:
+            (q,) = cols
+            _scatter_xor(x, q, _bernoulli_positions(rng, len(q) * shots, param), shots)
+        elif code == _OP_YERR:
+            (q,) = cols
+            pos = _bernoulli_positions(rng, len(q) * shots, param)
+            _scatter_xor(x, q, pos, shots)
+            _scatter_xor(z, q, pos, shots)
+        elif code == _OP_ZERR:
+            (q,) = cols
+            _scatter_xor(z, q, _bernoulli_positions(rng, len(q) * shots, param), shots)
+        else:  # pragma: no cover
+            raise NotImplementedError(code)
+    bits = np.unpackbits(
+        record.astype("<u8", copy=False).view(np.uint8),
+        axis=1,
+        bitorder="little",
+        count=shots,
+    )
+    m = circuit.num_measurements
+    detectors = (_transfer_matrix(circuit.detectors, m) @ bits) & 1
+    observables = (_transfer_matrix(circuit.observables, m) @ bits) & 1
+    return DetectionData(detectors.T.astype(bool), observables.T.astype(bool))
+
+
+def _assert_matches_oracle(circuit: Circuit, shots: int, seed: int) -> None:
+    packed = compile_circuit(circuit).sample(shots, seed)
+    oracle = _forward_sample(circuit, shots, seed)
+    assert packed.detectors.shape == oracle.detectors.shape
+    assert packed.observables.shape == oracle.observables.shape
+    assert np.array_equal(packed.detectors, oracle.detectors)
+    assert np.array_equal(packed.observables, oracle.observables)
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +301,186 @@ class TestHypothesisEquivalence:
     @given(deterministic_circuits())
     def test_backends_bit_identical_on_deterministic_circuits(self, circuit):
         _assert_backends_bit_identical(circuit, shots=70)
+
+
+# ----------------------------------------------------------------------
+# Noisy bit identity: symptom table vs forward frame propagation
+# ----------------------------------------------------------------------
+#: A few values, so consecutive noise instructions often share p and fuse.
+_NOISE_P = st.sampled_from([0.05, 0.3, 0.7])
+_SHOTS = st.sampled_from([1, 63, 64, 65, 130])
+
+
+@st.composite
+def noisy_circuits(draw):
+    """Random Clifford circuits whose every channel fires with 0 < p < 1.
+
+    Target lists may repeat a qubit (or a ``DEPOLARIZE2`` pair), so fused
+    noise ops hit one qubit twice and fused measurements record one qubit
+    twice; detectors may reference one measurement twice.
+    """
+    c = Circuit(_N_QUBITS)
+    qubit = st.integers(0, _N_QUBITS - 1)
+    qubits = st.lists(qubit, min_size=1, max_size=4)
+    pairs = st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1])
+    for _ in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(
+            ["H", "S", "S_DAG", "CX", "CZ", "SWAP", "R", "M", "DEPOLARIZE1",
+             "DEPOLARIZE2", "X_ERROR", "Y_ERROR", "Z_ERROR"]
+        ))
+        if op in ("CX", "CZ", "SWAP"):
+            c.append(op, draw(pairs))
+        elif op == "DEPOLARIZE2":
+            chosen = draw(st.lists(pairs, min_size=1, max_size=3))
+            c.append(op, [q for pair in chosen for q in pair], (draw(_NOISE_P),))
+        elif op in ("DEPOLARIZE1", "X_ERROR", "Y_ERROR", "Z_ERROR"):
+            c.append(op, draw(qubits), (draw(_NOISE_P),))
+        elif op == "M":
+            c.measure(*draw(qubits),
+                      flip_probability=draw(st.sampled_from([0.0, 0.05, 0.3])))
+        else:
+            c.append(op, (draw(qubit),))
+    if not c.num_measurements:
+        c.measure(0)
+    measurement = st.integers(0, c.num_measurements - 1)
+    for _ in range(draw(st.integers(1, 5))):
+        c.add_detector(draw(st.lists(measurement, min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 2))):
+        c.add_observable(draw(st.lists(measurement, min_size=1, max_size=4)))
+    return c
+
+
+class TestOracleIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_circuits(), _SHOTS, st.integers(0, 2**32 - 1))
+    def test_sample_matches_forward_frames_on_noisy_circuits(
+        self, circuit, shots, seed
+    ):
+        _assert_matches_oracle(circuit, shots, seed)
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 130])
+    def test_repeated_targets_and_references(self, shots):
+        c = Circuit(3)
+        c.append("DEPOLARIZE1", (0, 0, 1), (0.3,))  # qubit 0 twice in one op
+        c.append("DEPOLARIZE2", (0, 1, 0, 1), (0.3,))  # pair (0, 1) twice
+        c.append("X_ERROR", (2,), (0.3,))
+        c.append("X_ERROR", (2,), (0.3,))  # fuses with the line above
+        c.cx(0, 2)
+        c.append("Y_ERROR", (1, 1), (0.3,))
+        c.h(1)
+        c.append("Z_ERROR", (1, 2), (0.3,))
+        c.measure(0, 0, 1, flip_probability=0.3)  # qubit 0 recorded twice
+        c.measure(2, flip_probability=0.3)  # fuses: same flip probability
+        c.add_detector([0, 0, 2])  # measurement 0 twice: cancels
+        c.add_detector([0, 1])
+        c.add_detector([3])
+        c.add_observable([1, 3, 3])
+        assert len([op for op in _lower(c) if op[0] == _OP_MEASURE]) == 1
+        for seed in range(4):
+            _assert_matches_oracle(c, shots, seed)
+
+    @pytest.mark.parametrize("distance", [3, 5])
+    def test_memory_circuits_match_oracle(self, distance):
+        memory = baseline_memory_circuit(
+            distance, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3)
+        )
+        for shots, seed in ((130, 0), (1024, 3)):
+            _assert_matches_oracle(memory.circuit, shots, seed)
+
+    def test_no_annotations(self):
+        c = Circuit(2)
+        c.append("DEPOLARIZE1", (0, 1), (0.5,))
+        c.measure(0, 1, flip_probability=0.5)
+        data = compile_circuit(c).sample(65, 0)
+        assert data.detectors.shape == (65, 0)
+        assert data.observables.shape == (65, 0)
+
+
+# ----------------------------------------------------------------------
+# Pinned packed stream: sha256 of detectors.tobytes() + observables.tobytes()
+# ----------------------------------------------------------------------
+def _program_lowerings() -> dict[str, Circuit]:
+    """Compact d=3 lowerings of ``pairs(2)``: one qubit, one surgery pair."""
+    machine = Machine(stack_grid=(2, 2), cavity_modes=MEMORY_HARDWARE.cavity_modes,
+                      distance=3, embedding="compact")
+    schedule = compile_program(build_program("pairs", 2), machine,
+                               policy="surgery_only")
+    model = ErrorModel(hardware=MEMORY_HARDWARE, p=1e-3, scale_coherence=False)
+    single = lower_timeline(schedule.qubit_timeline(min(schedule.residences)),
+                            model, LoweringSpec(distance=3, embedding="compact"))
+    (qa, qb), spans = partition_surgery(schedule).pairs[0]
+    joint = lower_joint_timelines(
+        schedule.qubit_timeline(qa), schedule.qubit_timeline(qb), spans, model,
+        JointLoweringSpec(distance=3, embedding="compact"),
+    )
+    return {"compact-single": single.circuit, "compact-joint": joint.circuit}
+
+
+@pytest.fixture(scope="module")
+def pinned_circuits() -> dict[str, Circuit]:
+    circuits = {
+        f"d{d}": baseline_memory_circuit(
+            d, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3)
+        ).circuit
+        for d in (3, 5)
+    }
+    circuits.update(_program_lowerings())
+    return circuits
+
+
+class TestPinnedStream:
+    # Recorded from the forward bit-plane frame sampler, before the
+    # symptom table replaced it; (circuit, shots, seed) -> sha256.
+    PINNED = {
+        ("d3", 1, 0): "34f72af4f1ef211b6e2570ba63415ee561114c97864212cd1bf62efff620735d",
+        ("d3", 1, 7): "0504acaf1f32e00c54b7776efb029b020343323a112d3cdff50081d44b0fda61",
+        ("d3", 1000, 0): "2deb4139ebd7162893982ef12e6ea3003605f9035b7e303a7d6ac029579bcd8b",
+        ("d3", 1000, 7): "010edbf5749f7809e9622746ac269018ccdb426d01d24d281a7ded1abf28ba11",
+        ("d3", 1024, 0): "3c77f9a0fe83c953f77d5fca1038aec17bc77f73ae355f2bef9ca8deb993185d",
+        ("d3", 1024, 7): "1f8626a3dd3c06ba4b04984eb9520f2d0a8d2eb7f7682ef4fa22df14132fe3fa",
+        ("d5", 1, 0): "1d1e00f1ba28ab36b7a67207afa3b40881274d0744bd22f170445fb255198672",
+        ("d5", 1, 7): "de5e0449c10f231f8a1b45a07036460421c0f23d8a08920bea9d69d9c3459f10",
+        ("d5", 1000, 0): "9ba2ed422327d084ccbe5b7acac0a6ff6a85af4e3d2d9ad7144790687b841919",
+        ("d5", 1000, 7): "fd6f6c17e56777b9e48f1af06a8592820e60c0140f9d6651a2b69b6cd6b09810",
+        ("d5", 1024, 0): "b2595b55889929d67c89c66667615d52d888856e11f86e7b00b41800b3d5699d",
+        ("d5", 1024, 7): "670ed82f9b69512d42ba94f16b2cd7de9759d6131e3d9942b827422dad34c3dc",
+        ("compact-single", 1, 0):
+            "564985bcde06794d36ed628a9245e2e61a42624ba8ad3f3efb4a21495306d5c5",
+        ("compact-single", 1, 7):
+            "be50f32602323da2b31bf92ad7520b0ea0c587e655192c186942699e2851031f",
+        ("compact-single", 1000, 0):
+            "424e7ea2088c2ebe07de7e11ffca3c967968c3818eb406e023d64031bffcab60",
+        ("compact-single", 1000, 7):
+            "df372ee5026d3a868b4696158322c148d57f83bff7dffc5e029a44683949bb6e",
+        ("compact-single", 1024, 0):
+            "1f5c68c7e1ad3928ccce1162342590cb772498e692bc6419d769ac9c6cdc7b4b",
+        ("compact-single", 1024, 7):
+            "a07d609cf8a58bdda7a0c2ce13a0732015bf751973d6888684f6edda7a403e89",
+        ("compact-joint", 1, 0):
+            "9e45f4bbd61c1f7f522a11a7095c220f2b33af086ee0011c729d53c4f122e73e",
+        ("compact-joint", 1, 7):
+            "dd72fbec339dd421a68335f4b611f9b7e3e2682f84526d79c6b053d2c5ca64cd",
+        ("compact-joint", 1000, 0):
+            "f6cc9f112689a3ebbfbf53ed1a8ce7761a9c94d2435ee2b8d6ee5bd1152afdf3",
+        ("compact-joint", 1000, 7):
+            "bbce014919fe0d64cf54bfc2beb38abd18dedbaa2a4f6e37afc062d94a9efc7e",
+        ("compact-joint", 1024, 0):
+            "97aab144f1a0b6efef7a629c83e02fb495927740b363da43d54f4f88c5fc5af4",
+        ("compact-joint", 1024, 7):
+            "ed013fe56fd6d7f79c30b5f0c694b38f78fa2f821978edd2c810c5127f0c3e12",
+    }
+
+    @pytest.mark.parametrize("name", ["d3", "d5", "compact-single", "compact-joint"])
+    def test_sample_digests(self, name, pinned_circuits):
+        compiled = compile_circuit(pinned_circuits[name])
+        for (circuit, shots, seed), expected in self.PINNED.items():
+            if circuit != name:
+                continue
+            data = compiled.sample(shots, seed)
+            digest = hashlib.sha256(
+                data.detectors.tobytes() + data.observables.tobytes()
+            ).hexdigest()
+            assert digest == expected, (name, shots, seed)
 
 
 # ----------------------------------------------------------------------
