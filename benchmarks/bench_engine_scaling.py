@@ -35,7 +35,10 @@ uploaded as a workflow artifact):
   worker count at p=5e-3 (essentially at threshold, where nearly every
   syndrome is unique and heavy — worst case for the fast path) plus a
   below-threshold point at p=1e-3 where the tier/LRU layers carry more of
-  the load.
+  the load.  These runs arm the ``repro.obs`` registry, the only total of
+  decode-tier occupancy across calls (fleet workers ship their deltas
+  back), so their rates include its overhead (gated at 3% by
+  ``test_obs_overhead``).
 
 Worker count and backend must never change each backend's measured counts
 (each backend has its own canonical stream; across backends the counts
@@ -48,7 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import merge_bench_json, shots
+from conftest import decode_tiers, merge_bench_json, shots
+from repro import obs
 from repro.decoders import (
     TIER_NAMES,
     LegacyUnionFindDecoder,
@@ -152,11 +156,12 @@ def _baseline_decode_rate(decoder, dets: np.ndarray) -> float:
 
 def _tiered_decode_rate(decoder, dets: np.ndarray) -> tuple[float, dict]:
     """Tiered decode_batch over the same chunks; returns rate and tiers."""
+    stats: dict = {}
     start = time.perf_counter()
     for lo in range(0, dets.shape[0], DECODE_CHUNK):
         decoder.decode_batch(dets[lo : lo + DECODE_CHUNK])
+        obs.merge_counts(stats, decoder.last_batch_stats)
     elapsed = time.perf_counter() - start
-    stats = dict(decoder.tier_counts)
     # Guard against silent misrouting: every unique syndrome must land in
     # exactly one tier.
     assert sum(stats[t] for t in TIER_NAMES) == stats["unique"], stats
@@ -232,8 +237,23 @@ def _decode_only(n: int) -> list[dict]:
     return results
 
 
-def test_engine_scaling(once):
+def _timed_run_with_tiers(memory, **kwargs) -> tuple[object, float, dict]:
+    """One armed ``run_memory_experiment``: result, seconds, tiers + unique."""
+    obs.disable()
+    reg = obs.enable()
+    try:
+        start = time.perf_counter()
+        result = run_memory_experiment(memory, **kwargs)
+        seconds = time.perf_counter() - start
+    finally:
+        obs.disable()
+    return result, seconds, decode_tiers(reg.snapshot())
+
+
+def test_engine_scaling(once, monkeypatch):
     n = shots(4096)
+    # Exported so fleet workers arm their registries and ship tier deltas.
+    monkeypatch.setenv("REPRO_OBS", "1")
 
     def measure():
         sampling, end_to_end, below = [], [], []
@@ -250,28 +270,25 @@ def test_engine_scaling(once):
             counts = {}
             for backend in BACKENDS:
                 for w in WORKER_COUNTS:
-                    decode_stats = {}
-                    start = time.perf_counter()
                     # workers > 1 fans each 1024-shot block out to the
                     # supervised fleet, so every worker count gets at least
                     # `w` blocks at the default n=4096.
-                    result = run_memory_experiment(
-                        memory, shots=n, seed=0, workers=w,
-                        backend=backend, decode_stats=decode_stats,
+                    result, seconds, tiers = _timed_run_with_tiers(
+                        memory, shots=n, seed=0, workers=w, backend=backend,
                     )
                     end_to_end.append({
                         "distance": d,
                         "backend": backend,
                         "workers": w,
-                        "shots_per_sec": n / (time.perf_counter() - start),
+                        "shots_per_sec": n / seconds,
                         "logical_errors": result.logical_errors,
-                        "decode_tiers": {t: decode_stats[t] for t in TIER_NAMES},
-                        "unique_syndromes": decode_stats["unique"],
+                        "decode_tiers": {t: tiers[t] for t in TIER_NAMES},
+                        "unique_syndromes": tiers["unique"],
                     })
                     # Tier accounting must balance on the engine path too.
                     assert sum(
-                        decode_stats[t] for t in TIER_NAMES
-                    ) == decode_stats["unique"], decode_stats
+                        tiers[t] for t in TIER_NAMES
+                    ) == tiers["unique"], tiers
                     counts[(backend, w)] = result.logical_errors
             # Worker count must never change a backend's counts; backends
             # have different canonical streams, so compare statistically.
@@ -288,18 +305,16 @@ def test_engine_scaling(once):
             below_memory = baseline_memory_circuit(
                 d, ErrorModel(hardware=BASELINE_HARDWARE, p=P_BELOW)
             )
-            decode_stats = {}
-            start = time.perf_counter()
-            result = run_memory_experiment(
-                below_memory, shots=n, seed=0, workers=1, decode_stats=decode_stats,
+            result, seconds, tiers = _timed_run_with_tiers(
+                below_memory, shots=n, seed=0, workers=1,
             )
             below.append({
                 "distance": d,
                 "p": P_BELOW,
-                "shots_per_sec": n / (time.perf_counter() - start),
+                "shots_per_sec": n / seconds,
                 "logical_errors": result.logical_errors,
-                "decode_tiers": {t: decode_stats[t] for t in TIER_NAMES},
-                "unique_syndromes": decode_stats["unique"],
+                "decode_tiers": {t: tiers[t] for t in TIER_NAMES},
+                "unique_syndromes": tiers["unique"],
             })
         return sampling, end_to_end, below, _decode_only(n)
 
@@ -429,8 +444,6 @@ def test_obs_overhead(once):
     counts — instrumentation that perturbed results would be worse than
     instrumentation that cost 10%.
     """
-    from repro import obs
-
     n = shots(4096)
     d = max(DISTANCES)
     memory = baseline_memory_circuit(d, ErrorModel(hardware=BASELINE_HARDWARE, p=P))

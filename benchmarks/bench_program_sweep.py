@@ -8,7 +8,9 @@ program — compact vs natural × DRAM-refresh vs none — and records, in a
   clock (shots/sec across the whole multi-circuit campaign),
 - the per-shape cache efficacy (one circuit lowering + one
   decoder-graph build per distinct timeline shape across the sweep),
-- the aggregate decode-tier occupancy.
+- the decode-tier occupancy per row and in aggregate, read from the
+  ``repro.obs`` registry's ``repro_decode_*`` counters (the only total
+  of tier occupancy across decode calls).
 
 Two companion sweeps ride along:
 
@@ -34,9 +36,10 @@ import os
 import time
 from pathlib import Path
 
-from conftest import merge_bench_json, shots, workers
+from conftest import decode_tiers, merge_bench_json, shots, workers
+from repro import obs
 from repro.core import LogicalProgram
-from repro.decoders import TIER_NAMES
+from repro.decoders import TIER_NAMES, BuildCache
 from repro.report import ascii_table
 from repro.vlq import ArchitectureComparison, compare_architectures
 
@@ -46,36 +49,61 @@ P = 2e-3
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
-def test_program_sweep(once):
+def test_program_sweep(once, monkeypatch):
     n = shots(2000)
     w = workers(1)
     program = LogicalProgram.bell_pairs(4)
+    # Exported so fleet workers (REPRO_WORKERS > 1) arm their registries
+    # and ship tier deltas back with each block.
+    monkeypatch.setenv("REPRO_OBS", "1")
 
     def measure():
-        start = time.perf_counter()
-        comparison = compare_architectures(
-            program,
-            distances=DISTANCES,
-            p=P,
-            shots=n,
-            seed=0,
-            workers=w,
-            program_name="pairs",
+        # One call per row over shared caches gives the rows of a single
+        # sweep call, and each call's registry delta is its row's tiers.
+        caches = {
+            "lowering_cache": BuildCache("lowering"),
+            "graph_cache": BuildCache("decoder-graph"),
+        }
+        rows, row_tiers = [], []
+        obs.disable()
+        reg = obs.enable()
+        try:
+            start = time.perf_counter()
+            for embedding in ("compact", "natural"):
+                for refresh in ("dram", "none"):
+                    before = reg.snapshot()
+                    rows += compare_architectures(
+                        program,
+                        distances=DISTANCES,
+                        embeddings=(embedding,),
+                        refresh_policies=(refresh,),
+                        p=P,
+                        shots=n,
+                        seed=0,
+                        workers=w,
+                        program_name="pairs",
+                        **caches,
+                    ).rows
+                    delta = obs.snapshot_delta(reg.snapshot(), before)
+                    row_tiers.append(decode_tiers(delta))
+            elapsed = time.perf_counter() - start
+            totals = decode_tiers(reg.snapshot())
+        finally:
+            obs.disable()
+        comparison = ArchitectureComparison(
+            "pairs", program.num_qubits, n, rows, **caches
         )
-        elapsed = time.perf_counter() - start
-        return comparison, elapsed
+        return comparison, row_tiers, totals, elapsed
 
-    comparison, elapsed = once(measure)
+    comparison, row_tiers, totals, elapsed = once(measure)
 
     # --- gates -----------------------------------------------------------
     lowering = comparison.lowering_cache.stats()
     graph = comparison.graph_cache.stats()
     assert lowering["hits"] > 0, f"lowering cache never hit: {lowering}"
     assert graph["hits"] > 0, f"decoder-graph cache never hit: {graph}"
-    totals = comparison.decode_totals()
     assert sum(totals[t] for t in TIER_NAMES) == totals["unique"], totals
-    for row in comparison.rows:
-        stats = row.decode_stats
+    for stats in row_tiers:
         assert sum(stats[t] for t in TIER_NAMES) == stats["unique"], stats
 
     # Workers must never change a campaign's counts (spot-check one row's
@@ -120,9 +148,9 @@ def test_program_sweep(once):
                 ],
                 "timesteps": row.schedule.total_timesteps,
                 "refresh_rounds": row.schedule.refresh_rounds,
-                "decode_tiers": {t: row.decode_stats[t] for t in TIER_NAMES},
+                "decode_tiers": {t: stats[t] for t in TIER_NAMES},
             }
-            for row in comparison.rows
+            for row, stats in zip(comparison.rows, row_tiers)
         ],
         "lowering_cache": lowering,
         "graph_cache": graph,
@@ -149,37 +177,43 @@ def test_program_sweep(once):
     print(f"wrote program_sweep section of {BENCH_JSON}")
 
 
-def test_correlated_sweep(once):
+def test_correlated_sweep(once, monkeypatch):
     """Independent-vs-joint estimates with merged surgery windows."""
     n = shots(2000)
     w = workers(1)
     program = LogicalProgram.bell_pairs(4)
+    monkeypatch.setenv("REPRO_OBS", "1")
 
     def measure():
-        start = time.perf_counter()
-        comparison = compare_architectures(
-            program,
-            distances=DISTANCES,
-            refresh_policies=("dram",),
-            p=P,
-            shots=n,
-            seed=0,
-            workers=w,
-            policy="surgery_only",
-            correlated=True,
-            program_name="pairs",
-        )
-        elapsed = time.perf_counter() - start
-        return comparison, elapsed
+        obs.disable()
+        reg = obs.enable()
+        try:
+            start = time.perf_counter()
+            comparison = compare_architectures(
+                program,
+                distances=DISTANCES,
+                refresh_policies=("dram",),
+                p=P,
+                shots=n,
+                seed=0,
+                workers=w,
+                policy="surgery_only",
+                correlated=True,
+                program_name="pairs",
+            )
+            elapsed = time.perf_counter() - start
+            totals = decode_tiers(reg.snapshot())
+        finally:
+            obs.disable()
+        return comparison, totals, elapsed
 
-    comparison, elapsed = once(measure)
+    comparison, totals, elapsed = once(measure)
 
     # --- gates -----------------------------------------------------------
     joint = comparison.joint_cache.stats()
     joint_graph = comparison.joint_graph_cache.stats()
     assert joint["hits"] > 0, f"joint-shape cache never hit: {joint}"
     assert joint_graph["hits"] > 0, f"joint-graph cache never hit: {joint_graph}"
-    totals = comparison.decode_totals()
     assert sum(totals[t] for t in TIER_NAMES) == totals["unique"], totals
     for row in comparison.rows:
         assert row.pieces is not None and row.uncovered_windows == 0

@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.decoders import TIER_NAMES
+
 
 def shots(default: int) -> int:
     return int(os.environ.get("REPRO_SHOTS", default))
@@ -36,6 +39,19 @@ def merge_bench_json(path: Path, sections: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(merged, indent=2) + "\n")
     os.replace(tmp, path)
+
+
+def decode_tiers(snapshot) -> dict:
+    """Decode-tier cells plus ``unique`` from a registry snapshot (or delta).
+
+    The ``repro_decode_*`` counters are the only total of tier occupancy
+    across decode calls; benches arm a registry to read them.
+    """
+    cells = snapshot.get("repro_decode_tier_shots_total", {}).get("values", {})
+    tiers = {t: int(cells.get(t, 0)) for t in TIER_NAMES}
+    unique = obs.summarize_snapshot(snapshot).get("repro_decode_unique_total", 0)
+    tiers["unique"] = int(unique)
+    return tiers
 
 
 def workers(default: int = 1) -> int:

@@ -42,11 +42,12 @@ threshold — the dispatcher skips the weight-tier setup entirely (no
 weight-1 table gather, no pair extraction), so a decoder with no batched
 kernel pays only dedup + LRU over the plain decode loop.
 
-Per-call tier occupancy is exposed via ``last_batch_stats`` (together
-with the call's LRU ``lru_hits``/``lru_misses`` deltas) and accumulated
-in ``tier_counts``; the tiers always sum to the number of unique
-syndromes (the engine-scaling bench asserts this, guarding silent
-misrouting).
+Tier occupancy has one producer, :meth:`SyndromeDecoder._record_stats`,
+and two sinks: the per-call record ``last_batch_stats`` (with the call's
+LRU ``lru_hits``/``lru_misses`` deltas), which ``run_block`` returns
+and checks, and the ``repro_decode_*`` registry counters, the only
+total across calls.  The tiers always sum to the number of unique
+syndromes; ``run_block`` raises when they do not (silent misrouting).
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ class SyndromeDecoder:
         self._lru = PackedLRU(lru_capacity)
         self._weight1_table: np.ndarray | None = None
         self._weight1_built: np.ndarray | None = None
-        #: cumulative tier occupancy across every decode_batch call
-        self.tier_counts: dict[str, int] = {t: 0 for t in TIER_NAMES}
-        self.tier_counts["unique"] = 0
-        self.tier_counts["shots"] = 0
-        self.tier_counts["lru_hits"] = 0
-        self.tier_counts["lru_misses"] = 0
         #: tier occupancy of the most recent decode_batch call
         self.last_batch_stats: dict[str, int] | None = None
         self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
@@ -304,10 +299,6 @@ class SyndromeDecoder:
         stats["lru_hits"] = lru_hits
         stats["lru_misses"] = lru_misses
         self.last_batch_stats = stats
-        # The cumulative dict API (`tier_counts`) is kept as a
-        # compatibility view, accumulated by the same shared merge the
-        # registry snapshots use.
-        obs.merge_counts(self.tier_counts, stats)
         reg = obs.active()
         if reg is not None:
             tier_counter = reg.counter("repro_decode_tier_shots_total")

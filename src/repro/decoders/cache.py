@@ -12,9 +12,9 @@ rate (every heavy unique syndrome of every chunk):
   insert after the miss rows are decoded, so a row is serialized exactly
   once per ``decode_batch`` call.
 * **Hit/miss counters.**  ``hits``/``misses`` accumulate across the
-  cache's lifetime and are surfaced through the decoder's
-  ``tier_counts`` (``lru_hits``/``lru_misses``) so the bench reports LRU
-  efficiency alongside tier occupancy.
+  cache's lifetime; each ``decode_batch`` call reports its deltas as
+  ``lru_hits``/``lru_misses`` in the decoder's ``last_batch_stats`` and
+  the ``repro_decode_lru_*`` registry counters, next to tier occupancy.
 
 :class:`BuildCache` memoizes expensive per-circuit builds
 (detector-error-model extraction, matching-graph construction,

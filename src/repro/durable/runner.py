@@ -25,10 +25,13 @@ decoder batch state (``run_block``), so its ``(errors, stats)`` is a
 pure function of ``(circuit, seed, block index)`` — which makes an
 interrupted-and-resumed campaign *bit-identical* to an uninterrupted
 one: same block records, same unit totals, same Wilson intervals,
-regardless of workers, scheduling, crashes or retries.  (Durable stats
-differ from in-process plain runs, which decode 16 blocks per batch, in
-one declared way: the ``cached`` tier is always 0, because cross-block
-LRU reuse would make stats depend on scheduling.)
+regardless of workers, scheduling, crashes or retries.  Each block
+record's ``stats`` is the one checkpoint of decode-tier occupancy; the
+executor sums only errors and shots, and tier totals across blocks are
+the ``repro_decode_*`` registry counters.  (Block stats differ from
+in-process plain runs, which decode 16 blocks per batch, in one
+declared way: the ``cached`` tier is always 0, because cross-block LRU
+reuse would make stats depend on scheduling.)
 
 **Early stopping.**  ``target_ci_width`` stops a unit once the Wilson
 interval over its completed blocks is at most that wide.  The check
@@ -54,12 +57,7 @@ from repro import obs
 from repro.durable.faults import InjectedTornWrite
 from repro.durable.ledger import RunLedger
 from repro.durable.supervise import RetryPolicy, run_supervised
-from repro.sim.engine import (
-    accumulate_decode_stats,
-    block_seeds,
-    check_count_args,
-    make_sampler,
-)
+from repro.sim.engine import block_seeds, check_count_args, make_sampler
 from repro.sim.stats import wilson_interval
 
 __all__ = [
@@ -90,7 +88,6 @@ class UnitOutcome:
     unit: str
     errors: int
     shots: int
-    stats: dict = field(default_factory=dict)
     scheduled: int = 0
     completed: int = 0
     quarantined: list[int] = field(default_factory=list)
@@ -182,7 +179,6 @@ class DurableExecutor:
         shots: int,
         seed: int | None,
         backend: str = "packed",
-        decode_stats: dict | None = None,
         sampler=None,
     ) -> UnitOutcome:
         """Run one unit durably; returns its (possibly resumed) outcome."""
@@ -191,19 +187,16 @@ class DurableExecutor:
             raise self._interrupted(unit, 0)
 
         prior_summary = self.ledger.prior_units.get(unit)
-        prior = dict(self.ledger.prior_unit_blocks(unit))
         if prior_summary is not None:
             # The unit already ran to a decision in an earlier invocation:
             # reuse it verbatim (including its early-stop point) — no
             # blocks execute, so resumed results cannot drift.
-            outcome = self._outcome_from_summary(unit, prior_summary, prior)
+            outcome = self._outcome_from_summary(unit, prior_summary)
             if outcome.resumed_blocks:
                 obs.counter("repro_durable_blocks_total").inc(
                     outcome.resumed_blocks, "resumed"
                 )
             self.units.append(outcome)
-            if decode_stats is not None:
-                accumulate_decode_stats(decode_stats, outcome.stats)
             return outcome
 
         blocks = block_seeds(shots, seed)
@@ -211,15 +204,11 @@ class DurableExecutor:
             sampler = make_sampler(circuit, backend)
         worker_args = (sampler, decoder, basis_ids, obs_ids)
 
-        done: dict[int, dict] = {}  # index -> {"errors", "shots", "stats"}
+        done: dict[int, dict] = {}  # index -> {"errors", "shots"}
         quarantined: list[int] = []
         resumed = 0
-        for index, record in prior.items():
-            done[index] = {
-                "errors": record["errors"],
-                "shots": record["shots"],
-                "stats": record["stats"],
-            }
+        for index, record in self.ledger.prior_unit_blocks(unit).items():
+            done[index] = {"errors": record["errors"], "shots": record["shots"]}
             resumed += 1
         if resumed:
             obs.counter("repro_durable_blocks_total").inc(resumed, "resumed")
@@ -230,11 +219,7 @@ class DurableExecutor:
             self.ledger.record_block(
                 unit, outcome.index, outcome.shots, outcome.errors, outcome.stats
             )
-            done[outcome.index] = {
-                "errors": outcome.errors,
-                "shots": outcome.shots,
-                "stats": outcome.stats,
-            }
+            done[outcome.index] = {"errors": outcome.errors, "shots": outcome.shots}
             executed += 1
             obs.counter("repro_durable_blocks_total").inc(1, "executed")
             if self.on_block is not None:
@@ -297,9 +282,6 @@ class DurableExecutor:
         quarantined = sorted(set(quarantined))
         errors = sum(done[i]["errors"] for i in completed)
         unit_shots = sum(done[i]["shots"] for i in completed)
-        stats: dict = {}
-        for i in completed:
-            accumulate_decode_stats(stats, done[i]["stats"])
         self.ledger.record_unit(
             unit,
             scheduled=len(decided),
@@ -313,7 +295,6 @@ class DurableExecutor:
             unit=unit,
             errors=errors,
             shots=unit_shots,
-            stats=stats,
             scheduled=len(decided),
             completed=len(completed),
             quarantined=quarantined,
@@ -322,21 +303,13 @@ class DurableExecutor:
             stopped_early=stopped_early,
         )
         self.units.append(outcome)
-        if decode_stats is not None:
-            accumulate_decode_stats(decode_stats, stats)
         return outcome
 
-    def _outcome_from_summary(
-        self, unit: str, summary: dict, prior: dict[int, dict]
-    ) -> UnitOutcome:
-        stats: dict = {}
-        for index in summary["completed"]:
-            accumulate_decode_stats(stats, prior[index]["stats"])
+    def _outcome_from_summary(self, unit: str, summary: dict) -> UnitOutcome:
         return UnitOutcome(
             unit=unit,
             errors=summary["errors"],
             shots=summary["shots"],
-            stats=stats,
             scheduled=summary["scheduled"],
             completed=len(summary["completed"]),
             quarantined=list(summary["quarantined"]),

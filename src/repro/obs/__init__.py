@@ -32,7 +32,7 @@ from .trace import (
     span,
     summarize_spans,
 )
-from .views import decode_stats_view, format_snapshot
+from .views import format_snapshot
 
 __all__ = [
     "CATALOG",
@@ -46,7 +46,6 @@ __all__ = [
     "check_spec",
     "chrome_trace",
     "counter",
-    "decode_stats_view",
     "disable",
     "disable_tracing",
     "enable",

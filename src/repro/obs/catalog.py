@@ -103,6 +103,10 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     _h("repro_engine_sample_seconds", "Wall time sampling one run_block batch"),
     _h("repro_engine_decode_seconds", "Wall time decoding one run_block batch"),
     _h("repro_engine_chunk_seconds", "Wall time for one run_block sample+decode"),
+    _c(
+        "repro_engine_decode_fallbacks_total",
+        "run_block calls re-decoded by the tier-free fallback",
+    ),
     # --- decode: tier dispatcher + batched union-find kernel ----------------
     _c(
         "repro_decode_tier_shots_total",
@@ -115,6 +119,11 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     _c("repro_decode_lru_hits_total", "Cross-batch PackedLRU hits"),
     _c("repro_decode_lru_misses_total", "Cross-batch PackedLRU misses"),
     _h("repro_decode_batch_seconds", "Wall time for one decode_batch call"),
+    _h(
+        "repro_decode_prepare_seconds",
+        "Wall time preparing decoding, by stage (dem, graph, decoder)",
+        labels=("stage",),
+    ),
     _c("repro_decode_kernel_calls_total", "Batched union-find kernel launches"),
     _c(
         "repro_decode_kernel_rows_total",
@@ -144,6 +153,10 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         labels=("kind",),
     ),
     _c("repro_campaign_shots_total", "Shots attributed to campaign units"),
+    _c(
+        "repro_campaign_uncovered_windows_total",
+        "Surgery windows of 3+-qubit components decoded as independent pieces",
+    ),
     _h(
         "repro_campaign_unit_seconds",
         "Wall time for one campaign unit (lower+sample+decode)",

@@ -20,10 +20,9 @@ Design constraints (see EXPERIMENTS.md "Observability"):
   nested dict of builtin types only, safe to pickle across processes, append
   to a service payload, or write to ``metrics.json``.
 
-The single stats-merge implementation for the whole repo lives here as
-:func:`merge_counts`; ``sim.engine.accumulate_decode_stats`` (used by the
-engine, campaigns, threshold estimation, and sensitivity sweeps) delegates
-to it.
+These counters are the repo's one account of totals across calls: the
+decode tiers, for one, are recorded per ``decode_batch`` call and summed
+only here (and, across worker processes, by :func:`merge_snapshots`).
 """
 
 from __future__ import annotations
@@ -59,9 +58,8 @@ _LABEL_SEP = "\x1f"  # joins label values into a flat JSON-able dict key
 def merge_counts(into: dict, stats: Mapping) -> dict:
     """Accumulate numeric per-key counts of ``stats`` into ``into``.
 
-    The one merge implementation shared by decode-stats accumulation
-    (engine / campaign / threshold / sensitivity) and metric snapshot
-    merging.  Missing keys are created; ``into`` is returned for chaining.
+    The per-cell sum behind counter snapshot merging.  Missing keys are
+    created; ``into`` is returned for chaining.
     """
     for key, value in stats.items():
         into[key] = into.get(key, 0) + value

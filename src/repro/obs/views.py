@@ -1,44 +1,12 @@
-"""Derived views over registry snapshots: compat dicts and CLI rendering."""
+"""Derived views over registry snapshots: the ``repro metrics`` rendering."""
 
 from __future__ import annotations
 
 from typing import Mapping
 
-__all__ = ["decode_stats_view", "format_snapshot"]
+__all__ = ["format_snapshot"]
 
 _LABEL_SEP = "\x1f"
-
-# decode_stats dict keys <- (instrument, label) in the registry
-_TIER_KEYS = ("trivial", "weight1", "weight2", "cached", "batched", "full")
-
-
-def decode_stats_view(snapshot: Mapping) -> dict:
-    """Reconstruct the legacy ``decode_stats`` dict from a metrics snapshot.
-
-    The tier dicts threaded through results are recorded by the same
-    ``_record_stats`` choke point that feeds these instruments, so on any
-    single-process run this view is equal to the hand-threaded dict.
-    """
-    out = {"shots": 0, "unique": 0}
-    out.update({tier: 0 for tier in _TIER_KEYS})
-    out["lru_hits"] = 0
-    out["lru_misses"] = 0
-
-    def total(name: str) -> float:
-        entry = snapshot.get(name)
-        return sum(entry["values"].values()) if entry else 0
-
-    out["shots"] = int(total("repro_decode_shots_total"))
-    out["unique"] = int(total("repro_decode_unique_total"))
-    out["lru_hits"] = int(total("repro_decode_lru_hits_total"))
-    out["lru_misses"] = int(total("repro_decode_lru_misses_total"))
-    tiers = snapshot.get("repro_decode_tier_shots_total")
-    if tiers:
-        for key, value in tiers["values"].items():
-            tier = key.split(_LABEL_SEP)[0]
-            if tier in out:
-                out[tier] = int(value)
-    return out
 
 
 def _rows(entry: Mapping) -> list[tuple[str, float]]:

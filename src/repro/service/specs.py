@@ -229,8 +229,10 @@ def execute_spec(
     Only the spec affects results — the durable ``executor`` (which
     carries the worker count) and the shared caches change wall-clock,
     never block records (the engine's worker-invariance contract).  The
-    summary reports per-unit errors/shots/CI plus decode-tier totals,
-    and is what a job's ``result`` field holds once it completes.
+    summary reports per-unit errors/shots/CI (a unit with no completed
+    shots reports rate 0.0 and the vacuous interval [0, 1]), and is
+    what a job's ``result`` field holds once it completes.  Decode-tier
+    totals are served by the registry (``/metrics``), not the result.
     """
     command = spec["command"]
     if command == "memory":
@@ -242,20 +244,6 @@ def execute_spec(
             joint_cache=joint_cache, joint_graph_cache=joint_graph_cache,
         )
     raise SpecError(f"unknown spec command {command!r}")
-
-
-def _ci(result) -> list[float]:
-    """Wilson interval as a JSON pair; vacuous [0, 1] when every block
-    of the unit was quarantined (zero durable shots)."""
-    if result.shots <= 0:
-        return [0.0, 1.0]
-    lo, hi = result.confidence_interval
-    return [lo, hi]
-
-
-def _rate(result) -> float:
-    """Error rate; 0.0 rather than 0/0 for an all-quarantined unit."""
-    return result.logical_error_rate if result.shots > 0 else 0.0
 
 
 def _execute_memory(spec, executor) -> dict:
@@ -288,11 +276,10 @@ def _execute_memory(spec, executor) -> dict:
                 "unit": "memory",
                 "errors": result.logical_errors,
                 "shots": result.shots,
-                "rate": _rate(result),
-                "ci": _ci(result),
+                "rate": result.logical_error_rate,
+                "ci": list(result.confidence_interval),
             }
         ],
-        "decode_stats": dict(result.decode_stats),
     }
 
 
@@ -325,16 +312,19 @@ def _execute_compare(
         joint_graph_cache=joint_graph_cache,
     )
     units = []
+    uncovered = {}
     for row in comparison.rows:
+        point = f"{row.embedding}/{row.refresh}/d{row.distance}"
+        if row.uncovered_windows:
+            uncovered[point] = row.uncovered_windows
         for qubit in row.per_qubit:
             units.append(
                 {
-                    "unit": f"{row.embedding}/{row.refresh}/d{row.distance}"
-                            f"/q{qubit.qubit}",
+                    "unit": f"{point}/q{qubit.qubit}",
                     "errors": qubit.result.logical_errors,
                     "shots": qubit.result.shots,
-                    "rate": _rate(qubit.result),
-                    "ci": _ci(qubit.result),
+                    "rate": qubit.result.logical_error_rate,
+                    "ci": list(qubit.result.confidence_interval),
                 }
             )
         if row.pieces is not None:
@@ -342,18 +332,17 @@ def _execute_compare(
                 label = "+".join(f"q{q}" for q in piece.qubits)
                 units.append(
                     {
-                        "unit": f"{row.embedding}/{row.refresh}"
-                                f"/d{row.distance}/pair{i}:{label}",
+                        "unit": f"{point}/pair{i}:{label}",
                         "errors": piece.result.logical_errors,
                         "shots": piece.result.shots,
-                        "rate": _rate(piece.result),
-                        "ci": _ci(piece.result),
+                        "rate": piece.result.logical_error_rate,
+                        "ci": list(piece.result.confidence_interval),
                     }
                 )
     return {
         "command": "compare",
         "units": units,
-        "decode_stats": dict(comparison.decode_totals()),
+        "uncovered_windows": uncovered,
         "caches": {
             "lowering": comparison.lowering_cache.stats(),
             "decoder_graph": comparison.graph_cache.stats(),

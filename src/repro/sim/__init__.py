@@ -5,7 +5,6 @@ from repro.sim.engine import (
     BACKENDS,
     BlockExecutionError,
     SHOT_BLOCK,
-    accumulate_decode_stats,
     block_seeds,
     count_logical_errors,
     decode_block_full,
@@ -34,7 +33,6 @@ __all__ = [
     "FrameSimulator",
     "LogicalErrorResult",
     "SHOT_BLOCK",
-    "accumulate_decode_stats",
     "block_seeds",
     "compile_circuit",
     "count_logical_errors",

@@ -46,7 +46,6 @@ __all__ = [
     "BACKENDS",
     "BlockExecutionError",
     "SHOT_BLOCK",
-    "accumulate_decode_stats",
     "block_seeds",
     "check_count_args",
     "count_logical_errors",
@@ -217,7 +216,8 @@ def run_block(
     All blocks go through one ``decode_batch`` call, so a syndrome
     repeated across them is decoded once.  Returns the logical-error
     count and that call's decode-tier occupancy (see
-    ``repro.decoders.batch.TIER_NAMES``).
+    ``repro.decoders.batch.TIER_NAMES``), the record a durable ledger
+    checkpoints per block.
 
     With ``fresh_decoder_state`` (the default) the decoder's cross-batch
     LRU is cleared first, so the returned ``(errors, stats)`` pair is a
@@ -230,7 +230,10 @@ def run_block(
     block and its seed.  A decode failure — a real tier assertion, or
     one injected by ``fault.check_decode(unit, index)`` (duck-typed; see
     ``repro.durable.faults.FaultPlan``) — degrades to the tier-free
-    :func:`decode_block_full` and sets ``stats["fallback"]``.
+    :func:`decode_block_full`, sets ``stats["fallback"]`` and counts
+    ``repro_engine_decode_fallbacks_total``.  Stats whose tiers do not
+    sum to ``unique`` raise :class:`BlockExecutionError`: that is
+    misrouting, which a fallback would hide.
     """
     reg = obs.active()
     t0 = perf_counter() if reg is not None else 0.0
@@ -273,6 +276,15 @@ def run_block(
                 _seed_label(seed),
             ) from exc
         stats["fallback"] = 1
+        obs.counter("repro_engine_decode_fallbacks_total").inc()
+    if sum(stats.get(tier, 0) for tier in TIER_NAMES) != stats.get("unique"):
+        index, _, seed = blocks[0]
+        raise BlockExecutionError(
+            f"decoding from block {index} ({_seed_label(seed)}): decode tiers "
+            f"do not sum to the unique syndromes: {stats}",
+            index,
+            _seed_label(seed),
+        )
     errors = int(np.count_nonzero(predictions != actual))
     if reg is not None:
         t2 = perf_counter()
@@ -285,19 +297,6 @@ def run_block(
     return errors, stats
 
 
-def accumulate_decode_stats(into: dict, stats: dict[str, int]) -> None:
-    """Sum one decode-tier stats dict into an accumulator in place.
-
-    The shared convention for tier accounting across batches, workers,
-    circuits of a campaign, and points of a sweep: plain per-key sums,
-    so ``sum(into[t] for t in TIER_NAMES) == into["unique"]`` holds for
-    any aggregate whose parts each satisfy it.  Delegates to
-    ``repro.obs.merge_counts`` — the one merge implementation shared with
-    metric snapshot merging.
-    """
-    obs.merge_counts(into, stats)
-
-
 def count_logical_errors(
     circuit: Circuit,
     decoder: SyndromeDecoder,
@@ -307,10 +306,14 @@ def count_logical_errors(
     seed: int | None = None,
     workers: int = 1,
     backend: str = "packed",
-    decode_stats: dict | None = None,
     sampler=None,
 ) -> int:
     """Count shots whose decoded prediction disagrees with the truth.
+
+    Decode-tier occupancy is not returned: :func:`run_block` checks each
+    call's tiers, and the ``repro_decode_*`` registry counters are the
+    only total across calls (arm them with ``repro.obs.enable()``, or
+    ``--obs-dir`` on the CLI).
 
     Parameters
     ----------
@@ -326,17 +329,6 @@ def count_logical_errors(
         deterministic and worker-invariant, but they define different
         canonical random streams, so counts agree across backends
         statistically rather than bitwise.
-    decode_stats:
-        Optional dict that accumulates the decode-tier occupancy
-        (``trivial``/``weight1``/``weight2``/``cached``/``batched``/
-        ``full`` plus ``unique``, ``shots`` and the raw LRU counter
-        deltas ``lru_hits``/``lru_misses``) of every ``run_block`` call.
-        Per ``decode_batch``'s contract the tier counts of each call sum
-        to its unique-syndrome count; the engine-scaling bench asserts
-        the aggregate identity.  Note that ``unique``/``cached`` are
-        per-call notions: a syndrome occurring in two batches counts as
-        unique in both, and as ``cached`` in the second only via the
-        decoder's cross-batch LRU (in-process runs only).
     sampler:
         Optional pre-built sampler (the object :func:`make_sampler`
         returns for this ``circuit``/``backend``), so multi-circuit
@@ -351,14 +343,12 @@ def count_logical_errors(
     with obs.span("engine.count", shots=shots, workers=workers, backend=backend):
         if workers == 1:
             for i in range(0, len(blocks), _INLINE_BATCH_BLOCKS):
-                batch_errors, stats = run_block(
+                batch_errors, _ = run_block(
                     sampler, decoder, basis_ids, obs_ids,
                     blocks[i : i + _INLINE_BATCH_BLOCKS],
                     fresh_decoder_state=False,
                 )
                 errors += batch_errors
-                if decode_stats is not None:
-                    accumulate_decode_stats(decode_stats, stats)
             return errors
         # Imported here: the supervisor module imports this one.
         from repro.durable.supervise import run_supervised
@@ -373,8 +363,4 @@ def count_logical_errors(
             f"block {failed.index} ({label}) failed {failed.attempts} "
             f"attempt(s): {failed.failure}", failed.index, label,
         )
-    for outcome in result.completed:
-        errors += outcome.errors
-        if decode_stats is not None:
-            accumulate_decode_stats(decode_stats, outcome.stats)
-    return errors
+    return sum(outcome.errors for outcome in result.completed)

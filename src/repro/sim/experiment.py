@@ -11,16 +11,21 @@ bit-identical regardless of ``workers``.
 :func:`prepare_decoding` exposes the expensive middle of that pipeline
 (DEM extraction + matching-graph + decoder construction) so that
 multi-circuit campaigns (``repro.vlq``) can build it once per distinct
-circuit shape and reuse it across qubits.
+circuit shape and reuse it across qubits.  Each of its three stages runs
+in a ``decode.prepare`` span and is timed into the
+``repro_decode_prepare_seconds{stage}`` histogram when observability is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from time import perf_counter
 
+from repro import obs
 from repro.decoders import MatchingGraph, SyndromeDecoder, make_decoder
 from repro.dem import DetectorErrorModel
-from repro.sim.engine import accumulate_decode_stats, count_logical_errors
+from repro.sim.engine import count_logical_errors
 from repro.sim.stats import wilson_interval
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -32,12 +37,9 @@ class LogicalErrorResult:
     """Outcome of a logical memory Monte-Carlo run.
 
     ``logical_error_rate`` is per shot (i.e. per ``rounds`` of error
-    correction, the paper's Figure 11 normalization).
-
-    ``decode_stats`` carries the decode-tier occupancy of the run (see
-    ``repro.decoders.batch.TIER_NAMES``); it is excluded from equality
-    because the ``cached``/``full`` split depends on per-worker LRU
-    state while the *counts* are the engine's determinism contract.
+    correction, the paper's Figure 11 normalization).  A durable run
+    whose every block was quarantined has no completed shots: its rate
+    is 0.0 and its interval the vacuous ``(0.0, 1.0)``.
     """
 
     scheme: str
@@ -48,21 +50,24 @@ class LogicalErrorResult:
     logical_errors: int
     undetectable_probability: float
     decoder: str
-    decode_stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def logical_error_rate(self) -> float:
-        return self.logical_errors / self.shots
+        return self.logical_errors / self.shots if self.shots > 0 else 0.0
 
     @property
     def confidence_interval(self) -> tuple[float, float]:
+        if self.shots <= 0:
+            return (0.0, 1.0)
         return wilson_interval(self.logical_errors, self.shots)
 
     def __str__(self) -> str:
+        head = f"{self.scheme} d={self.distance} {self.basis}-memory: "
+        if self.shots <= 0:
+            return head + "no completed shots (every block was quarantined)"
         lo, hi = self.confidence_interval
         return (
-            f"{self.scheme} d={self.distance} {self.basis}-memory: "
-            f"p_L = {self.logical_error_rate:.2e} "
+            f"{head}p_L = {self.logical_error_rate:.2e} "
             f"[{lo:.2e}, {hi:.2e}] ({self.logical_errors}/{self.shots})"
         )
 
@@ -78,18 +83,32 @@ class DecodingSetup:
     basis_observables: list[int]
 
 
+@contextmanager
+def _prepare_stage(stage: str):
+    """Span and time one cold-path stage of :func:`prepare_decoding`."""
+    with obs.span("decode.prepare", stage=stage):
+        t0 = perf_counter()
+        yield
+        seconds = perf_counter() - t0
+        obs.histogram("repro_decode_prepare_seconds").observe(seconds, stage)
+
+
 def prepare_decoding(memory: MemoryCircuit, decoder: str = "unionfind") -> DecodingSetup:
     """Build the DEM, matching graph and decoder for a memory circuit.
 
     The expensive, reusable part of :func:`run_memory_experiment`:
     campaigns cache the returned setup per distinct circuit shape.
     """
-    dem = DetectorErrorModel(memory.circuit)
-    graph = MatchingGraph.from_dem(dem, memory.basis)
+    with _prepare_stage("dem"):
+        dem = DetectorErrorModel(memory.circuit)
+    with _prepare_stage("graph"):
+        graph = MatchingGraph.from_dem(dem, memory.basis)
+    with _prepare_stage("decoder"):
+        built = make_decoder(decoder, graph)
     return DecodingSetup(
         dem=dem,
         graph=graph,
-        decoder=make_decoder(decoder, graph),
+        decoder=built,
         basis_detectors=dem.basis_detectors(memory.basis),
         basis_observables=dem.basis_observables(memory.basis),
     )
@@ -102,7 +121,6 @@ def run_memory_experiment(
     seed: int | None = None,
     workers: int = 1,
     backend: str = "packed",
-    decode_stats: dict | None = None,
     executor=None,
     unit: str = "memory",
 ) -> LogicalErrorResult:
@@ -124,14 +142,6 @@ def run_memory_experiment(
         Sampling backend: ``"packed"`` (compiled symptom-table sampler,
         default) or ``"reference"`` (bool-array per-instruction
         simulator).  Each backend has its own canonical random stream.
-    decode_stats:
-        Optional dict accumulating decode-tier occupancy over all batches
-        (see :func:`repro.sim.engine.count_logical_errors`).  The stats
-        are always collected and attached to the result's
-        ``decode_stats`` field (a fresh dict per run); passing a dict
-        here additionally accumulates this run's stats into it, so
-        callers can sum across several runs without aliasing any single
-        result's per-run record.
     executor:
         Optional durable executor (``repro.durable.DurableExecutor``,
         duck-typed via its ``count`` method).  When given, the run is
@@ -140,9 +150,13 @@ def run_memory_experiment(
         and supervision policy come from the executor, and quarantined
         blocks are excluded from ``shots`` (see EXPERIMENTS.md,
         "Durability & determinism contract").
+
+    Decode-tier occupancy is recorded per ``decode_batch`` call and
+    totalled only by the ``repro_decode_*`` registry counters (see
+    :func:`repro.sim.engine.count_logical_errors`); a durable run also
+    checkpoints each block's tiers in its ledger.
     """
     setup = prepare_decoding(memory, decoder)
-    stats: dict = {}
     if executor is not None:
         outcome = executor.count(
             unit=unit,
@@ -153,7 +167,6 @@ def run_memory_experiment(
             shots=shots,
             seed=seed,
             backend=backend,
-            decode_stats=stats,
         )
         errors, shots = outcome.errors, outcome.shots
     else:
@@ -166,10 +179,7 @@ def run_memory_experiment(
             seed=seed,
             workers=workers,
             backend=backend,
-            decode_stats=stats,
         )
-    if decode_stats is not None:
-        accumulate_decode_stats(decode_stats, stats)
     return LogicalErrorResult(
         scheme=memory.scheme,
         basis=memory.basis,
@@ -179,5 +189,4 @@ def run_memory_experiment(
         logical_errors=errors,
         undetectable_probability=setup.graph.undetectable_probability,
         decoder=decoder,
-        decode_stats=stats,
     )

@@ -15,11 +15,7 @@ from typing import Sequence
 
 from repro.arch import compact_memory_circuit, natural_memory_circuit
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel, HardwareParams
-from repro.sim import (
-    LogicalErrorResult,
-    accumulate_decode_stats,
-    run_memory_experiment,
-)
+from repro.sim import LogicalErrorResult, run_memory_experiment
 from repro.surface_code import baseline_memory_circuit
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -85,10 +81,6 @@ class ThresholdStudy:
     distances: list[int]
     #: results[d][i] is the measurement at distances[d-index], p-rate i
     results: dict[int, list[LogicalErrorResult]] = field(default_factory=dict)
-    #: decode-tier occupancy summed over every point of the sweep (each
-    #: per-point breakdown stays on its result's ``decode_stats``); the
-    #: tier sum equals ``decode_stats["unique"]`` by the batch contract
-    decode_stats: dict = field(default_factory=dict)
 
     def logical_rates(self, distance: int) -> list[float]:
         return [r.logical_error_rate for r in self.results[distance]]
@@ -123,7 +115,9 @@ class ThresholdStudy:
                 self.physical_error_rates,
                 self.logical_rates(d1),
                 self.logical_rates(d2),
-                min_rate=0.5 / self.results[d1][0].shots,
+                # max(): a durable point whose every block was
+                # quarantined has no shots.
+                min_rate=0.5 / max(self.results[d1][0].shots, 1),
             )
             if crossing is not None:
                 crossings.append(crossing)
@@ -207,8 +201,6 @@ def estimate_threshold(
     ``executor`` (optional durable executor) checkpoints every sweep
     point under a ``scheme/d…/p…`` unit label, making the whole study
     resumable.
-    Decode-tier occupancy is accumulated across every point onto the
-    study's ``decode_stats`` (per-point breakdowns stay on each result).
 
     The paper runs 2,000,000 trials per point; ``shots`` trades precision
     for runtime (see EXPERIMENTS.md).
@@ -248,7 +240,6 @@ def estimate_threshold(
                 executor=executor,
                 unit=f"{scheme}/d{d}/p{i}",
             )
-            accumulate_decode_stats(study.decode_stats, result.decode_stats)
             row.append(result)
         study.results[d] = row
     return study

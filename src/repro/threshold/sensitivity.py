@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
-from repro.sim import accumulate_decode_stats, run_memory_experiment
+from repro.sim import run_memory_experiment
 from repro.threshold.estimator import build_memory_circuit
 
 __all__ = [
@@ -112,8 +112,6 @@ class SensitivityPanel:
     reference_value: float
     scheme: str
     rates: dict[int, list[float]] = field(default_factory=dict)
-    #: decode-tier occupancy summed over every point of the panel
-    decode_stats: dict = field(default_factory=dict)
 
     def slope_at_reference(self, distance: int) -> float:
         """Log-log slope near the reference value — the paper's
@@ -141,8 +139,6 @@ def run_sensitivity_panel(
     """Measure one sensitivity panel (default: Compact, Interleaved).
 
     ``workers``/``backend`` tune the Monte-Carlo engine only.
-    Decode-tier occupancy accumulates onto the panel's ``decode_stats``
-    across every (distance, x) point.
     """
     if panel not in SENSITIVITY_PANELS:
         raise ValueError(f"unknown panel {panel!r}; options: {sorted(SENSITIVITY_PANELS)}")
@@ -168,7 +164,6 @@ def run_sensitivity_panel(
                 workers=workers,
                 backend=backend,
             )
-            accumulate_decode_stats(out.decode_stats, result.decode_stats)
             rates.append(result.logical_error_rate)
         out.rates[d] = rates
     return out

@@ -41,7 +41,7 @@ expressed over whole programs instead of a single static patch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
@@ -56,7 +56,6 @@ from repro.decoders import BuildCache
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
 from repro.sim import (
     LogicalErrorResult,
-    accumulate_decode_stats,
     count_logical_errors,
     make_sampler,
     prepare_decoding,
@@ -186,7 +185,6 @@ class ProgramExperimentResult:
     policy: str
     schedule: CompiledSchedule
     per_qubit: list[QubitExperiment]
-    decode_stats: dict = field(default_factory=dict)
     pieces: list[PieceExperiment] | None = None
     uncovered_windows: int = 0
 
@@ -282,7 +280,8 @@ def run_program_experiment(
     ``window_noise_scale`` scales the §IV-A channels inside the merged
     windows only (0.0 is the factorization limit the tests pin).
     Surgery components of three or more qubits fall back to independent
-    pieces and are reported via ``uncovered_windows``.
+    pieces and are reported via ``uncovered_windows`` and the
+    ``repro_campaign_uncovered_windows_total`` counter.
 
     Certification is *static*: the symbolic GF(2) verifier
     (:mod:`repro.analyze.symbolic`) proves each distinct shape's
@@ -329,7 +328,6 @@ def run_program_experiment(
     )
 
     per_qubit: list[QubitExperiment] = []
-    decode_totals: dict = {}
     for index, qubit in enumerate(sorted(schedule.residences)):
         timeline = schedule.qubit_timeline(qubit)
         shape = timeline_shape(timeline, spec)
@@ -353,7 +351,6 @@ def run_program_experiment(
             (shape, error_model, decoder),
             lambda memory=memory: prepare_decoding(memory, decoder),
         )
-        stats: dict = {}
         unit_seed = None if seed is None else seed + _QUBIT_SEED_STRIDE * index
         unit_t0 = perf_counter() if obs.enabled() else 0.0
         with obs.span("campaign.unit", kind="qubit", qubit=qubit):
@@ -367,7 +364,6 @@ def run_program_experiment(
                     shots=shots,
                     seed=unit_seed,
                     backend=backend,
-                    decode_stats=stats,
                     sampler=sampler,
                 )
                 errors, unit_shots = outcome.errors, outcome.shots
@@ -382,10 +378,8 @@ def run_program_experiment(
                     seed=unit_seed,
                     workers=workers,
                     backend=backend,
-                    decode_stats=stats,
                     sampler=sampler,
                 )
-        accumulate_decode_stats(decode_totals, stats)
         _record_unit_metrics("qubit", unit_shots, unit_t0)
         per_qubit.append(
             QubitExperiment(
@@ -400,7 +394,6 @@ def run_program_experiment(
                     logical_errors=errors,
                     undetectable_probability=setup.graph.undetectable_probability,
                     decoder=decoder,
-                    decode_stats=stats,
                 ),
             )
         )
@@ -417,6 +410,10 @@ def run_program_experiment(
         )
         partition = partition_surgery(schedule)
         uncovered_windows = partition.uncovered_windows
+        if uncovered_windows:
+            obs.counter("repro_campaign_uncovered_windows_total").inc(
+                uncovered_windows
+            )
         pieces = []
         for index, ((qa, qb), spans) in enumerate(partition.pairs):
             ta = schedule.qubit_timeline(qa)
@@ -438,7 +435,6 @@ def run_program_experiment(
                 (shape, error_model, decoder),
                 lambda memory=memory: prepare_decoding(memory, decoder),
             )
-            stats = {}
             pair_seed = None if seed is None else seed + _PAIR_SEED_STRIDE * (index + 1)
             unit_t0 = perf_counter() if obs.enabled() else 0.0
             with obs.span("campaign.unit", kind="pair", qubits=f"{qa}+{qb}"):
@@ -455,7 +451,6 @@ def run_program_experiment(
                         shots=shots,
                         seed=pair_seed,
                         backend=backend,
-                        decode_stats=stats,
                         sampler=sampler,
                     )
                     errors, pair_shots = outcome.errors, outcome.shots
@@ -470,10 +465,8 @@ def run_program_experiment(
                         seed=pair_seed,
                         workers=workers,
                         backend=backend,
-                        decode_stats=stats,
                         sampler=sampler,
                     )
-            accumulate_decode_stats(decode_totals, stats)
             _record_unit_metrics("pair", pair_shots, unit_t0)
             pieces.append(
                 PieceExperiment(
@@ -489,7 +482,6 @@ def run_program_experiment(
                         logical_errors=errors,
                         undetectable_probability=setup.graph.undetectable_probability,
                         decoder=decoder,
-                        decode_stats=stats,
                     ),
                 )
             )
@@ -513,7 +505,6 @@ def run_program_experiment(
         policy=policy,
         schedule=schedule,
         per_qubit=per_qubit,
-        decode_stats=decode_totals,
         pieces=pieces,
         uncovered_windows=uncovered_windows,
     )
@@ -531,12 +522,6 @@ class ArchitectureComparison:
     graph_cache: BuildCache
     joint_cache: BuildCache | None = None
     joint_graph_cache: BuildCache | None = None
-
-    def decode_totals(self) -> dict:
-        totals: dict = {}
-        for row in self.rows:
-            accumulate_decode_stats(totals, row.decode_stats)
-        return totals
 
     def table_rows(self) -> list[tuple]:
         """Rows for an ASCII report: one line per sweep point."""

@@ -1,8 +1,19 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.__main__ import main
+
+
+def _tiers_balance(obs_dir) -> bool:
+    """Decode tiers of an ``--obs-dir`` snapshot sum to its unique syndromes."""
+    snapshot = json.loads((obs_dir / "metrics.json").read_text())
+    tiers = snapshot["repro_decode_tier_shots_total"]["values"]
+    return sum(tiers.values()) == obs.summarize_snapshot(snapshot)[
+        "repro_decode_unique_total"]
 
 
 class TestCLI:
@@ -47,15 +58,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["threshold", "--backend", "simd"])
 
-    def test_memory_prints_interval_and_tiers(self, capsys):
+    def test_memory_prints_interval_and_tiers(self, capsys, tmp_path):
         assert main([
             "memory", "--scheme", "compact_interleaved", "--distance", "3",
-            "--shots", "200",
+            "--shots", "200", "--obs-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "p_L" in out and "[" in out  # Wilson interval brackets
-        assert "decode tiers:" in out and "trivial=" in out
-        assert "tier accounting balances" in out
+        # Tier totals live in the registry snapshot, which `metrics` renders.
+        assert "decode tiers:" not in out
+        assert _tiers_balance(tmp_path)
+        assert main(["metrics", str(tmp_path / "metrics.json")]) == 0
+        rendered = capsys.readouterr().out
+        assert "repro_decode_tier_shots_total" in rendered
+        assert "{tier=trivial}" in rendered
 
     def test_memory_reference_backend(self, capsys):
         assert main([
@@ -64,15 +80,16 @@ class TestCLI:
         ]) == 0
         assert "p_L" in capsys.readouterr().out
 
-    def test_compare_prints_program_estimates_and_caches(self, capsys):
+    def test_compare_prints_program_estimates_and_caches(self, capsys, tmp_path):
         assert main([
             "compare", "--distance", "3", "--shots", "128", "--qubits", "2",
+            "--obs-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "compact" in out and "natural" in out
         assert "p_program" in out and "wilson 95%" in out
         assert "lowering cache:" in out and "decoder-graph cache:" in out
-        assert "tier accounting balances" in out
+        assert _tiers_balance(tmp_path)
 
     def test_compare_single_embedding_and_policy(self, capsys):
         assert main([
@@ -82,10 +99,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "natural" in out and "compact" not in out
 
-    def test_compare_correlated_reports_joint_estimates(self, capsys):
+    def test_compare_correlated_reports_joint_estimates(self, capsys, tmp_path):
         assert main([
             "compare", "--correlated", "--distance", "3", "--shots", "128",
             "--qubits", "2", "--embedding", "natural", "--refresh", "dram",
+            "--obs-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "policy=surgery_only" in out  # --correlated defaults the policy
@@ -93,7 +111,7 @@ class TestCLI:
         assert "joint q0,q1" in out
         assert "joint-lowering cache:" in out
         assert "proven deterministic by symbolic GF(2) propagation" in out
-        assert "tier accounting balances" in out
+        assert _tiers_balance(tmp_path)
 
     def test_compare_correlated_flags_uncovered_windows(self, capsys):
         # A 3-qubit GHZ chain is one surgery component: no pair decodes
@@ -155,6 +173,27 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", [
+        ["memory", "--distance", "3", "--shots", "2048"],
+        ["compare", "--qubits", "2", "--embedding", "natural",
+         "--refresh", "dram", "--shots", "1024"],
+        ["threshold", "--scheme", "baseline", "--shots", "60"],
+    ], ids=["memory", "compare", "threshold"])
+    def test_unit_with_no_completed_shots_reports_and_exits_1(
+        self, capsys, tmp_path, command
+    ):
+        """Every block quarantined: the durability report still prints."""
+        assert main([
+            *command, "--ledger", str(tmp_path / "q.jsonl"),
+            "--chaos", "crash=1.0,seed=1", "--max-attempts", "2",
+            "--retry-base-delay", "0.01", "--workers", "1",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "failed_blocks=" in captured.out
+        assert "Traceback" not in captured.err
+        if command[0] == "memory":
+            assert "no completed shots" in captured.out
 
 
 class TestLintCommand:

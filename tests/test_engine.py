@@ -11,6 +11,7 @@ poorly).
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.decoders import MatchingGraph, UnionFindDecoder, make_decoder
 from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
@@ -116,24 +117,6 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_memory_experiment(memory, shots=100, backend="simd")
 
-    def test_decode_stats_accumulator_does_not_alias_results(self):
-        """A shared accumulator sums across runs; each result keeps its
-        own per-run stats (regression: the accumulator used to be
-        attached to every result, so later runs corrupted earlier ones)."""
-        memory = _memory()
-        accumulator: dict = {}
-        first = run_memory_experiment(
-            memory, shots=200, seed=0, decode_stats=accumulator
-        )
-        second = run_memory_experiment(
-            memory, shots=300, seed=1, decode_stats=accumulator
-        )
-        assert first.decode_stats["shots"] == 200
-        assert second.decode_stats["shots"] == 300
-        assert accumulator["shots"] == 500
-        assert first.decode_stats is not accumulator
-        assert second.decode_stats is not accumulator
-
 
 class TestPlainRunFailures:
     """A plain run never silently drops shots."""
@@ -155,7 +138,7 @@ class TestPlainRunFailures:
         assert "spawn_key=(2,)" in err.seed_label
         assert "block 2" in str(err) and "sampler fault" in str(err)
 
-    def test_inline_decode_failure_falls_back_to_the_same_count(self):
+    def test_inline_decode_failure_falls_back_to_the_same_count(self, registry):
         healthy = self._count(shots=2100)
         broken = prepare_decoding(_memory()).decoder
 
@@ -163,9 +146,29 @@ class TestPlainRunFailures:
             raise RuntimeError("batched kernel corrupted")
 
         broken._decode_heavy_batch = boom
-        stats: dict = {}
-        assert self._count(broken, shots=2100, decode_stats=stats) == healthy
-        assert stats["fallback"] >= 1
+        assert self._count(broken, shots=2100) == healthy
+        # One run_block call (three blocks) fell back, and the registry
+        # says so even though the count is healthy.
+        totals = obs.summarize_snapshot(registry.snapshot())
+        assert totals["repro_engine_decode_fallbacks_total"] == 1
+
+    def test_tier_mismatch_raises_instead_of_falling_back(self, registry):
+        """Misrouted tiers are a fault, not a decode failure to degrade."""
+        miscounting = prepare_decoding(_memory()).decoder
+        decode_batch = miscounting.decode_batch
+
+        def misroute(dets):
+            predictions = decode_batch(dets)
+            miscounting.last_batch_stats["trivial"] += 1
+            return predictions
+
+        miscounting.decode_batch = misroute
+        with pytest.raises(BlockExecutionError, match="block 0") as excinfo:
+            self._count(miscounting, shots=2100)
+        assert excinfo.value.block == 0
+        assert "do not sum to the unique syndromes" in str(excinfo.value)
+        totals = obs.summarize_snapshot(registry.snapshot())
+        assert "repro_engine_decode_fallbacks_total" not in totals
 
 
 class TestPackObservables:

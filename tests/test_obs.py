@@ -11,9 +11,9 @@ Covers the contract EXPERIMENTS.md, "Observability" documents:
   counter totals as the workers=1 run at the same chunking, and the
   tier instruments satisfy the ``sum(tiers) == unique`` identity;
 - bit-identity: arming the registry and tracer never changes measured
-  counts;
-- ``decode_stats`` as a compatibility view derived from the registry,
-  with one shared merge implementation (``obs.merge_counts``);
+  counts or per-call tier records;
+- the registry as the one total of decode-tier occupancy across calls,
+  and the cold-path ``repro_decode_prepare_seconds`` stages;
 - the span tracer: parent ids, bounded buffer, Chrome trace_event
   export, JSONL round trip;
 - Prometheus text exposition: render/parse round trip and the strict
@@ -38,7 +38,7 @@ from repro.service import (
     read_service_address,
 )
 from repro.service.server import CampaignServer
-from repro.sim import run_memory_experiment
+from repro.sim import count_logical_errors, prepare_decoding, run_memory_experiment
 from repro.surface_code import baseline_memory_circuit
 
 
@@ -169,15 +169,17 @@ class TestMergeSemantics:
         assert obs.summarize_snapshot(delta) == {}
 
     def test_merge_counts_is_the_single_stats_merge(self):
-        """The legacy decode_stats accumulation delegates to merge_counts."""
-        from repro.sim.engine import accumulate_decode_stats
-
+        """Counter cells merge by merge_counts' per-key sum."""
         into = {"shots": 100, "trivial": 2}
-        accumulate_decode_stats(into, {"shots": 50, "trivial": 1, "batched": 9})
+        out = obs.merge_counts(into, {"shots": 50, "trivial": 1, "batched": 9})
+        assert out is into
         assert into == {"shots": 150, "trivial": 3, "batched": 9}
-        mirror = {"shots": 100, "trivial": 2}
-        obs.merge_counts(mirror, {"shots": 50, "trivial": 1, "batched": 9})
-        assert mirror == into
+        merged = obs.merge_snapshots(
+            _snap(100, [("trivial", 2)]), _snap(50, [("trivial", 1), ("batched", 9)])
+        )
+        assert merged["repro_decode_tier_shots_total"]["values"] == {
+            "trivial": 3, "batched": 9,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -251,59 +253,64 @@ class TestEngineIntegration:
         assert sum(tiers.values()) == totals["repro_decode_unique_total"]
         assert totals["repro_decode_shots_total"] == self.SHOTS
 
-    def test_decode_stats_view_matches_legacy_dict(self):
-        from repro.decoders import TIER_NAMES
-
-        decode_stats = {}
+    def test_prepare_decoding_times_each_stage(self):
+        """The cold path is timed on the production path, not only in
+        perfbench: one span and one histogram observation per stage."""
         reg = obs.enable()
-        memory = _memory()
-        run_memory_experiment(
-            memory, shots=2048, seed=3, workers=1, decode_stats=decode_stats,
-        )
-        view = obs.decode_stats_view(reg.snapshot())
-        for key in ("shots", "unique", "lru_hits", "lru_misses", *TIER_NAMES):
-            assert view[key] == decode_stats.get(key, 0), key
+        tracer = obs.enable_tracing()
+        run_memory_experiment(_memory(), shots=64, seed=1)
+        hist = reg.snapshot()["repro_decode_prepare_seconds"]["hist"]
+        assert {stage: cell[-1] for stage, cell in hist.items()} == {
+            "dem": 1, "graph": 1, "decoder": 1,
+        }
+        stages = [s["args"]["stage"] for s in tracer.spans
+                  if s["name"] == "decode.prepare"]
+        assert sorted(stages) == ["decoder", "dem", "graph"]
 
     def test_durable_blocks_record_sample_and_decode_time(self, tmp_path):
         """The durable path splits every block into sample and decode time,
         and arming the registry does not change its counts."""
-        from repro.durable import DurableExecutor, RunLedger
+        from repro.durable import DurableExecutor, RunLedger, parse_ledger
 
         def run(name):
             ledger = RunLedger(tmp_path / name, {"command": "obs-split", "seed": 5})
             try:
-                return run_memory_experiment(
+                result = run_memory_experiment(
                     _memory(), shots=2100, seed=5,
                     executor=DurableExecutor(ledger, workers=1),
                 )
             finally:
                 ledger.close()
+            return result, parse_ledger(tmp_path / name).blocks
 
-        plain = run("off.jsonl")
+        plain, plain_blocks = run("off.jsonl")
         reg = obs.enable()
-        armed = run("on.jsonl")
+        armed, armed_blocks = run("on.jsonl")
         totals = obs.summarize_snapshot(reg.snapshot())
         assert totals["repro_engine_blocks_total"] == 3  # 1024 + 1024 + 52
         for name in ("sample", "decode", "chunk"):
             assert totals[f"repro_engine_{name}_seconds"] == 3, name
         assert armed.logical_errors == plain.logical_errors
-        assert armed.decode_stats == plain.decode_stats
+        assert armed_blocks == plain_blocks  # tier stats included
 
     def test_observability_never_changes_results(self):
-        """Campaign results are bit-identical with obs on vs off."""
+        """Counts and tier records are bit-identical with obs on vs off."""
         memory = _memory()
-        baseline_stats = {}
-        baseline = run_memory_experiment(
-            memory, shots=2048, seed=11, workers=1, decode_stats=baseline_stats,
-        )
+
+        def run():
+            # 2048 shots are one in-process decode_batch call, so its
+            # per-call record covers the whole run.
+            setup = prepare_decoding(memory)
+            errors = count_logical_errors(
+                memory.circuit, setup.decoder, setup.basis_detectors,
+                setup.basis_observables, 2048, seed=11,
+            )
+            return errors, setup.decoder.last_batch_stats
+
+        baseline = run()
         obs.enable()
         obs.enable_tracing()
-        armed_stats = {}
-        armed = run_memory_experiment(
-            memory, shots=2048, seed=11, workers=1, decode_stats=armed_stats,
-        )
-        assert armed.logical_errors == baseline.logical_errors
-        assert armed_stats == baseline_stats
+        assert run() == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.durable import (
     DurableExecutor,
     FaultPlan,
@@ -124,6 +125,32 @@ class TestSpecs:
             spec_from_payload({"command": "compare", "distances": 3})
         with pytest.raises(SpecError, match="odd integer"):
             spec_from_payload({"command": "compare", "distances": [4]})
+
+
+class TestExecuteSpec:
+    @pytest.mark.parametrize("spec, uncovered", [
+        # A 3-qubit GHZ chain is one surgery component: its two windows
+        # are decoded as independent pieces, not jointly.
+        (build_compare_spec(
+            program="ghz", qubits=3, correlated=True, grid=2, distances=[3],
+            shots=64, embeddings=["natural"], refresh_policies=["dram"],
+        ), {"natural/dram/d3": 2}),
+        # The CI service-smoke payload.
+        (spec_from_payload({
+            "command": "compare", "program": "pairs", "qubits": 2,
+            "embeddings": ["natural"], "refresh_policies": ["dram"],
+            "distances": [3], "shots": 4096,
+        }), {}),
+    ], ids=["ghz3-correlated", "ci-pairs2"])
+    def test_uncovered_windows_reach_result_and_registry(
+        self, tmp_path, registry, spec, uncovered
+    ):
+        result = _reference_run(spec, tmp_path / "compare.jsonl")
+        assert result["uncovered_windows"] == uncovered
+        assert "decode_stats" not in result  # tier totals live in the registry
+        totals = obs.summarize_snapshot(registry.snapshot())
+        assert totals.get("repro_campaign_uncovered_windows_total", 0) == sum(
+            uncovered.values())
 
 
 # ---------------------------------------------------------------------------

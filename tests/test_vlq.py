@@ -231,16 +231,17 @@ class TestCampaign:
         assert lowering.hits > 0 and lowering.misses == 2
         assert graphs.hits > 0 and graphs.misses == 2
 
-    def test_tier_accounting_balances(self):
+    def test_tier_accounting_balances(self, registry, decode_totals):
         result = run_program_experiment(
             LogicalProgram.bell_pairs(4), _machine(), shots=512
         )
-        stats = result.decode_stats
-        assert sum(stats[t] for t in TIER_NAMES) == stats["unique"]
-        assert stats["shots"] == 512 * 4
-        for qubit in result.per_qubit:
-            per = qubit.result.decode_stats
-            assert sum(per[t] for t in TIER_NAMES) == per["unique"]
+        tiers, unique, shots = decode_totals()
+        assert set(tiers) <= set(TIER_NAMES)
+        assert sum(tiers.values()) == unique
+        assert shots == 512 * 4
+        # Every qubit ran as its own campaign unit.
+        units = registry.snapshot()["repro_campaign_units_total"]["values"]
+        assert units == {"qubit": len(result.per_qubit)} == {"qubit": 4}
 
     def test_refresh_ablation_hurts_lossy_storage(self):
         """Dropping DRAM refresh leaves stored qubits uncorrected.
@@ -289,7 +290,7 @@ class TestCampaign:
                 LogicalProgram.bell_pairs(2), _machine(), shots=64, refresh="maybe"
             )
 
-    def test_compare_architectures_sweeps_and_shares_caches(self):
+    def test_compare_architectures_sweeps_and_shares_caches(self, decode_totals):
         comparison = compare_architectures(
             LogicalProgram.bell_pairs(4),
             distances=(3,),
@@ -306,8 +307,8 @@ class TestCampaign:
         }
         assert comparison.lowering_cache.hits > 0
         assert comparison.graph_cache.hits > 0
-        totals = comparison.decode_totals()
-        assert sum(totals[t] for t in TIER_NAMES) == totals["unique"]
+        tiers, unique, _ = decode_totals()
+        assert sum(tiers.values()) == unique
         assert len(comparison.table_rows()) == 4
 
     def test_build_program(self):
