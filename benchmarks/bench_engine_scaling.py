@@ -12,9 +12,10 @@ uploaded as a workflow artifact):
   draws, precomputed symptom table) must beat the seed
   per-instruction bool-array simulator by ≥ ``REPRO_BENCH_MIN_SPEEDUP``
   (default 5x; CI smoke runs with 2x as the regression gate).
-- **decode_only** — the tiered ``decode_batch`` path (dedup → weight-1
-  table → weight-2 analytic rule → LRU → batched lockstep kernel →
-  flat-array full decode) against a dedup + per-unique ``decode()`` loop
+- **decode_only** — the tiered ``decode_batch`` path (union-find: dedup
+  → LRU → batched lockstep kernel; MWPM: dedup → weight-1/weight-2
+  analytic rules → LRU → per-unique full decode) against a dedup +
+  per-unique ``decode()`` loop
   baseline.  For union-find the baseline runs the legacy dict
   implementation PR 2 shipped (a true tiered-vs-PR2 number) and the row
   also carries a batched-vs-flat comparison (the same dedup + loop over
@@ -34,7 +35,7 @@ uploaded as a workflow artifact):
 - **end_to_end** — the full engine including decoding, per backend and
   worker count at p=5e-3 (essentially at threshold, where nearly every
   syndrome is unique and heavy — worst case for the fast path) plus a
-  below-threshold point at p=1e-3 where the tier/LRU layers carry more of
+  below-threshold point at p=1e-3 where dedup and the LRU carry more of
   the load.  These runs arm the ``repro.obs`` registry, the only total of
   decode-tier occupancy across calls (fleet workers ship their deltas
   back), so their rates include its overhead (gated at 3% by

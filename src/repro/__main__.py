@@ -372,7 +372,7 @@ def _cmd_threshold(args) -> int:
     if args.program is not None:
         if args.scheme is not None:
             raise ValueError("--scheme and --program are mutually exclusive")
-        from repro.vlq import build_program
+        from repro.vlq import ArchitectureComparison, build_program
 
         qubits = 4 if args.qubits is None else args.qubits
         spec = {
@@ -401,12 +401,20 @@ def _cmd_threshold(args) -> int:
                 executor=executor,
             )
             series = {f"d={d}": study.rates[d] for d in study.distances}
+            marks = {f"d={d}": study.uncovered_windows[d] for d in study.distances}
             print(format_series(
                 ps, series, xlabel="p",
                 title=(f"program: {args.program}({qubits}) "
                        f"{study.embedding}/{study.refresh}"
                        f"{' correlated' if study.correlated else ''}"),
+                marks=marks,
             ))
+            uncovered = study.uncovered_points()
+            if uncovered:
+                print(ArchitectureComparison.UNCOVERED_FOOTNOTE)
+                print(f"warning: uncovered surgery windows at {'; '.join(uncovered)}: "
+                      "the joint rates of these points are not joint estimates",
+                      file=sys.stderr)
             threshold = study.threshold_estimate()
             print("program threshold estimate:",
                   "not bracketed" if threshold is None else f"{threshold:.4f}")

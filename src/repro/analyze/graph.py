@@ -245,8 +245,8 @@ def lint_unionfind(
     # decoder requires *shared* edge arrays — a copy could silently
     # drift after a graph rebuild — and its own CSR must route every
     # edge once per endpoint to the correct far endpoint.
-    kernel = getattr(decoder, "_batched", False)
-    if kernel not in (False, None):
+    kernel = getattr(decoder, "_batched", None)
+    if kernel is not None:
         for name in ("edge_u", "edge_v", "lengths"):
             if getattr(kernel, name) is not getattr(decoder, name):
                 add(

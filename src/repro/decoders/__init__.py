@@ -1,8 +1,9 @@
 """Decoders for the surface code: matching graphs, MWPM and union-find.
 
 All decoders derive from :class:`SyndromeDecoder`, which adds the tiered
-batched ``decode_batch`` entry point (dedup, analytic weight-1/2 tables,
-bounded cross-batch LRU, full decode) used by the Monte-Carlo engine.
+batched ``decode_batch`` entry point used by the Monte-Carlo engine:
+dedup, MWPM's analytic weight-1/2 rules, a bounded cross-batch LRU, then
+union-find's lockstep kernel or a per-unique full decode.
 """
 
 from repro.decoders.batch import TIER_NAMES, SyndromeDecoder

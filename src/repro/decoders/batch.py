@@ -7,40 +7,37 @@ syndrome through a tier ladder, cheapest first:
 
 ``trivial``
     All-zero syndromes decode to 0 without touching the decoder.
-``weight1``
-    Single-detection-event syndromes are served from a per-graph lookup
-    table (one prediction per detector).  The table is exact by
-    construction: by default entries are filled on demand by calling the
-    decoder itself once per *observed* detector, and MWPM supplies the
-    whole table up front as the nearest-boundary observable mask from
-    its Dijkstra pass (provably what matching returns for one event).
-``weight2``
-    Two-event syndromes go through an analytic pairwise rule when the
-    decoder provides one (MWPM: match the pair through the bulk iff the
-    bulk path is strictly cheaper than both boundary paths — exactly the
-    blossom outcome for two events).  Decoders without a provably-exact
-    rule return ``None`` and the pairs fall through to the full tier.
+``weight1`` / ``weight2``
+    One- and two-event syndromes go through an analytic rule when the
+    decoder provides one.  MWPM does: one event matches its nearest
+    boundary (the boundary-observable mask of its Dijkstra pass), and a
+    pair matches through the bulk iff the bulk path is strictly cheaper
+    than both boundary paths — exactly the blossom outcome for those
+    weights.  Decoders without a provably-exact rule return ``None``
+    and those syndromes join the heavy ones below; union-find has
+    neither rule.
 ``cached``
-    A bounded cross-batch LRU of full-decoder predictions
+    A bounded cross-batch LRU of decoder predictions
     (:class:`~repro.decoders.cache.PackedLRU`), keyed by the packed
-    syndrome bytes, so repeated heavy syndromes across batches are never
-    re-decoded.  The capacity bound keeps worker memory flat at any
-    total shot count (the seed's per-shot dict cache grew without bound).
+    syndrome bytes, so a syndrome repeated across batches is not
+    re-decoded while it stays cached.  The capacity bound keeps worker
+    memory flat at any total shot count.
 ``batched``
     Decoders that provide a vectorized whole-batch kernel
     (:meth:`SyndromeDecoder._decode_heavy_batch`; union-find routes here
     through the lockstep kernel of ``decoders/batched_uf.py``) decode
-    all remaining heavy uniques in one call.  The kernel is bit-identical
-    to the per-shot decoder by contract, so results still land in the
-    LRU and the ``cached`` tier serves them on repeats.
+    all remaining uniques in one call.  The kernel is bit-identical to
+    the per-shot decoder by contract, so results still land in the LRU
+    and the ``cached`` tier serves them on repeats.
 ``full``
     Everything else runs the decoder's ``decode`` once per unique
     syndrome and lands in the LRU.
 
-When every unique syndrome in a batch is heavy — the regime at
-threshold — the dispatcher skips the weight-tier setup entirely (no
-weight-1 table gather, no pair extraction), so a decoder with no batched
-kernel pays only dedup + LRU over the plain decode loop.
+So union-find decodes dedup → LRU → kernel, and MWPM dedup → analytic
+tiers → LRU → per-unique ``decode``.  When every unique syndrome in a
+batch is heavy — the regime at threshold — the dispatcher skips the
+weight-tier setup entirely (no pair extraction), so a decoder with no
+batched kernel pays only dedup + LRU over the plain decode loop.
 
 Tier occupancy has one producer, :meth:`SyndromeDecoder._record_stats`,
 and two sinks: the per-call record ``last_batch_stats`` (with the call's
@@ -65,7 +62,7 @@ __all__ = ["SyndromeDecoder", "TIER_NAMES"]
 #: always equals ``stats["unique"]``.
 TIER_NAMES = ("trivial", "weight1", "weight2", "cached", "batched", "full")
 
-#: Default bound on cached full-decoder predictions (entries, not bytes;
+#: Default bound on cached decoder predictions (entries, not bytes;
 #: a d=7 entry is ~60 bytes of key plus an int, so the default tops out
 #: around a few MB per worker).
 DEFAULT_LRU_CAPACITY = 65536
@@ -77,16 +74,15 @@ class SyndromeDecoder:
     Subclasses implement :meth:`decode` (one syndrome, given as a list of
     fired detector indices) and call ``super().__init__(graph)``;
     ``decode_batch`` — dedup, tier dispatch, LRU — is derived.  Optional
-    overrides: :meth:`_build_weight1_table` (exact single-event
-    predictions) and :meth:`_decode_weight2_batch` (vectorized exact
-    two-event predictions, or ``None`` to fall through).
+    overrides: :meth:`_decode_weight1_batch` and
+    :meth:`_decode_weight2_batch` (vectorized exact one- and two-event
+    predictions, or ``None`` to fall through) and
+    :meth:`_decode_heavy_batch` (a whole-batch kernel).
     """
 
     def __init__(self, graph, lru_capacity: int = DEFAULT_LRU_CAPACITY):
         self.graph = graph
         self._lru = PackedLRU(lru_capacity)
-        self._weight1_table: np.ndarray | None = None
-        self._weight1_built: np.ndarray | None = None
         #: tier occupancy of the most recent decode_batch call
         self.last_batch_stats: dict[str, int] | None = None
         self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
@@ -105,12 +101,11 @@ class SyndromeDecoder:
 
         After this call the next ``decode_batch``'s result *and* its tier
         occupancy are pure functions of that batch's syndromes: nothing
-        can land in the ``cached`` tier, so the cached/full split no
-        longer depends on which batches ran earlier in this process.
+        can land in the ``cached`` tier, so which uniques are cached
+        and which are decoded no longer depends on which batches ran
+        earlier in this process.
         Durable block execution calls this before every block to make
         per-block checkpoints bit-identical across workers and resumes.
-        The weight-1 table survives — its entries are deterministic per
-        detector and its fill state never shows up in tier accounting.
         """
         self._lru.clear()
         self.last_batch_stats = None
@@ -135,54 +130,31 @@ class SyndromeDecoder:
     # ------------------------------------------------------------------
     # Fast-path hooks
     # ------------------------------------------------------------------
-    def _build_weight1_table(self) -> np.ndarray | None:
-        """Exact predictions for every single-event syndrome, or ``None``.
+    def _decode_weight1_batch(self, cols: np.ndarray) -> np.ndarray | None:
+        """Vectorized predictions for single-event syndromes firing ``cols``.
 
-        Return a full per-detector table when one is available
-        analytically (MWPM: the boundary-observable column of its
-        Dijkstra tables).  The default returns ``None`` and the
-        dispatcher fills entries on demand by calling the decoder itself,
-        once per *observed* detector — exact by construction for any
-        decoder, and never decoding detectors that have not fired (whose
-        syndromes may not even be decodable, e.g. a boundary-disconnected
-        component).
+        Return ``None`` (the default) when no analytic rule reproduces
+        this decoder exactly; those syndromes then join the heavy ones.
         """
         return None
-
-    def _weight1_predictions(self, cols: np.ndarray) -> np.ndarray:
-        """Predictions for single-event syndromes firing ``cols``."""
-        if self._weight1_table is None:
-            n = self.graph.num_detectors
-            table = self._build_weight1_table()
-            if table is not None:
-                self._weight1_table = np.asarray(table, dtype=np.int64)
-                self._weight1_built = np.ones(n, dtype=bool)
-            else:
-                self._weight1_table = np.zeros(n, dtype=np.int64)
-                self._weight1_built = np.zeros(n, dtype=bool)
-        built = self._weight1_built
-        for det in np.unique(cols[~built[cols]]):
-            self._weight1_table[det] = self._checked_decode([int(det)])
-            built[det] = True
-        return self._weight1_table[cols]
 
     def _decode_weight2_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
         """Vectorized predictions for two-event syndromes ``{u[i], v[i]}``.
 
         Return ``None`` (the default) when no analytic rule reproduces
-        this decoder exactly; those syndromes then use the full tier.
+        this decoder exactly; those syndromes then join the heavy ones.
         """
         return None
 
     def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray | None:
         """Whole-batch predictions for the heavy unique syndromes ``dets``.
 
-        Decoders with a vectorized kernel that is *bit-identical* to
-        their per-shot ``decode`` override this (union-find routes
-        through the lockstep kernel); its results populate the
-        ``batched`` tier and the LRU.  Return ``None`` (the default, and
-        the required behavior whenever the kernel cannot serve this
-        graph) to fall back to the per-unique ``full`` decode loop.
+        "Heavy" means every non-trivial unique that no analytic tier or
+        LRU entry served.  Decoders with a vectorized kernel that is
+        *bit-identical* to their per-shot ``decode`` override this
+        (union-find routes through the lockstep kernel); its results
+        populate the ``batched`` tier and the LRU.  Return ``None`` (the
+        default) to fall back to the per-unique ``full`` decode loop.
         """
         return None
 
@@ -193,9 +165,10 @@ class SyndromeDecoder:
         """Decode a ``(shots, num_detectors)`` bool array of syndromes.
 
         Returns an ``(shots,)`` int64 array of predicted observable masks.
-        Each unique syndrome is decoded once per process lifetime (tier
-        tables and the LRU persist across calls); duplicates are served
-        from the deduplicated table.
+        Each unique syndrome of the batch is resolved once, and duplicate
+        rows share its prediction.  Across calls only the bounded LRU
+        persists (until :meth:`reset_batch_state`), so a syndrome seen in
+        an earlier batch is decoded again once it has been evicted.
         """
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2:
@@ -218,32 +191,29 @@ class SyndromeDecoder:
         misses_before = self._lru.misses
 
         if int(weights.min()) > 2:
-            # All-full fast path (the regime at threshold): no weight
-            # tier can fire, so skip their setup — table gathers, argmax
-            # and pair extraction — entirely.
+            # All-heavy fast path (the regime at threshold): no weight
+            # tier can fire, so skip their setup entirely.
             heavy = np.arange(len(index))
         else:
             tiers["trivial"] = int(np.count_nonzero(weights == 0))
-
-            w1 = np.flatnonzero(weights == 1)
-            if w1.size:
-                predictions[w1] = self._weight1_predictions(
-                    np.argmax(unique_dets[w1], axis=1)
-                )
-                tiers["weight1"] = int(w1.size)
-
-            heavy = np.flatnonzero(weights > 2)
-            w2 = np.flatnonzero(weights == 2)
-            if w2.size:
-                # np.nonzero is row-major, so each row contributes its two
+            heavy_parts = [np.flatnonzero(weights > 2)]
+            for weight, tier, rule in (
+                (1, "weight1", self._decode_weight1_batch),
+                (2, "weight2", self._decode_weight2_batch),
+            ):
+                rows = np.flatnonzero(weights == weight)
+                if not rows.size:
+                    continue
+                # np.nonzero is row-major, so each row contributes its
                 # fired columns in ascending order.
-                pairs = np.nonzero(unique_dets[w2])[1].reshape(-1, 2)
-                analytic = self._decode_weight2_batch(pairs[:, 0], pairs[:, 1])
+                cols = np.nonzero(unique_dets[rows])[1].reshape(-1, weight)
+                analytic = rule(*cols.T)
                 if analytic is None:
-                    heavy = np.sort(np.concatenate([heavy, w2]))
+                    heavy_parts.append(rows)
                 else:
-                    predictions[w2] = analytic
-                    tiers["weight2"] = int(w2.size)
+                    predictions[rows] = analytic
+                    tiers[tier] = int(rows.size)
+            heavy = np.sort(np.concatenate(heavy_parts))
 
         if heavy.size:
             keys = self._lru.keys_for(unique_rows[heavy])

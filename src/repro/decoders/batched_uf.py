@@ -1,16 +1,16 @@
 """Batched lockstep union-find growth kernel.
 
-At threshold (p≈5e-3) nearly every syndrome is unique and heavy, so the
-table/LRU tiers of ``decode_batch`` never fire and decode throughput is
-the per-shot pure-Python flat-array union-find.  This kernel removes that
-floor by growing *all* unique syndromes of a batch simultaneously: state
-lives in 2-D numpy arrays shaped ``(batch, n_nodes)`` / ``(batch,
-n_edges)`` over the *shared* flat edge arrays the
-:class:`~repro.decoders.unionfind.UnionFindDecoder` already built, so
-every growth round is a handful of vectorized passes instead of an
-interpreted per-edge loop per shot.  Those passes follow the clusters,
-not the state: each one runs over a sorted **member list** or over the
-frontier entries the members expand into.
+Union-find's ``decode_batch`` sends every non-trivial unique syndrome
+that misses its LRU here, so this kernel is the only growth loop
+production decoding runs.  It grows *all* of a batch's syndromes
+simultaneously instead of calling the per-shot pure-Python flat-array
+union-find once per syndrome: state lives in 2-D numpy arrays shaped
+``(batch, n_nodes)`` / ``(batch, n_edges)`` over the *shared* flat edge
+arrays the :class:`~repro.decoders.unionfind.UnionFindDecoder` already
+built, so every growth round is a handful of vectorized passes instead
+of an interpreted per-edge loop per shot.  Those passes follow the
+clusters, not the state: each one runs over a sorted **member list** or
+over the frontier entries the members expand into.
 
 Per lockstep iteration:
 
@@ -63,15 +63,15 @@ Per lockstep iteration:
 No pass in the loop touches a full ``(rows, n_nodes)`` or ``(rows,
 n_edges)`` array; those are reset once per sub-batch.  The pooled
 state is allocated once per kernel and reused across calls (``growth``
-is int16, rates and parities int8), and the full-width resets (and the
-exact ``traces`` loop's passes) write through ``out=`` or slice fills:
-numpy routes MB-sized temporaries through mmap, and the page-fault
-churn costs more than the arithmetic.
+is int16, rates and parities int8), and the full-width resets write
+through ``out=`` or slice fills: numpy routes MB-sized temporaries
+through mmap, and the page-fault churn costs more than the arithmetic.
 
 **Determinism contract.**  The support returned per shot is identical
-to the flat decoder's (both realize the unit-step growth trajectory;
-``traces`` mode runs the exact full-width loop and the regression tests
-pin it round by round, and the member-list loop against it).
+to the flat decoder's: both realize the unit-step growth trajectory.
+The regression tests pin the flat decoder round by round against an
+independent unit-step reference and the legacy decoder, and this
+kernel's support against the flat decoder's ``_grow``, row by row.
 Peeling is one vectorized pass over the whole sub-batch: a small
 union-find over the support entries with XOR offsets assigns every
 support node a potential ``φ`` (the observable parity of a forest path
@@ -110,11 +110,9 @@ __all__ = ["BatchedUnionFind", "DEFAULT_LOCKSTEP"]
 DEFAULT_LOCKSTEP = 512
 
 _MAX_GROWTH_ROUNDS = 1_000_000
-#: int16 sentinel for "no frontier edge here" (exact path only); real
-#: ``need`` values are bounded by the discretized edge length.
-_NO_FRONTIER = np.int16(32767)
 #: Largest edge length the int16 growth state supports: growth can
 #: overshoot its length by at most ``2 * max_length`` in the final jump.
+#: The flat decoder caps its lengths well below this, at 4096 units.
 _MAX_LENGTH = 10922
 
 
@@ -152,13 +150,12 @@ class BatchedUnionFind:
         if len(self.lengths) and int(self.lengths.max()) > _MAX_LENGTH:
             raise ValueError(
                 f"edge lengths exceed {_MAX_LENGTH} units; the int16 lockstep "
-                "kernel cannot represent the growth overshoot (lower max_units "
-                "or decode per shot)"
+                "kernel cannot represent the growth overshoot"
             )
         self._len16 = self.lengths.astype(np.int16)
         # CSR adjacency over the shared endpoint arrays: for each node,
-        # the incident edge ids and the opposite endpoints.  The fast
-        # path discovers each shot's frontier by expanding the members of
+        # the incident edge ids and the opposite endpoints.  Growth
+        # discovers each shot's frontier by expanding the members of
         # active clusters through this structure, so per-round work is
         # proportional to cluster size, not to the edge count.
         n1 = self.num_detectors + 1
@@ -197,24 +194,9 @@ class BatchedUnionFind:
         self._bnd = np.empty(shape_n, np.int8)
         self._growth = np.empty(shape_e, np.int16)
         self._unit_round = np.empty(rows, np.int32)
-        # Member-list loop: surface and member masks.
+        # Surface (not yet interior) and member masks.
         self._surf = np.empty(shape_n, np.int8)
         self._member = np.empty(shape_n, bool)
-        # Exact (traces) loop: activity, completion, one buffer per pass.
-        self._act = np.empty(shape_n, np.int8)
-        self._complete = np.empty(shape_e, bool)
-        self._au = np.empty(shape_e, np.int8)
-        self._av = np.empty(shape_e, np.int8)
-        self._rate = np.empty(shape_e, np.int8)
-        self._ru = np.empty(shape_e, np.int32)
-        self._rv = np.empty(shape_e, np.int32)
-        self._need = np.empty(shape_e, np.int16)
-        self._t16 = np.empty(shape_e, np.int16)
-        self._b1 = np.empty(shape_e, bool)
-        self._b2 = np.empty(shape_e, bool)
-        self._ixn = np.empty(shape_n, np.int32)
-        self._hop = np.empty(shape_n, np.int32)
-        self._beq = np.empty(shape_n, bool)
         # Peel state, indexed by ``row * n1 + node`` and written only at
         # the support nodes of the current sub-batch (never cleared).
         self._pl_parent = np.empty(rows * n1, np.int32)
@@ -227,29 +209,10 @@ class BatchedUnionFind:
         self._pflat = self._parent.reshape(-1)
         self._parflat = self._par.reshape(-1)
         self._bndflat = self._bnd.reshape(-1)
-        self._actflat = self._act.reshape(-1)
         self._gflat = self._growth.reshape(-1)
         self._surfflat = self._surf.reshape(-1)
         self._memflat = self._member.reshape(-1)
         self._rows = rows
-
-    def _init_state(self, dets: np.ndarray, live_ids: np.ndarray) -> None:
-        """Reset the pooled per-shot state for ``live_ids.size`` rows.
-
-        Every event node starts as its own odd singleton, the boundary a
-        boundary-flagged even one, everything else an even singleton
-        (absorbing a node is just hooking it into a cluster).  Each
-        growth loop resets the buffers only it uses.
-        """
-        a = live_ids.size
-        n = dets.shape[1]
-        self._parent[:a] = np.arange(n + 1, dtype=np.int32)
-        self._par[:a] = 0
-        self._par[:a, :n] = dets[live_ids]
-        self._bnd[:a] = 0
-        self._bnd[:a, self.boundary] = 1
-        self._growth[:a] = 0
-        self._unit_round[:a] = 0
 
     # ------------------------------------------------------------------
     def decode_batch(self, dets: np.ndarray) -> np.ndarray:
@@ -278,7 +241,7 @@ class BatchedUnionFind:
             sel = order[lo : lo + self.lockstep]
             rows = dets[sel]
             t0 = perf_counter()
-            shot, edge = self.grow_batch(rows, sparse=True)
+            shot, edge = self.grow_batch(rows)
             t1 = perf_counter()
             predictions[sel], fell_back = self._peel_batch(rows, shot, edge)
             grow_s += t1 - t0
@@ -294,56 +257,24 @@ class BatchedUnionFind:
         return predictions
 
     # ------------------------------------------------------------------
-    def grow_batch(
-        self,
-        dets: np.ndarray,
-        traces: list[list] | None = None,
-        *,
-        sparse: bool = False,
-    ):
-        """Grow all shots of one sub-batch; returns a (shots, edges) support mask.
-
-        With ``sparse=True`` the support comes back as its ``(shot,
-        edge)`` entry arrays instead (the peel's input; order is
-        unspecified), which spares the dense mask.
-
-        ``traces``, when given, must hold one list per shot; each live
-        shot appends one ``(unit_round, {edge: growth})`` entry per
-        completion round in unit-round numbering — the same format the
-        flat decoder and the unit-step reference emit, so the regression
-        tests can pin all three against each other.  Tracing runs the
-        exact full-width loop (the flat decoder's rating rule over every
-        edge of every row); the default path runs the member-list loop,
-        which rates the same edges and returns the identical support.
-        """
-        dets = np.asarray(dets, dtype=bool)
-        if dets.ndim != 2 or dets.shape[1] != self.num_detectors:
-            raise ValueError(
-                f"expected (shots, {self.num_detectors}) syndromes, got {dets.shape}"
-            )
-        if traces is not None:
-            support = self._grow_exact(dets, traces)
-            return np.nonzero(support) if sparse else support
-        shot, edge = self._grow_fast(dets)
-        if sparse:
-            return shot, edge
-        support = np.zeros((dets.shape[0], len(self._len16)), dtype=bool)
-        support[shot, edge] = True
-        return support
-
-    # ------------------------------------------------------------------
-    def _grow_fast(self, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Member-list lockstep growth (the decode hot path).
+    def grow_batch(self, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grow all shots of one sub-batch; returns the ``(shot, edge)`` support.
 
         Steps 1–4 of the module docstring.  Every pass runs over the
         sorted *member list* — the global ids ``row*n1 + node`` of the
         nodes inside some cluster — or over the entry list the members
         expand into; no pass in the loop touches a full ``(rows,
         n_nodes)`` or ``(rows, n_edges)`` array.  Completions are
-        recorded as they happen, and the support is returned as
-        ``(shot, edge)`` entries.
+        recorded as they happen, each exactly once, and the support comes
+        back as entry arrays (the peel's input; order is unspecified).
         """
-        n1 = dets.shape[1] + 1
+        dets = np.asarray(dets, dtype=bool)
+        if dets.ndim != 2 or dets.shape[1] != self.num_detectors:
+            raise ValueError(
+                f"expected (shots, {self.num_detectors}) syndromes, got {dets.shape}"
+            )
+        n = dets.shape[1]
+        n1 = n + 1
         num_edges = len(self._len16)
         done_shot: list[np.ndarray] = [np.empty(0, np.int64)]
         done_edge: list[np.ndarray] = [np.empty(0, np.int32)]
@@ -354,7 +285,22 @@ class BatchedUnionFind:
         if a == 0:
             return done_shot[0], done_edge[0]
         self._ensure(a)
-        self._init_state(dets, live_ids)
+        # Reset the pooled state: every event node starts as its own odd
+        # singleton, the boundary a boundary-flagged even one, everything
+        # else an even singleton (absorbing a node is just hooking it
+        # into a cluster).  Parents are kept in *global* flat coordinates
+        # (``row*n1 + node``): every root gather, activity lookup, hook,
+        # chase and compression pass then indexes the raveled buffers
+        # directly, with no per-pass row-offset add.
+        self._parent[:a] = np.arange(n1, dtype=np.int32)
+        np.add(self._parent[:a], self._row_off[:a], out=self._parent[:a])
+        self._par[:a] = 0
+        self._par[:a, :n] = dets[live_ids]
+        self._bnd[:a] = 0
+        self._bnd[:a, self.boundary] = 1
+        self._growth[:a] = 0
+        self._unit_round[:a] = 0
+        self._surf[:a] = 1
 
         len16 = self._len16
         pflat = self._pflat
@@ -364,12 +310,6 @@ class BatchedUnionFind:
         unit_round = self._unit_round
         adj_edge, adj_other = self._adj_edge, self._adj_other
         indptr, deg = self._indptr, self._deg
-        # The fast path keeps parents in *global* flat coordinates
-        # (``row*n1 + node``): every root gather, activity lookup,
-        # hook, chase and compression pass then indexes the raveled
-        # buffers directly, with no per-pass row-offset add.
-        np.add(self._parent[:a], self._row_off[:a], out=self._parent[:a])
-        self._surf[:a] = 1
         # Each live row starts with its event nodes as members, each its
         # own root (the raveled ``(rows, n1)`` layout makes flat
         # positions global ids; parity is still 0/1, so it views as
@@ -562,151 +502,6 @@ class BatchedUnionFind:
                 return up
             pflat[members] = upup
             up = upup
-
-    # ------------------------------------------------------------------
-    def _hook_and_compress(
-        self, a: int, base: np.ndarray, end_u: np.ndarray, end_v: np.ndarray
-    ) -> None:
-        """Union across completed edges by iterated min-root hooking.
-
-        Hook the larger root under the smaller, recompress all rows by
-        pointer jumping, repeat until no completed edge spans two roots —
-        lost writes (two merges sharing a root in one pass) are
-        re-detected next pass, and min-hooking keeps parent pointers
-        non-increasing, hence acyclic.
-        """
-        pflat, parent = self._pflat, self._parent
-        su = base + end_u
-        sv = base + end_v
-        while True:
-            root_a = pflat[su]
-            root_b = pflat[sv]
-            unmerged = root_a != root_b
-            if not unmerged.any():
-                return
-            low = np.minimum(root_a, root_b)[unmerged]
-            high = np.maximum(root_a, root_b)[unmerged]
-            pflat[base[unmerged] + high] = low
-            while True:
-                np.add(parent[:a], self._row_off[:a], out=self._ixn[:a])
-                np.take(pflat, self._ixn[:a], out=self._hop[:a], mode="clip")
-                np.equal(self._hop[:a], parent[:a], out=self._beq[:a])
-                if self._beq[:a].all():
-                    break
-                parent[:a] = self._hop[:a]
-
-    # ------------------------------------------------------------------
-    def _grow_exact(self, dets: np.ndarray, traces: list[list]) -> np.ndarray:
-        """Full-width lockstep growth with internal edges masked at
-        rating time — the flat decoder's rating rule verbatim, used for
-        round-by-round trace pinning (every live shot appends one trace
-        entry per completion round, exactly like the flat decoder)."""
-        batch, n = dets.shape
-        n1 = n + 1
-        num_edges = len(self._len16)
-        lengths = self._len16[None, :]
-        support = np.zeros((batch, num_edges), dtype=bool)
-
-        live_ids = np.flatnonzero(dets.any(axis=1))
-        a = live_ids.size
-        if a == 0:
-            return support
-        self._ensure(a)
-        self._init_state(dets, live_ids)
-        self._complete[:a] = False
-
-        len16 = self._len16
-        eu, ev = self.edge_u, self.edge_v
-        parent, pflat = self._parent, self._pflat
-        par, bnd, act = self._par, self._bnd, self._act
-        parflat, bndflat, actflat = self._parflat, self._bndflat, self._actflat
-        growth, complete = self._growth, self._complete
-        unit_round = self._unit_round
-        ru, rv, au, av = self._ru, self._rv, self._au, self._av
-        rate, need, t16 = self._rate, self._need, self._t16
-        b1, b2 = self._b1, self._b2
-        row_off = self._row_off
-        idx_u = eu + row_off[:a]  # flat endpoint slots of every row
-        idx_v = ev + row_off[:a]
-
-        while True:
-            np.subtract(1, bnd[:a], out=act[:a])
-            np.multiply(act[:a], par[:a], out=act[:a])
-            alive = act[:a].any(axis=1)
-            if not alive.all():
-                done = ~alive
-                support[live_ids[done]] = complete[:a][done]
-                keep = np.flatnonzero(alive)
-                a = keep.size
-                if a == 0:
-                    return support
-                for buf in (parent, par, bnd, act, growth, complete):
-                    buf[:a] = buf[: alive.size][keep]
-                unit_round[:a] = unit_round[: alive.size][keep]
-                live_ids = live_ids[keep]
-
-            # Endpoint roots and their activity; internal (same-root) and
-            # completed edges are masked to rate 0, exactly as in the
-            # flat decoder's pass 1.
-            np.take(pflat, idx_u[:a], out=ru[:a], mode="clip")
-            np.take(pflat, idx_v[:a], out=rv[:a], mode="clip")
-            np.add(ru[:a], row_off[:a], out=ru[:a])
-            np.add(rv[:a], row_off[:a], out=rv[:a])
-            np.take(actflat, ru[:a], out=au[:a], mode="clip")
-            np.take(actflat, rv[:a], out=av[:a], mode="clip")
-            np.add(au[:a], av[:a], out=rate[:a])
-            np.equal(ru[:a], rv[:a], out=b1[:a])
-            np.copyto(rate[:a], np.int8(0), where=b1[:a])
-            np.copyto(rate[:a], np.int8(0), where=complete[:a])
-
-            # Per-shot completion jump: k = min over the shot's frontier
-            # of ceil(remaining / rate); k unit rounds collapse into one.
-            np.subtract(lengths, growth[:a], out=need[:a])
-            np.add(need[:a], np.int16(1), out=t16[:a])
-            np.right_shift(t16[:a], 1, out=t16[:a])
-            np.equal(rate[:a], np.int8(2), out=b2[:a])
-            np.copyto(need[:a], t16[:a], where=b2[:a])
-            np.equal(rate[:a], np.int8(0), out=b2[:a])
-            np.copyto(need[:a], _NO_FRONTIER, where=b2[:a])
-            k = need[:a].min(axis=1)
-            if (k == _NO_FRONTIER).any():
-                raise RuntimeError("union-find growth failed to terminate")
-            np.add(unit_round[:a], k, out=unit_round[:a])
-            if int(unit_round[:a].max()) > _MAX_GROWTH_ROUNDS:  # pragma: no cover
-                raise RuntimeError("union-find growth failed to terminate")
-
-            np.multiply(rate[:a], k[:, None], out=t16[:a])
-            np.add(growth[:a], t16[:a], out=growth[:a])
-            np.greater_equal(growth[:a], len16, out=b1[:a])
-            np.logical_not(complete[:a], out=b2[:a])
-            np.logical_and(b1[:a], b2[:a], out=b1[:a])  # newly completed
-            np.logical_or(complete[:a], b1[:a], out=complete[:a])
-            for i in range(a):
-                edges = np.flatnonzero(rate[i] > 0)
-                traces[live_ids[i]].append(
-                    (
-                        int(unit_round[i]),
-                        {int(e): int(growth[i, e]) for e in edges},
-                    )
-                )
-
-            # Merge across every newly completed edge (every live shot
-            # completes at least one); parity bookkeeping as in the fast
-            # path.  All completions are genuine here — internal edges
-            # were never rated.
-            shot_idx, edge_idx = np.nonzero(b1[:a])
-            base = shot_idx * n1
-            root_a = pflat[base + eu[edge_idx]]
-            root_b = pflat[base + ev[edge_idx]]
-            roots_flat = np.unique(np.concatenate([base + root_a, base + root_b]))
-            vals_par = parflat[roots_flat]
-            vals_bnd = bndflat[roots_flat]
-            parflat[roots_flat] = 0
-            bndflat[roots_flat] = 0
-            self._hook_and_compress(a, base, eu[edge_idx], ev[edge_idx])
-            new_roots = roots_flat - (roots_flat % n1) + pflat[roots_flat]
-            np.bitwise_xor.at(parflat, new_roots, vals_par)
-            np.bitwise_or.at(bndflat, new_roots, vals_bnd)
 
     # ------------------------------------------------------------------
     def _peel_batch(

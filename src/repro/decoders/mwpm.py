@@ -26,6 +26,7 @@ the blossom outcome for those weights (one event: the lone augmenting
 structure is its boundary stub; two events: blossom compares exactly
 ``bulk`` vs ``through-boundary``, and the bulk candidate edge is only
 present when strictly cheaper, mirroring the graph construction here).
+MWPM is the only decoder with such rules.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class MWPMDecoder(SyndromeDecoder):
 
     def __init__(self, graph: MatchingGraph):
         super().__init__(graph)
-        self.n = graph.num_detectors
         tables = graph.distance_tables()
         self._bulk_dist = tables.bulk_dist
         self._boundary_dist = tables.boundary_dist
@@ -54,10 +54,10 @@ class MWPMDecoder(SyndromeDecoder):
     # ------------------------------------------------------------------
     # Analytic low-weight fast path (see decoders/batch.py)
     # ------------------------------------------------------------------
-    def _build_weight1_table(self) -> np.ndarray:
+    def _decode_weight1_batch(self, cols: np.ndarray) -> np.ndarray:
         # One event must match its boundary stub: the nearest-boundary
         # observable mask from the Dijkstra pass is the exact answer.
-        return self._boundary_obs[: self.n].copy()
+        return self._boundary_obs[cols]
 
     def _decode_weight2_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # Two events: blossom picks the cheaper of {u−v through the bulk}

@@ -35,6 +35,18 @@ Two deliberate behaviour pins versus the legacy dict implementation:
   and forest roots in sorted-node order (boundary first), so the
   prediction depends only on the grown support, not on growth bookkeeping
   order.
+
+Union-find has three implementations, each with one job:
+
+- :class:`~repro.decoders.batched_uf.BatchedUnionFind`, the lockstep
+  kernel, decodes every non-trivial unique syndrome of ``decode_batch``
+  that misses the LRU (the ``batched`` tier).
+- The flat per-shot :meth:`UnionFindDecoder.decode` is the kernel's
+  oracle.  Its ``_peel`` peels the kernel's rows with an
+  observable-odd support cycle, and the tier-free fallback
+  ``decode_block_full`` calls it once per unique syndrome.
+- :class:`LegacyUnionFindDecoder` is the flat decoder's oracle and the
+  bench baseline.
 """
 
 from __future__ import annotations
@@ -42,17 +54,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decoders.batch import SyndromeDecoder
+from repro.decoders.batched_uf import BatchedUnionFind
 from repro.decoders.graph import MatchingGraph
 
 __all__ = ["LegacyUnionFindDecoder", "UnionFindDecoder"]
 
 _MAX_GROWTH_ROUNDS = 1_000_000
+#: Cap on a discretized edge length, in growth units.  It keeps every
+#: length far below the lockstep kernel's int16 limit, so the kernel can
+#: always be built over the flat decoder's arrays.
+_MAX_UNITS = 4096
 
 
 class UnionFindDecoder(SyndromeDecoder):
     """Weighted union-find decoding on a :class:`MatchingGraph`."""
 
-    def __init__(self, graph: MatchingGraph, resolution: int = 16, max_units: int = 4096):
+    def __init__(self, graph: MatchingGraph, resolution: int = 16):
         """``resolution`` growth units per minimum edge weight.
 
         Too-coarse discretization collapses distinct weights onto the same
@@ -67,7 +84,7 @@ class UnionFindDecoder(SyndromeDecoder):
         weights = [e.weight for e in graph.edges if e.weight > 0]
         unit = min(weights) / float(resolution) if weights else 1.0
         lengths = [
-            max(1, min(max_units, round(e.weight / unit))) for e in graph.edges
+            max(1, min(_MAX_UNITS, round(e.weight / unit))) for e in graph.edges
         ]
 
         # Flat graph arrays, built once (canonical storage)...
@@ -149,8 +166,8 @@ class UnionFindDecoder(SyndromeDecoder):
         self._pl_flag = [False] * (n + 1)
         self._pl_gen = 0
 
-        #: Lazily-built lockstep kernel (``False`` = not yet attempted).
-        self._batched = False
+        #: Lockstep kernel, built on first use.
+        self._batched: BatchedUnionFind | None = None
 
     # ------------------------------------------------------------------
     def decode(self, events: list[int]) -> int:
@@ -406,30 +423,20 @@ class UnionFindDecoder(SyndromeDecoder):
         return prediction
 
     # ------------------------------------------------------------------
-    def batched_kernel(self):
-        """The shared-array lockstep kernel, or ``None`` if unsupported.
+    def batched_kernel(self) -> BatchedUnionFind:
+        """The shared-array lockstep kernel, built on first use.
 
-        Built lazily on first use (the kernel preallocates a ~15 MB
-        buffer pool at d=7, which per-shot callers never need).  Returns
-        ``None`` when the graph's discretized lengths overflow the
-        kernel's int16 growth state; heavy syndromes then stay on the
-        per-shot ``full`` tier.
+        Lazy because the kernel preallocates a buffer pool (about 3 MB
+        at d=7) that per-shot callers never need.
         """
-        if self._batched is False:
-            from repro.decoders.batched_uf import BatchedUnionFind
-
-            try:
-                self._batched = BatchedUnionFind(self)
-            except ValueError:
-                self._batched = None
+        if self._batched is None:
+            self._batched = BatchedUnionFind(self)
         return self._batched
 
-    def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray | None:
-        """Route heavy uniques through the lockstep kernel (``batched`` tier)."""
-        kernel = self.batched_kernel()
-        if kernel is None:
-            return None
-        return kernel.decode_batch(dets)
+    def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray:
+        """Every heavy unique — here every non-trivial LRU miss — goes
+        through the lockstep kernel (the ``batched`` tier)."""
+        return self.batched_kernel().decode_batch(dets)
 
 
 class _DSU:
@@ -482,7 +489,7 @@ class LegacyUnionFindDecoder(SyndromeDecoder):
     ``repro.decoders.DECODERS``; use :class:`UnionFindDecoder`.
     """
 
-    def __init__(self, graph: MatchingGraph, resolution: int = 16, max_units: int = 4096):
+    def __init__(self, graph: MatchingGraph, resolution: int = 16):
         super().__init__(graph)
         self.boundary_node = graph.boundary
         weights = [e.weight for e in graph.edges if e.weight > 0]
@@ -491,7 +498,7 @@ class LegacyUnionFindDecoder(SyndromeDecoder):
         else:
             unit = 1.0
         self.lengths = [
-            max(1, min(max_units, round(e.weight / unit))) for e in graph.edges
+            max(1, min(_MAX_UNITS, round(e.weight / unit))) for e in graph.edges
         ]
         self.adjacency: dict[int, list[int]] = graph.neighbors()
 

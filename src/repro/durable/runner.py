@@ -95,10 +95,6 @@ class UnitOutcome:
     executed_blocks: int = 0
     stopped_early: bool = False
 
-    @property
-    def confidence_interval(self) -> tuple[float, float]:
-        return wilson_interval(self.errors, self.shots)
-
 
 class DurableExecutor:
     """Checkpointing executor for campaign units (see module docstring)."""

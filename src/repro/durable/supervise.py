@@ -224,7 +224,12 @@ class WorkerFleet:
             else multiprocessing.get_context()
         )
         self.size = max(1, int(workers))
-        self.result_q = self._ctx.Queue()
+        # A SimpleQueue put writes synchronously, under the queue's
+        # process-shared write lock, before the worker takes its next
+        # task.  A Queue's feeder thread can still be writing when a
+        # worker dies at the start of that task (an injected crash), and
+        # the lock it then never releases blocks every later result.
+        self.result_q = self._ctx.SimpleQueue()
         self.epoch = 0
         self.respawns = 0
         self.closed = False
@@ -304,7 +309,7 @@ class WorkerFleet:
             if slot["proc"].is_alive():
                 slot["proc"].terminate()
                 slot["proc"].join(timeout=1.0)
-        self.result_q.cancel_join_thread()
+        self.result_q.close()
 
     def __enter__(self) -> WorkerFleet:
         return self
@@ -503,11 +508,14 @@ class _PoolSupervisor:
             if not busy and (self.draining or not self.pending):
                 break
 
-            # Drain one result (short timeout doubles as the poll tick).
+            # Drain one result (a short poll doubles as the poll tick;
+            # SimpleQueue.get has no timeout).
+            message = None
             try:
-                message = self.fleet.result_q.get(timeout=0.05)
-            except (queue_mod.Empty, EOFError, OSError):
-                message = None
+                if self.fleet.result_q._poll(0.05):
+                    message = self.fleet.result_q.get()
+            except (EOFError, OSError):
+                pass
             if message is not None:
                 self.handle_message(message)
 

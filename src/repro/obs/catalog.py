@@ -100,6 +100,11 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "Circuit-to-sampler compiles, by backend",
         labels=("backend",),
     ),
+    _h(
+        "repro_engine_compile_seconds",
+        "Wall time compiling a circuit into a sampler, by backend",
+        labels=("backend",),
+    ),
     _h("repro_engine_sample_seconds", "Wall time sampling one run_block batch"),
     _h("repro_engine_decode_seconds", "Wall time decoding one run_block batch"),
     _h("repro_engine_chunk_seconds", "Wall time for one run_block sample+decode"),

@@ -44,10 +44,21 @@ def format_series(
     series: Mapping[str, Sequence[float]],
     xlabel: str = "x",
     title: str | None = None,
+    marks: Mapping[str, Sequence] | None = None,
 ) -> str:
-    """Columnar x-vs-series listing (one figure panel as text)."""
+    """Columnar x-vs-series listing (one figure panel as text).
+
+    A cell whose entry in ``marks`` (same keys and lengths as ``series``)
+    is truthy gets a trailing ``*``.
+    """
     headers = [xlabel] + list(series)
     rows = []
     for i, x in enumerate(xs):
-        rows.append([x] + [series[label][i] for label in series])
+        cells = []
+        for label in series:
+            cell = series[label][i]
+            if marks is not None and marks[label][i]:
+                cell = _cell(cell) + "*"
+            cells.append(cell)
+        rows.append([x] + cells)
     return ascii_table(headers, rows, title=title)

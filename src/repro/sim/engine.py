@@ -147,9 +147,14 @@ def make_sampler(circuit: Circuit, backend: str):
         raise ValueError(f"unknown backend {backend!r}; options: {BACKENDS}")
     obs.counter("repro_engine_sampler_compiles_total").inc(1, backend)
     with obs.span("engine.compile", backend=backend):
+        t0 = perf_counter()
         if backend == "packed":
-            return compile_circuit(circuit)
-        return _ReferenceSampler(circuit)
+            sampler = compile_circuit(circuit)
+        else:
+            sampler = _ReferenceSampler(circuit)
+        seconds = perf_counter() - t0
+        obs.histogram("repro_engine_compile_seconds").observe(seconds, backend)
+    return sampler
 
 
 def _pack_observables(observables: np.ndarray, obs_ids: Sequence[int]) -> np.ndarray:

@@ -37,6 +37,10 @@ class ProgramThresholdStudy:
     distances: list[int]
     #: rates[d][i] is p_program at ``physical_error_rates[i]``
     rates: dict[int, list[float]] = field(default_factory=dict)
+    #: uncovered_windows[d][i] counts the surgery windows at that point
+    #: decoded as independent pieces (components of three or more
+    #: qubits); a correlated rate with any is not a joint estimate
+    uncovered_windows: dict[int, list[int]] = field(default_factory=dict)
     shots: int = 0
 
     def threshold_estimate(self) -> float | None:
@@ -64,6 +68,15 @@ class ProgramThresholdStudy:
         return [
             (p, *[self.rates[d][i] for d in self.distances])
             for i, p in enumerate(self.physical_error_rates)
+        ]
+
+    def uncovered_points(self) -> list[str]:
+        """``"d=N p=P (K windows)"`` per sweep point with uncovered windows."""
+        return [
+            f"d={d} p={p:g} ({n} window{'s' if n != 1 else ''})"
+            for d in self.distances
+            for p, n in zip(self.physical_error_rates, self.uncovered_windows[d])
+            if n
         ]
 
 
@@ -103,6 +116,7 @@ def estimate_program_threshold(
         physical_error_rates=list(physical_error_rates),
         distances=list(distances),
         rates={d: [] for d in distances},
+        uncovered_windows={d: [] for d in distances},
         shots=shots,
     )
     for i, p in enumerate(physical_error_rates):
@@ -128,4 +142,5 @@ def estimate_program_threshold(
                 row.joint_program_error_rate if correlated else row.program_error_rate
             )
             study.rates[row.distance].append(rate)
+            study.uncovered_windows[row.distance].append(row.uncovered_windows)
     return study

@@ -4,19 +4,21 @@ The kernel's whole contract is that it is indistinguishable from calling
 the flat ``UnionFindDecoder`` per shot — same support, same canonical
 peel, same predictions, same failures.  These tests pin that from five
 directions: hypothesis-driven element-wise equality on both embeddings,
-round-by-round growth traces against the independent unit-step
-reference (including the shared-edge double-growth scenario on the hand
-graphs), exact corrections-equality on sampled d=3/5/7 syndromes at
-threshold, the vectorized peel against the per-shot ``_peel`` (including
-the observable-odd cycles that must fall back to it), and the durable
-executor's graceful degradation when the batched tier raises mid-block.
+the grown support against the flat decoder's ``_grow`` row by row
+(including the shared-edge double-growth scenario on the hand graphs;
+the flat decoder itself is pinned round by round against the unit-step
+reference in ``test_decoders.py``), exact corrections-equality on sampled
+d=3/5/7 syndromes at threshold, the vectorized peel against the per-shot
+``_peel`` (including the observable-odd cycles that must fall back to
+it), and the durable executor's graceful degradation when the batched
+tier raises mid-block.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from test_decoders import line_graph, reference_unit_step_growth
+from test_decoders import line_graph
 
 from repro import obs
 from repro.arch import compact_memory_circuit
@@ -179,17 +181,25 @@ class TestBatchedEqualsFlat:
             BatchedUnionFind(flat, lockstep=0)
 
 
-def _per_shot_peel(flat, dets, support):
+def _row_supports(kernel, dets):
+    """Each row's sorted support edges, from the kernel's ``(shot, edge)`` entries."""
+    shot, edge = kernel.grow_batch(dets)
+    # Every completion is recorded once: no entry may repeat.
+    assert len(set(zip(shot.tolist(), edge.tolist()))) == shot.size
+    return [sorted(edge[shot == row].tolist()) for row in range(dets.shape[0])]
+
+
+def _per_shot_peel(flat, dets, supports):
     out = np.zeros(dets.shape[0], dtype=np.int64)
     for i, row in enumerate(dets):
         events = np.flatnonzero(row).tolist()
         if events:
-            out[i] = flat._peel(events, np.flatnonzero(support[i]).tolist())
+            out[i] = flat._peel(events, supports[i])
     return out
 
 
 def _vectorized_peel(kernel, dets):
-    shot, edge = kernel.grow_batch(dets, sparse=True)
+    shot, edge = kernel.grow_batch(dets)
     return kernel._peel_batch(dets, shot, edge)
 
 
@@ -220,7 +230,7 @@ class TestVectorizedPeel:
         dets = _batch_from_events(event_sets, flat.graph.num_detectors)
         predictions, _ = _vectorized_peel(kernel, dets)
         np.testing.assert_array_equal(
-            predictions, _per_shot_peel(flat, dets, kernel.grow_batch(dets))
+            predictions, _per_shot_peel(flat, dets, _row_supports(kernel, dets))
         )
 
     @settings(
@@ -239,18 +249,8 @@ class TestVectorizedPeel:
         )
         predictions, _ = _vectorized_peel(kernel, dets)
         np.testing.assert_array_equal(
-            predictions, _per_shot_peel(flat, dets, kernel.grow_batch(dets))
+            predictions, _per_shot_peel(flat, dets, _row_supports(kernel, dets))
         )
-
-    def test_sparse_support_matches_dense_mask(self, baseline_setup):
-        _, _, flat = baseline_setup
-        kernel = BatchedUnionFind(flat)
-        dets = np.random.default_rng(3).random((32, flat.graph.num_detectors)) < 0.25
-        shot, edge = kernel.grow_batch(dets, sparse=True)
-        dense = np.zeros((32, flat.graph.num_edges), dtype=bool)
-        dense[shot, edge] = True
-        assert len(set(zip(shot.tolist(), edge.tolist()))) == shot.size
-        np.testing.assert_array_equal(dense, kernel.grow_batch(dets))
 
     def test_spanning_supports_fall_back_and_still_agree(self):
         # At p=2e-2, d=3 some clusters span boundary to boundary, so
@@ -277,8 +277,8 @@ class TestVectorizedPeel:
         flat = UnionFindDecoder(graph)
         kernel = BatchedUnionFind(flat)
         dets = _batch_from_events([{0, 2}, {0}, {1}], graph.num_detectors)
-        support = kernel.grow_batch(dets)
-        assert support[0].all() and support[2].all() and not support[1].all()
+        sizes = [len(support) for support in _row_supports(kernel, dets)]
+        assert sizes[0] == sizes[2] == graph.num_edges > sizes[1]
         assert _fallback_count(kernel, dets) == 2
         np.testing.assert_array_equal(kernel.decode_batch(dets), _flat_loop(flat, dets))
 
@@ -303,69 +303,41 @@ class TestVectorizedPeel:
             kernel._peel_batch(dets, np.array([], np.int64), np.array([], np.int32))
 
 
-class TestGrowthTracePinning:
-    """The kernel's traced growth is the flat decoder's, round by round."""
+def _hand_cases():
+    tri = MatchingGraph(3, "Z")
+    tri.add_edge(0, 1, 0.01, 0)
+    tri.add_edge(1, 2, 0.01, 0)
+    tri.add_edge(0, 2, 0.01, 0)
+    tri.add_edge(2, tri.boundary, 0.01, 1)
+    line = line_graph()
+    return [
+        (line, [0, 2]),
+        (line, [1]),
+        # Two clusters sharing edge (0,1): at resolution 16 it completes
+        # first only if it grows from both sides at once.
+        (tri, [0, 1]),
+        (tri, [0, 1, 2]),
+    ]
 
-    def _hand_cases(self):
-        tri = MatchingGraph(3, "Z")
-        tri.add_edge(0, 1, 0.01, 0)
-        tri.add_edge(1, 2, 0.01, 0)
-        tri.add_edge(0, 2, 0.01, 0)
-        tri.add_edge(2, tri.boundary, 0.01, 1)
-        line = line_graph()
-        return [
-            (line, [0, 2]),
-            (line, [1]),
-            (tri, [0, 1]),
-            (tri, [0, 1, 2]),
-        ]
 
-    def test_traces_match_unit_step_reference(self):
-        for graph, events in self._hand_cases():
-            flat = UnionFindDecoder(graph)
+class TestSupportPinning:
+    """The kernel grows the flat decoder's support, row by row.
+
+    The flat decoder is the oracle here; it is itself pinned round by
+    round against the unit-step reference and the legacy decoder
+    (``test_decoders.py::TestGrowthRegression``).
+    """
+
+    @pytest.mark.parametrize("resolution", [1, 16])
+    def test_hand_cases_match_flat_grow(self, resolution):
+        for graph, events in _hand_cases():
+            flat = UnionFindDecoder(graph, resolution=resolution)
             kernel = BatchedUnionFind(flat)
             dets = _batch_from_events([set(events)], graph.num_detectors)
-            traces = [[] for _ in range(1)]
-            support = kernel.grow_batch(dets, traces=traces)
-            ref_trace, ref_support = reference_unit_step_growth(
-                graph, flat._len, events
-            )
-            ref_by_round = dict(ref_trace)
-            assert traces[0], events
-            for round_no, snapshot in traces[0]:
-                assert snapshot == ref_by_round[round_no], (events, round_no)
-            assert np.flatnonzero(support[0]).tolist() == ref_support, events
+            assert _row_supports(kernel, dets) == [sorted(flat._grow(events))], events
 
-    def test_traces_match_flat_decoder_traces(self):
-        for graph, events in self._hand_cases():
-            flat = UnionFindDecoder(graph)
-            kernel = BatchedUnionFind(flat)
-            flat_trace: list = []
-            flat._grow(events, trace=flat_trace)
-            dets = _batch_from_events([set(events)], graph.num_detectors)
-            traces = [[]]
-            kernel.grow_batch(dets, traces=traces)
-            assert traces[0] == flat_trace, events
-
-    def test_shared_edge_grows_once_per_cluster_per_round(self):
-        # Two clusters sharing edge (0,1): it must grow one unit per
-        # *side* per round (2 total), its single-sided neighbors one.
-        graph = self._hand_cases()[2][0]
-        flat = UnionFindDecoder(graph, resolution=1)
-        kernel = BatchedUnionFind(flat)
-        dets = _batch_from_events([{0, 1}], graph.num_detectors)
-        traces = [[]]
-        kernel.grow_batch(dets, traces=traces)
-        round_one = traces[0][0][1]
-        shared = graph._edge_index[(0, 1)]
-        assert round_one[shared] == 2
-        assert round_one[graph._edge_index[(0, 2)]] == 1
-        assert round_one[graph._edge_index[(1, 2)]] == 1
-
-    def test_fast_path_support_equals_exact_path_support(self, baseline_setup):
-        # The default (member-list) path must return the same support
-        # set as the exact full-width traced loop, on random batches and
-        # on sampled d=7 syndromes at threshold.
+    def test_random_and_sampled_batches_match_flat_grow(self, baseline_setup):
+        # Random d=3 rows and sampled d=7 syndromes at threshold.
         _, _, flat = baseline_setup
         rng = np.random.default_rng(11)
         memory, dem, flat7 = _setup(baseline_memory_circuit, d=7, p=5e-3)
@@ -376,10 +348,10 @@ class TestGrowthTracePinning:
             (flat, rng.random((32, flat.graph.num_detectors)) < 0.25),
             (flat7, np.ascontiguousarray(sampled, dtype=bool)),
         ):
-            kernel = BatchedUnionFind(decoder)
-            fast = kernel.grow_batch(dets)
-            traced = kernel.grow_batch(dets, traces=[[] for _ in range(len(dets))])
-            np.testing.assert_array_equal(fast, traced)
+            expected = [
+                sorted(decoder._grow(np.flatnonzero(row).tolist())) for row in dets
+            ]
+            assert _row_supports(BatchedUnionFind(decoder), dets) == expected
 
 
 class TestDurableDegradation:

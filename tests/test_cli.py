@@ -170,6 +170,27 @@ class TestCLI:
         assert "program: pairs(2) natural/dram" in out
         assert "program threshold estimate" in out
 
+    def test_threshold_program_correlated_flags_uncovered_windows(self, capsys):
+        # The GHZ chain's surgery is one 3-qubit component at every point,
+        # so no "correlated" rate of the sweep is a joint estimate.
+        assert main([
+            "threshold", "--program", "ghz", "--qubits", "3",
+            "--embedding", "natural", "--refresh", "dram", "--correlated",
+            "--shots", "64",
+        ]) == 0
+        captured = capsys.readouterr()
+        row = next(line for line in captured.out.splitlines()
+                   if line.startswith("2.000e-03"))
+        assert [cell.strip()[-1] for cell in row.split("|")[1:]] == ["*", "*"]
+        assert "* not a joint estimate" in captured.out
+        warnings = [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "d=3 p=0.002 (2 windows); d=3 p=0.004 (2 windows)" in warnings[0]
+        assert warnings[0].endswith(
+            "the joint rates of these points are not joint estimates"
+        )
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,7 +1,8 @@
 """Property tests for the tiered batched decode dispatcher.
 
 The contract under test: for ANY batch of syndromes, ``decode_batch`` —
-dedup, weight-1 table, weight-2 analytic rule, LRU, full decode — returns
+dedup, MWPM's weight-1/weight-2 analytic rules, LRU, union-find's
+lockstep kernel or the per-unique full decode — returns
 element-wise exactly what a plain loop over ``decode`` would, for every
 decoder.  Hypothesis drives random batches through both paths, including
 the degenerate shapes the tiers special-case: all-zero rows, batches of
@@ -102,13 +103,13 @@ class TestTieredEqualsLooped:
 
 
 class TestAnalyticTiersAreExact:
-    """The table tiers must be provably identical to the full decoder."""
+    """The analytic tiers must be provably identical to the full decoder."""
 
     def test_mwpm_weight1_table_is_decode(self, decoding_setup):
         graph, mwpm, _ = decoding_setup
-        table = mwpm._build_weight1_table()
+        analytic = mwpm._decode_weight1_batch(np.arange(graph.num_detectors))
         for det in range(graph.num_detectors):
-            assert int(table[det]) == mwpm.decode([det])
+            assert int(analytic[det]) == mwpm.decode([det])
 
     def test_mwpm_weight2_rule_is_decode(self, decoding_setup):
         graph, mwpm, _ = decoding_setup
@@ -120,15 +121,10 @@ class TestAnalyticTiersAreExact:
         for (a, b), prediction in zip(pairs, analytic):
             assert int(prediction) == mwpm.decode([a, b]), (a, b)
 
-    def test_unionfind_weight1_default_table_is_decode(self, decoding_setup):
-        graph, _, uf = decoding_setup
-        table = uf._weight1_predictions(np.arange(graph.num_detectors))
-        for det in range(graph.num_detectors):
-            assert int(table[det]) == uf.decode([det])
-
     def test_weight1_table_only_builds_observed_detectors(self):
         # A detector whose solo syndrome is undecodable (no path anywhere)
-        # must not break batches that never fire it.
+        # must not break batches that never fire it: only the uniques a
+        # batch holds are decoded.
         graph = MatchingGraph(2, "Z")
         graph.add_edge(0, graph.boundary, 0.01, 1)
         uf = UnionFindDecoder(graph)
@@ -137,9 +133,19 @@ class TestAnalyticTiersAreExact:
         dets = np.array([[True, False], [False, False]])
         np.testing.assert_array_equal(uf.decode_batch(dets), [1, 0])
 
+    def test_unionfind_has_no_weight1_shortcut(self, decoding_setup):
+        # Union-find's single events decode through the lockstep kernel
+        # like every other non-trivial unique.
+        graph, _, uf = decoding_setup
+        assert uf._decode_weight1_batch(np.array([0])) is None
+        uf.reset_batch_state()
+        uf.decode_batch(np.eye(graph.num_detectors, dtype=bool))
+        assert uf.last_batch_stats["weight1"] == 0
+        assert uf.last_batch_stats["batched"] == graph.num_detectors
+
     def test_unionfind_has_no_weight2_shortcut(self, decoding_setup):
         # Union-find peel ties have no closed form; the base class must
-        # route its weight-2 syndromes through the full tier.
+        # route its weight-2 syndromes through the lockstep kernel.
         graph, _, uf = decoding_setup
         assert uf._decode_weight2_batch(np.array([0]), np.array([1])) is None
 
@@ -156,19 +162,19 @@ class TestLRU:
         rng = np.random.default_rng(0)
         dets = rng.random((64, uf.graph.num_detectors)) < 0.25
         first = uf.decode_batch(dets)
-        # Union-find's heavy uniques decode through the lockstep kernel;
-        # on a fresh decoder every one is an LRU miss.
-        heavy_unique = len({row.tobytes() for row in dets if row.sum() > 1})
-        assert uf.last_batch_stats["batched"] == heavy_unique
+        # Union-find's non-trivial uniques decode through the lockstep
+        # kernel; on a fresh decoder every one is an LRU miss.
+        nonzero_unique = len({row.tobytes() for row in dets if row.any()})
+        assert uf.last_batch_stats["batched"] == nonzero_unique
         assert uf.last_batch_stats["full"] == 0
-        assert uf.last_batch_stats["lru_misses"] == heavy_unique
+        assert uf.last_batch_stats["lru_misses"] == nonzero_unique
         second = uf.decode_batch(dets)
         # ...and the kernel's results landed in the LRU, so repeats are
         # served entirely from the cached tier.
         assert uf.last_batch_stats["batched"] == 0
         assert uf.last_batch_stats["full"] == 0
-        assert uf.last_batch_stats["cached"] == heavy_unique
-        assert uf.last_batch_stats["lru_hits"] == heavy_unique
+        assert uf.last_batch_stats["cached"] == nonzero_unique
+        assert uf.last_batch_stats["lru_hits"] == nonzero_unique
         np.testing.assert_array_equal(first, second)
 
     def test_capacity_bound_holds_and_evicts_lru_order(self):

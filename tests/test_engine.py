@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.decoders import MatchingGraph, UnionFindDecoder, make_decoder
+from repro.decoders import BatchedUnionFind, MatchingGraph, make_decoder
 from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
 from repro.sim import (
@@ -233,33 +233,25 @@ class TestDecodeBatch:
         dets = data.detectors[:, dem.basis_detectors(memory.basis)]
         # Tile the batch: 4x the shots, same unique syndromes.
         tiled = np.vstack([dets] * 4)
-        unique_heavy = len(
-            {row.tobytes() for row in dets if row.sum() > 1}
-        )
-        w1_detectors = len(
-            {int(np.argmax(row)) for row in dets if row.sum() == 1}
-        )
+        unique_nonzero = len({row.tobytes() for row in dets if row.any()})
         calls = []
         inner = decoder.decode
         decoder.decode = lambda events: calls.append(1) or inner(events)
         decoder.decode_batch(tiled)
-        # First call: weight-1 table entries are filled on demand (one
-        # decode per observed single-event detector; union-find has no
-        # analytic override); each unique weight>=2 syndrome goes through
-        # the lockstep kernel exactly once (the batched tier), never the
+        # First call: each non-trivial unique syndrome goes through the
+        # lockstep kernel exactly once (the batched tier), never the
         # per-shot decode.
-        assert len(calls) == w1_detectors
+        assert len(calls) == 0
         stats = decoder.last_batch_stats
-        assert stats["batched"] == unique_heavy
+        assert stats["batched"] == unique_nonzero
         assert stats["full"] == 0
-        # Second call: tables and the cross-batch LRU serve everything.
-        calls.clear()
+        # Second call: the cross-batch LRU serves everything.
         repeat = decoder.decode_batch(tiled)
         assert len(calls) == 0
         stats = decoder.last_batch_stats
         assert stats["batched"] == 0
         assert stats["full"] == 0
-        assert stats["cached"] == unique_heavy
+        assert stats["cached"] == unique_nonzero
         np.testing.assert_array_equal(repeat, decoder.decode_batch(tiled))
 
     def test_tier_accounting_sums_to_unique(self):
@@ -309,18 +301,19 @@ class TestBoundedDecodeWork:
     def test_decode_calls_scale_with_unique_syndromes_not_shots(self, monkeypatch):
         """Regression for the seed's unbounded per-shot cache.
 
-        At low p most shots repeat a handful of syndromes; total decode
-        invocations (the cache-miss analogue, and the working-set bound)
-        must stay far below the shot count even across many blocks.
+        At low p most shots repeat a handful of syndromes; the rows the
+        lockstep kernel decodes (the cache-miss analogue, and the
+        working-set bound) must stay far below the shot count even
+        across many blocks.
         """
         memory = _memory(p=3e-4)
         shots = 8192
-        calls = []
-        inner = UnionFindDecoder.decode
+        rows = []
+        inner = BatchedUnionFind.decode_batch
         monkeypatch.setattr(
-            UnionFindDecoder,
-            "decode",
-            lambda self, events: calls.append(1) or inner(self, events),
+            BatchedUnionFind,
+            "decode_batch",
+            lambda self, dets: rows.append(len(dets)) or inner(self, dets),
         )
         run_memory_experiment(memory, shots=shots, seed=0)
-        assert 0 < len(calls) < shots // 4
+        assert 0 < sum(rows) < shots // 4

@@ -13,7 +13,8 @@ Covers the contract EXPERIMENTS.md, "Observability" documents:
 - bit-identity: arming the registry and tracer never changes measured
   counts or per-call tier records;
 - the registry as the one total of decode-tier occupancy across calls,
-  and the cold-path ``repro_decode_prepare_seconds`` stages;
+  and the cold-path ``repro_decode_prepare_seconds`` stages and
+  ``repro_engine_compile_seconds`` backends;
 - the span tracer: parent ids, bounded buffer, Chrome trace_event
   export, JSONL round trip;
 - Prometheus text exposition: render/parse round trip and the strict
@@ -38,7 +39,13 @@ from repro.service import (
     read_service_address,
 )
 from repro.service.server import CampaignServer
-from repro.sim import count_logical_errors, prepare_decoding, run_memory_experiment
+from repro.sim import (
+    BACKENDS,
+    count_logical_errors,
+    make_sampler,
+    prepare_decoding,
+    run_memory_experiment,
+)
 from repro.surface_code import baseline_memory_circuit
 
 
@@ -266,6 +273,17 @@ class TestEngineIntegration:
         stages = [s["args"]["stage"] for s in tracer.spans
                   if s["name"] == "decode.prepare"]
         assert sorted(stages) == ["decoder", "dem", "graph"]
+
+    def test_make_sampler_times_each_backend(self):
+        """The sampler compile is timed on the production path too: one
+        histogram observation per backend label."""
+        reg = obs.enable()
+        for backend in BACKENDS:
+            make_sampler(_memory().circuit, backend)
+        hist = reg.snapshot()["repro_engine_compile_seconds"]["hist"]
+        assert {backend: cell[-1] for backend, cell in hist.items()} == {
+            backend: 1 for backend in BACKENDS
+        }
 
     def test_durable_blocks_record_sample_and_decode_time(self, tmp_path):
         """The durable path splits every block into sample and decode time,

@@ -490,6 +490,15 @@ class TestProgramThreshold:
         assert 2e-3 < threshold < 1.3e-2
         assert len(study.rows()) == 2
 
+    @pytest.mark.parametrize("name, qubits, windows", [("ghz", 3, 2), ("pairs", 2, 0)])
+    def test_records_uncovered_windows_per_point(self, name, qubits, windows):
+        study = estimate_program_threshold(
+            build_program(name, qubits), [2e-3], (3,), "natural", "dram",
+            shots=64, correlated=True, policy="surgery_only",
+        )
+        assert study.uncovered_windows == {3: [windows]}
+        assert len(study.uncovered_points()) == (1 if windows else 0)
+
     def test_unbracketed_returns_none(self):
         study = estimate_program_threshold(
             LogicalProgram.bell_pairs(2),
