@@ -80,21 +80,12 @@ class SyndromeDecoder:
     :meth:`_decode_heavy_batch` (a whole-batch kernel).
     """
 
-    def __init__(self, graph, lru_capacity: int = DEFAULT_LRU_CAPACITY):
+    def __init__(self, graph):
         self.graph = graph
-        self._lru = PackedLRU(lru_capacity)
+        self._lru = PackedLRU(DEFAULT_LRU_CAPACITY)
         #: tier occupancy of the most recent decode_batch call
         self.last_batch_stats: dict[str, int] | None = None
         self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
-
-    @property
-    def lru_capacity(self) -> int:
-        """Entry bound of the cross-batch LRU (mutable at any time)."""
-        return self._lru.capacity
-
-    @lru_capacity.setter
-    def lru_capacity(self, value: int) -> None:
-        self._lru.capacity = value
 
     def reset_batch_state(self) -> None:
         """Drop cross-batch decode state (the LRU and last-batch stats).

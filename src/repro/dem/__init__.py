@@ -3,11 +3,13 @@
 Converts a noisy circuit into the list of *fault mechanisms*: for every
 elementary Pauli fault the circuit can suffer, the set of detectors and
 logical observables it flips, with probabilities XOR-combined across
-mechanisms with identical symptoms.  Decoding graphs are built from this —
-the decoder is therefore exactly matched to the simulated error model.
+mechanisms with identical symptoms.  The list is read off the packed
+sampler's symptom table
+(:meth:`repro.sim.compiled.CompiledCircuit.fault_mechanisms`), so the
+decoding graphs built from it match the simulated error model by
+construction: sampler and decoder share one backward pass.
 """
 
 from repro.dem.model import DetectorErrorModel, FaultMechanism
-from repro.dem.sensitivity import extract_fault_mechanisms
 
-__all__ = ["DetectorErrorModel", "FaultMechanism", "extract_fault_mechanisms"]
+__all__ = ["DetectorErrorModel", "FaultMechanism"]

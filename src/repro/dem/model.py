@@ -1,27 +1,26 @@
-"""Structured detector error model built from the sensitivity pass."""
+"""Structured detector error model built from the sampler's symptom table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.circuits import Circuit
-from repro.dem.sensitivity import extract_fault_mechanisms
+
+if TYPE_CHECKING:
+    from repro.sim.compiled import CompiledCircuit
 
 __all__ = ["DetectorErrorModel", "FaultMechanism"]
 
 
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """Ascending indices of the set bits of ``mask``, lowest bit first.
-
-    Linear in the number of set bits (each step strips the lowest one),
-    where a scan over every possible index is linear in the mask width.
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+def _index_tuples(padded: np.ndarray) -> list[tuple[int, ...]]:
+    """Rows of a right-padded (-1) index array as tuples of Python ints."""
+    keep = padded >= 0
+    flat = padded[keep].tolist()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -47,25 +46,33 @@ class FaultMechanism:
 class DetectorErrorModel:
     """The full fault-mechanism list of a noisy circuit.
 
+    ``faults`` is read off the packed sampler of ``circuit`` (``compiled``
+    if the caller has one, else compiled here), sorted by
+    ``(detectors, observables)``.
+
     The decoding graphs for the two check bases are obtained with
     :meth:`projected`, which keeps only the basis's detectors/observables
     and re-merges mechanisms that become indistinguishable.
     """
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, compiled: CompiledCircuit | None = None):
         self.num_detectors = circuit.num_detectors
         self.num_observables = circuit.num_observables
         self.detector_basis = [det.basis for det in circuit.detectors]
         self.detector_coords = [det.coord for det in circuit.detectors]
         self.observable_basis = [obs.basis for obs in circuit.observables]
-        self.faults: list[FaultMechanism] = []
-        det_bits = (1 << self.num_detectors) - 1
-        obs_bits = (1 << self.num_observables) - 1
-        for mask, probability in extract_fault_mechanisms(circuit).items():
-            detectors = _set_bits(mask & det_bits)
-            observables = _set_bits(mask >> self.num_detectors & obs_bits)
-            self.faults.append(FaultMechanism(probability, detectors, observables))
-        self.faults.sort(key=lambda f: (f.detectors, f.observables))
+        if compiled is None:
+            # Imported here: repro.sim imports this package.
+            from repro.sim.compiled import compile_circuit
+
+            compiled = compile_circuit(circuit)
+        probability, detectors, observables = compiled.fault_mechanisms()
+        self.faults: list[FaultMechanism] = [
+            FaultMechanism(p, dets, obs)
+            for p, dets, obs in zip(
+                probability.tolist(), _index_tuples(detectors), _index_tuples(observables)
+            )
+        ]
 
     # ------------------------------------------------------------------
     def projected(self, basis: str) -> list[FaultMechanism]:

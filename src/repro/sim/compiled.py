@@ -15,15 +15,15 @@ instruction list nor propagates a Pauli frame:
 2. **Symptom table.**  Every gate is Clifford and every channel Pauli,
    so a fault at a fixed place flips a fixed set of detectors and
    observables, and a shot's output bits are the XOR of the sets of the
-   faults that fired in it.  One backward pass over the fused ops — the
-   conjugation rules of :mod:`repro.dem.sensitivity`, vectorized over
-   each op's targets on uint64 words of detector and observable bits —
-   records that set for every *noise location*: one target of a noise op
-   and one Pauli part of it (X or Z, per operand for ``DEPOLARIZE2``; a
-   Y hits both parts), or one record slot of a measurement with a flip
-   probability.  The table is CSR over the nonzero words of each set and
-   is built in bounded chunks, so no dense ``(locations × annotations)``
-   array is ever materialised.
+   faults that fired in it.  One backward pass over the fused ops —
+   Clifford conjugation, vectorized over each op's targets on uint64
+   words of detector and observable bits — records that set for every
+   *noise location*: one target of a noise op and one Pauli part of it
+   (X or Z, per operand for ``DEPOLARIZE2``; a Y hits both parts), or
+   one record slot of a measurement with a flip probability.  The table
+   is CSR over the nonzero words of each set and is built in bounded
+   chunks, so no dense ``(locations × annotations)`` array is ever
+   materialised.
 
 3. **Sampling.**  The noise ops are drawn in compiled-op order.  Hit
    *positions* come from geometric inter-arrival gaps — exactly iid
@@ -31,6 +31,10 @@ instruction list nor propagates a Pauli frame:
    vectorized pass maps every hit to its table rows and XORs their words
    into per-shot uint64 words, which unpack into
    :class:`~repro.sim.frame.DetectionData`.
+
+4. **Error model.**  :meth:`CompiledCircuit.fault_mechanisms` merges the
+   symptoms of every fault a draw can pick into the detector error model
+   (:mod:`repro.dem`), so decoder and sampler share one backward pass.
 
 RNG contract (the packed canonical stream)
 ------------------------------------------
@@ -482,7 +486,12 @@ class CompiledCircuit:
                     paulis.append(rng.integers(1, 16, pos.size))
         words = np.zeros((shots, self._words), dtype=np.uint64)
         if hits:
-            self._xor_symptoms(words, shots, hits, hit_draws, paulis)
+            draw = np.repeat(np.asarray(hit_draws), [h.size for h in hits])
+            target, shot = np.divmod(np.concatenate(hits), shots)
+            kind = self._kind[draw]
+            if paulis:
+                kind[kind < _ONE_PART] += np.concatenate(paulis)
+            self._xor_symptoms(words, shot, draw, target, kind)
         # Bit b of a word is bit b & 7 of byte b >> 3 only little-endian;
         # astype('<u8') byteswaps on big-endian hosts (a no-op view elsewhere).
         octets = words.astype("<u8", copy=False).view(np.uint8)
@@ -495,14 +504,9 @@ class CompiledCircuit:
         )
         return DetectionData(detectors.view(bool), observables.view(bool))
 
-    def _xor_symptoms(self, words, shots, hits, hit_draws, paulis) -> None:
-        """XOR the table rows of every hit into its shot's words."""
-        pos = np.concatenate(hits)
-        draw = np.repeat(np.asarray(hit_draws), [h.size for h in hits])
-        target, shot = np.divmod(pos, shots)
-        kind = self._kind[draw]
-        if paulis:
-            kind[kind < _ONE_PART] += np.concatenate(paulis)
+    def _xor_symptoms(self, words, shot, draw, target, kind) -> None:
+        """XOR the table rows of each hit into row ``shot`` of ``words``: a
+        hit is one fault of ``draw`` on ``target``, on the parts of ``kind``."""
         hit, part = np.nonzero(_PART_BITS[kind])
         rows = self._part_base[draw[hit], part] + target[hit]
         entries, lengths = _csr_entries(self._indptr, rows)
@@ -511,6 +515,111 @@ class CompiledCircuit:
             np.repeat(shot[hit] * self._words, lengths) + self._cols[entries],
             self._values[entries],
         )
+
+    def fault_mechanisms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The detector error model: each distinct symptom and its probability.
+
+        A draw's faults are the alternatives :meth:`sample` picks among:
+        X, Y or Z on a ``DEPOLARIZE1`` target (p/3 each), one of the 15
+        Paulis on a ``DEPOLARIZE2`` pair (p/15), or the one fault of an
+        ``X/Y/Z_ERROR`` target or a flippable record slot (p).  Faults with
+        equal symptoms combine as ``e + p − 2ep``, folded over the draws
+        last to first.  That is the order of a backward pass over the
+        instructions, up to order within a draw, whose faults share one
+        probability; so the floats are exactly such a pass's.
+
+        Returns ``(probability, detectors, observables)``: one row per
+        symptom, in ``(detectors, observables)`` tuple order; index rows
+        ascend and are right-padded with -1, so a prefix sorts first.
+        """
+        detectors, observables, draw, probability = self._elementary_faults()
+        # Sort on the padded indices; within a group, later draws first.
+        order = np.lexsort((-draw, *observables[::-1], *detectors[::-1]))
+        detectors, observables = detectors[:, order], observables[:, order]
+        p = probability[draw[order]]
+        new = np.ones(len(p), dtype=bool)
+        new[1:] = (detectors[:, 1:] != detectors[:, :-1]).any(axis=0)
+        new[1:] |= (observables[:, 1:] != observables[:, :-1]).any(axis=0)
+        first = np.flatnonzero(new)
+        size = np.diff(np.append(first, len(p)))
+        # Fold every group one fault at a time, all groups at once.
+        combined = p[first]
+        live, j = np.flatnonzero(size > 1), 1
+        while live.size:
+            q = p[first[live] + j]
+            e = combined[live]
+            combined[live] = e + q - 2.0 * e * q
+            j += 1
+            live = live[size[live] > j]
+        return combined, detectors[:, first].T, observables[:, first].T
+
+    def _elementary_faults(self):
+        """Every fault with a nonempty symptom, in draw order, XORed one
+        bounded chunk of faults at a time: its padded detector and
+        observable indices (one column per fault, so sort keys are
+        contiguous) and its draw; and per draw, its faults' probability.
+        """
+        kind = self._kind
+        alternatives = np.select([kind == 0, kind == _DEP1_KIND], [15, 3], 1)
+        first_kind = kind + (kind == 0)  # a DEPOLARIZE2 hit is kind 1..15
+        count = np.array([n for _, n, _ in self._draws], dtype=np.int64) * alternatives
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.size else 0
+        split = 64 * self._detector_words
+        chunk = np.empty((max(1, _CHUNK_WORDS // self._words), self._words), np.uint64)
+        detectors, observables, draws = [], [], []
+        for start in range(0, total, len(chunk)):
+            fault = np.arange(start, min(start + len(chunk), total))
+            draw = ends.searchsorted(fault, side="right")
+            target, alternative = np.divmod(
+                fault - ends[draw] + count[draw], alternatives[draw]
+            )
+            words = chunk[: fault.size]
+            words.fill(0)
+            self._xor_symptoms(
+                words, fault - start, draw, target, first_kind[draw] + alternative
+            )
+            # Set bits ascend within a fault: words, then their bytes
+            # (little-endian), then the bits of each byte, in order.
+            word = np.flatnonzero(words)
+            octets = words.reshape(-1)[word].astype("<u8", copy=False).view(np.uint8)
+            byte = np.flatnonzero(octets)
+            offset = np.flatnonzero(np.unpackbits(octets[byte], bitorder="little"))
+            byte = byte[offset >> 3]
+            row, col = np.divmod(word[byte >> 3], self._words)
+            bit = 64 * col + 8 * (byte & 7) + (offset & 7)
+            nonempty, owner = np.unique(row, return_inverse=True)
+            obs = bit >= split
+            detectors.append(_padded(owner[~obs], bit[~obs], nonempty.size))
+            observables.append(_padded(owner[obs], bit[obs] - split, nonempty.size))
+            draws.append(draw[nonempty].astype(np.int32))
+        return (
+            _stacked(detectors),
+            _stacked(observables),
+            np.concatenate(draws) if draws else np.empty(0, np.int32),
+            np.array([p for _, _, p in self._draws], dtype=np.float64) / alternatives,
+        )
+
+
+def _padded(owner: np.ndarray, value: np.ndarray, columns: int) -> np.ndarray:
+    """``(width, columns)`` int32: column ``c`` holds, in order, the values
+    owned by ``c`` (``owner`` is nondecreasing), padded below with -1.
+    """
+    counts = np.bincount(owner, minlength=columns)
+    out = np.full((int(counts.max(initial=0)), columns), -1, dtype=np.int32)
+    out[np.arange(owner.size) - (np.cumsum(counts) - counts)[owner], owner] = value
+    return out
+
+
+def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
+    """Join -1-padded int32 blocks side by side, padding them to the tallest."""
+    width = max((len(b) for b in blocks), default=0)
+    out = np.full((width, sum(b.shape[1] for b in blocks)), -1, dtype=np.int32)
+    column = 0
+    for block in blocks:
+        out[: len(block), column : column + block.shape[1]] = block
+        column += block.shape[1]
+    return out
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:

@@ -1,11 +1,12 @@
 """End-to-end logical-error-rate estimation for memory experiments.
 
-Pipeline per experiment: build the noisy circuit → extract its detector
-error model → build the basis matching graph → hand everything to the
-batched Monte-Carlo engine (:mod:`repro.sim.engine`), which samples
-detection events in bounded-memory batches of shot blocks, deduplicates
-syndromes, and decodes each unique syndrome once — optionally sharded
-across worker processes.  For a fixed ``seed`` the error count is
+Pipeline per experiment: build the noisy circuit → read its detector
+error model off the packed sampler's symptom table → build the basis
+matching graph → hand everything to the batched Monte-Carlo engine
+(:mod:`repro.sim.engine`), which samples detection events in
+bounded-memory batches of shot blocks, deduplicates syndromes, and
+decodes each unique syndrome once — optionally sharded across worker
+processes.  For a fixed ``seed`` the error count is
 bit-identical regardless of ``workers``.
 
 :func:`prepare_decoding` exposes the expensive middle of that pipeline
@@ -25,6 +26,7 @@ from time import perf_counter
 from repro import obs
 from repro.decoders import MatchingGraph, SyndromeDecoder, make_decoder
 from repro.dem import DetectorErrorModel
+from repro.sim.compiled import CompiledCircuit
 from repro.sim.engine import count_logical_errors
 from repro.sim.stats import wilson_interval
 from repro.surface_code.extraction import MemoryCircuit
@@ -93,14 +95,21 @@ def _prepare_stage(stage: str):
         obs.histogram("repro_decode_prepare_seconds").observe(seconds, stage)
 
 
-def prepare_decoding(memory: MemoryCircuit, decoder: str = "unionfind") -> DecodingSetup:
+def prepare_decoding(
+    memory: MemoryCircuit, decoder: str = "unionfind", sampler=None
+) -> DecodingSetup:
     """Build the DEM, matching graph and decoder for a memory circuit.
 
     The expensive, reusable part of :func:`run_memory_experiment`:
     campaigns cache the returned setup per distinct circuit shape.
+    ``sampler`` is an optional pre-built sampler of ``memory.circuit``
+    (as for :func:`~repro.sim.engine.count_logical_errors`); a packed
+    one already holds the symptom table the DEM is read from, so the
+    circuit is not compiled again.
     """
+    compiled = sampler if isinstance(sampler, CompiledCircuit) else None
     with _prepare_stage("dem"):
-        dem = DetectorErrorModel(memory.circuit)
+        dem = DetectorErrorModel(memory.circuit, compiled)
     with _prepare_stage("graph"):
         graph = MatchingGraph.from_dem(dem, memory.basis)
     with _prepare_stage("decoder"):

@@ -42,6 +42,7 @@ expressed over whole programs instead of a single static patch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Sequence
 
@@ -349,7 +350,7 @@ def run_program_experiment(
         )
         setup = graph_cache.get(
             (shape, error_model, decoder),
-            lambda memory=memory: prepare_decoding(memory, decoder),
+            partial(prepare_decoding, memory, decoder, sampler),
         )
         unit_seed = None if seed is None else seed + _QUBIT_SEED_STRIDE * index
         unit_t0 = perf_counter() if obs.enabled() else 0.0
@@ -433,7 +434,7 @@ def run_program_experiment(
             )
             setup = joint_graph_cache.get(
                 (shape, error_model, decoder),
-                lambda memory=memory: prepare_decoding(memory, decoder),
+                partial(prepare_decoding, memory, decoder, sampler),
             )
             pair_seed = None if seed is None else seed + _PAIR_SEED_STRIDE * (index + 1)
             unit_t0 = perf_counter() if obs.enabled() else 0.0

@@ -1,5 +1,10 @@
 """Backward sensitivity pass: which detectors does each fault flip?
 
+The test oracle of :meth:`repro.sim.compiled.CompiledCircuit.fault_mechanisms`,
+which builds the detector error model from the sampler's symptom table:
+this pass walks the circuit itself, one instruction at a time, on
+Python-int masks, so the two share no code.
+
 A Pauli fault inserted at a circuit location flips a deterministic set of
 detectors/observables.  Computing that set fault-by-fault with forward
 propagation costs O(circuit²); instead we sweep the circuit *backwards*
@@ -20,9 +25,12 @@ bit ``num_detectors + j`` is observable ``j``.
 
 from __future__ import annotations
 
-from repro.circuits import Circuit, GateKind
+import numpy as np
 
-__all__ = ["extract_fault_mechanisms"]
+from repro.circuits import Circuit, GateKind
+from repro.dem import FaultMechanism
+
+__all__ = ["extract_fault_mechanisms", "oracle_faults"]
 
 #: (probability, symptom-mask) pairs, merged by identical mask.
 RawFaults = dict[int, float]
@@ -132,3 +140,21 @@ def extract_fault_mechanisms(circuit: Circuit) -> dict[int, float]:
             raise NotImplementedError(ins.name)
 
     return faults
+
+
+def oracle_faults(circuit: Circuit) -> list[FaultMechanism]:
+    """The oracle's mechanisms, listed as ``DetectorErrorModel.faults`` is.
+
+    Every bit of every mask is scanned, so the indices do not depend on
+    how production code finds set bits.
+    """
+    nd = circuit.num_detectors
+    size = (nd + circuit.num_observables + 7) // 8
+    faults = []
+    for mask, probability in extract_fault_mechanisms(circuit).items():
+        octets = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint8)
+        bits = np.flatnonzero(np.unpackbits(octets, bitorder="little")).tolist()
+        detectors = tuple(i for i in bits if i < nd)
+        observables = tuple(i - nd for i in bits if i >= nd)
+        faults.append(FaultMechanism(probability, detectors, observables))
+    return sorted(faults, key=lambda f: (f.detectors, f.observables))

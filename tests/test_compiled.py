@@ -16,8 +16,12 @@ The packed backend's contracts:
 - **Statistical agreement** with the reference under real noise at
   matched seeds: the two backends define different canonical random
   streams, so rates (not bits) must match.
+- **One error model.**  The detector error model read off the symptom
+  table equals the instruction-level backward pass kept in
+  ``dem_oracle``, float for float.
 - A pinned end-to-end logical-error-rate regression at d=3 for both
-  backends, so a silent semantics change cannot hide behind statistics.
+  backends and both decoders, so a silent semantics change cannot hide
+  behind statistics.
 """
 
 import hashlib
@@ -28,8 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+from dem_oracle import oracle_faults
 from repro.circuits import Circuit
 from repro.core import Machine, compile_program
+from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel
 from repro.sim import compile_circuit, run_memory_experiment
 from repro.sim.compiled import (
@@ -397,6 +403,17 @@ class TestOracleIdentity:
 
 
 # ----------------------------------------------------------------------
+# Detector error model: symptom table vs the instruction-level pass
+# ----------------------------------------------------------------------
+class TestFaultMechanisms:
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_circuits())
+    def test_dem_matches_backward_pass_oracle_on_noisy_circuits(self, circuit):
+        # Same tuples, same order, bit-identical probabilities.
+        assert DetectorErrorModel(circuit).faults == oracle_faults(circuit)
+
+
+# ----------------------------------------------------------------------
 # Pinned packed stream: sha256 of detectors.tobytes() + observables.tobytes()
 # ----------------------------------------------------------------------
 def _program_lowerings() -> dict[str, Circuit]:
@@ -540,16 +557,33 @@ class TestStatisticalEquivalence:
 # Pinned end-to-end regression
 # ----------------------------------------------------------------------
 class TestPinnedRegression:
-    # d=3 baseline, p=5e-3, 2048 shots, seed=7, unionfind decoder.
-    PINNED = {"packed": 75, "reference": 79}
+    # d=3 baseline, p=5e-3, 2048 shots, seed=7.  MWPM decodes on the
+    # DEM's float weights, so a drift in its probabilities moves MWPM's
+    # count before union-find's discretized one.
+    PINNED = {
+        ("unionfind", "packed"): 75,
+        ("unionfind", "reference"): 79,
+        ("mwpm", "packed"): 73,
+        ("mwpm", "reference"): 78,
+    }
 
-    @pytest.mark.parametrize("backend", sorted(PINNED))
-    def test_d3_logical_error_count(self, backend):
+    @pytest.mark.parametrize(
+        "decoder,backend",
+        [  # union-find keeps the test ids it was first pinned under
+            pytest.param("unionfind", "packed", id="packed"),
+            pytest.param("unionfind", "reference", id="reference"),
+            pytest.param("mwpm", "packed", id="mwpm-packed"),
+            pytest.param("mwpm", "reference", id="mwpm-reference"),
+        ],
+    )
+    def test_d3_logical_error_count(self, decoder, backend):
         memory = baseline_memory_circuit(
             3, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3)
         )
-        result = run_memory_experiment(memory, shots=2048, seed=7, backend=backend)
-        assert result.logical_errors == self.PINNED[backend]
+        result = run_memory_experiment(
+            memory, shots=2048, seed=7, decoder=decoder, backend=backend
+        )
+        assert result.logical_errors == self.PINNED[decoder, backend]
 
 
 # ----------------------------------------------------------------------

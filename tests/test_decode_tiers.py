@@ -179,7 +179,7 @@ class TestLRU:
 
     def test_capacity_bound_holds_and_evicts_lru_order(self):
         uf = self._fresh_uf()
-        uf.lru_capacity = 8
+        uf._lru.capacity = 8
         rng = np.random.default_rng(1)
         for _ in range(12):
             dets = rng.random((32, uf.graph.num_detectors)) < 0.3
@@ -188,7 +188,7 @@ class TestLRU:
 
     def test_eviction_never_changes_results(self):
         bounded, unbounded = self._fresh_uf(), self._fresh_uf()
-        bounded.lru_capacity = 4
+        bounded._lru.capacity = 4
         rng = np.random.default_rng(2)
         batches = [rng.random((24, bounded.graph.num_detectors)) < 0.3 for _ in range(6)]
         for dets in batches:

@@ -1,18 +1,25 @@
 """Tests for detector-error-model extraction.
 
-The crucial test is brute-force equivalence: for every elementary fault of
-a (small) noisy circuit, inject the corresponding Pauli explicitly into a
-noiseless copy, run the frame simulator, and compare the flipped detectors
-with what the backward sensitivity pass predicted.
+Two oracles check the DEM, which is read off the packed sampler's
+symptom table.  Brute-force equivalence: for every elementary fault of
+a (small) noisy circuit, inject the corresponding Pauli explicitly into
+a noiseless copy, run the frame simulator, and compare the flipped
+detectors with what the DEM predicted.  And the instruction-level
+backward pass in ``dem_oracle`` must give exactly the same fault list —
+same tuples, same order, bit-identical probabilities — on every circuit
+family the DEM's callers build.
 """
 
 import numpy as np
 import pytest
 
+import repro.vlq.campaign as campaign
+from dem_oracle import oracle_faults
 from repro.circuits import Circuit, GateKind
-from repro.dem import DetectorErrorModel, FaultMechanism, extract_fault_mechanisms
+from repro.dem import DetectorErrorModel, FaultMechanism
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel
 from repro.sim import sample_detection_data
+from repro.sim.compiled import CompiledCircuit
 from repro.surface_code import baseline_memory_circuit
 from repro.arch import compact_memory_circuit, natural_memory_circuit
 
@@ -42,7 +49,7 @@ def inject_and_observe(circuit, position, letter_by_target):
 
 
 def brute_force_check(circuit, max_locations=200):
-    """Compare the sensitivity pass against explicit injection."""
+    """Compare the DEM against explicit injection."""
     dem = DetectorErrorModel(circuit)
     predicted = {
         (f.detectors, f.observables) for f in dem.faults
@@ -150,24 +157,70 @@ class TestMechanismStructure:
         [(baseline_memory_circuit, BASELINE_HARDWARE), (compact_memory_circuit, MEMORY_HARDWARE)],
     )
     def test_fault_list_matches_full_detector_scan(self, build, hardware, d):
-        # The set-bit decode must give exactly the fault list of a scan
-        # over every detector and observable index: same tuples, same order.
+        # Exactly the oracle's fault list: same tuples, same order and
+        # bit-identical probabilities.
         circuit = build(d, ErrorModel(hardware=hardware, p=2e-3)).circuit
-        nd, no = circuit.num_detectors, circuit.num_observables
-        reference = sorted(
-            (
-                FaultMechanism(
-                    probability,
-                    tuple(i for i in range(nd) if mask >> i & 1),
-                    tuple(j for j in range(no) if mask >> (nd + j) & 1),
-                )
-                for mask, probability in extract_fault_mechanisms(circuit).items()
-            ),
-            key=lambda f: (f.detectors, f.observables),
-        )
         faults = DetectorErrorModel(circuit).faults
-        assert faults == reference
+        assert faults == oracle_faults(circuit)
         assert all(type(i) is int for f in faults for i in f.detectors + f.observables)
+
+
+@pytest.fixture(scope="module")
+def program_lowerings() -> list[tuple[Circuit, CompiledCircuit]]:
+    """Each circuit a correlated d=3 compare of ``pairs(4)`` samples, with
+    the sampler it compiled: compact and natural, single qubit and joint.
+    """
+    lowered = []
+    make_sampler = campaign.make_sampler
+
+    def keep(circuit, backend):
+        sampler = make_sampler(circuit, backend)
+        lowered.append((circuit, sampler))
+        return sampler
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "make_sampler", keep)
+        campaign.compare_architectures(
+            campaign.build_program("pairs", 4),
+            distances=(3,),
+            embeddings=("compact", "natural"),
+            refresh_policies=("dram",),
+            p=1e-3,
+            shots=1,
+            correlated=True,
+            policy="surgery_only",
+        )
+    return lowered
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("schedule", ["all_at_once", "interleaved"])
+    @pytest.mark.parametrize("build", [natural_memory_circuit, compact_memory_circuit])
+    def test_embedded_memory_d3(self, build, schedule, basis):
+        model = ErrorModel(hardware=MEMORY_HARDWARE, p=2e-3)
+        circuit = build(3, model, basis=basis, schedule=schedule).circuit
+        assert DetectorErrorModel(circuit).faults == oracle_faults(circuit)
+
+    def test_baseline_memory_d11(self):
+        model = ErrorModel(hardware=BASELINE_HARDWARE, p=1e-3)
+        circuit = baseline_memory_circuit(11, model).circuit
+        assert DetectorErrorModel(circuit).faults == oracle_faults(circuit)
+
+    def test_program_lowerings(self, program_lowerings):
+        assert len(program_lowerings) == 6
+        for circuit, _ in program_lowerings:
+            assert DetectorErrorModel(circuit).faults == oracle_faults(circuit)
+
+    def test_passed_compiled_circuit_gives_the_same_model(self, program_lowerings):
+        for circuit, sampler in program_lowerings:
+            assert isinstance(sampler, CompiledCircuit)
+            compiled_here = DetectorErrorModel(circuit).faults
+            assert DetectorErrorModel(circuit, sampler).faults == compiled_here
+
+
+def _faults(circuit: Circuit) -> list[FaultMechanism]:
+    return DetectorErrorModel(circuit).faults
 
 
 class TestCombination:
@@ -178,10 +231,9 @@ class TestCombination:
         c.x_error([0], 0.2)
         c.measure(0)
         c.add_detector([0], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert len(faults) == 1
-        (probability,) = faults.values()
-        assert probability == pytest.approx(0.1 * 0.8 + 0.2 * 0.9)
+        (fault,) = _faults(c)
+        assert fault.detectors == (0,)
+        assert fault.probability == pytest.approx(0.1 * 0.8 + 0.2 * 0.9)
 
     def test_reset_severs_earlier_faults(self):
         c = Circuit()
@@ -189,21 +241,20 @@ class TestCombination:
         c.reset(0)
         c.measure(0)
         c.add_detector([0], basis="Z")
-        assert extract_fault_mechanisms(c) == {}
+        assert _faults(c) == []
 
     def test_measurement_flip_mechanism(self):
         c = Circuit()
         c.measure(0, flip_probability=0.125)
         c.add_detector([0], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert faults == {1: 0.125}
+        assert _faults(c) == [FaultMechanism(0.125, (0,), ())]
 
     def test_z_error_invisible_to_z_measurement(self):
         c = Circuit()
         c.z_error([0], 0.25)
         c.measure(0)
         c.add_detector([0], basis="Z")
-        assert extract_fault_mechanisms(c) == {}
+        assert _faults(c) == []
 
     def test_hadamard_rotates_sensitivity(self):
         c = Circuit()
@@ -211,8 +262,7 @@ class TestCombination:
         c.h(0)
         c.measure(0)
         c.add_detector([0], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert faults == {1: 0.25}
+        assert _faults(c) == [FaultMechanism(0.25, (0,), ())]
 
     def test_cx_propagates_x_to_target(self):
         c = Circuit()
@@ -221,8 +271,7 @@ class TestCombination:
         c.measure(0, 1)
         c.add_detector([0], basis="Z")
         c.add_detector([1], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert faults == {0b11: 0.25}
+        assert _faults(c) == [FaultMechanism(0.25, (0, 1), ())]
 
     def test_swap_moves_sensitivity(self):
         c = Circuit()
@@ -230,8 +279,7 @@ class TestCombination:
         c.swap(0, 1)
         c.measure(1)
         c.add_detector([0], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert faults == {1: 0.25}
+        assert _faults(c) == [FaultMechanism(0.25, (0,), ())]
 
     def test_observable_bit_layout(self):
         c = Circuit()
@@ -239,5 +287,4 @@ class TestCombination:
         c.measure(0)
         c.add_detector([0], basis="Z")
         c.add_observable([0], basis="Z")
-        faults = extract_fault_mechanisms(c)
-        assert faults == {0b11: 0.25}
+        assert _faults(c) == [FaultMechanism(0.25, (0,), (0,))]

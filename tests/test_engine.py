@@ -269,14 +269,14 @@ class TestDecodeBatch:
 
     def test_lru_stays_bounded_across_batches(self):
         decoder, dem, memory = self._decoder()
-        decoder.lru_capacity = 16
+        decoder._lru.capacity = 16
         for seed in range(6):
             data = sample_detection_data(memory.circuit, 128, seed)
             decoder.decode_batch(dets := data.detectors[:, dem.basis_detectors(memory.basis)])
             assert len(decoder._lru) <= 16
         # Capacity zero disables caching entirely.
         decoder._lru.clear()
-        decoder.lru_capacity = 0
+        decoder._lru.capacity = 0
         decoder.decode_batch(dets)
         assert len(decoder._lru) == 0
 
