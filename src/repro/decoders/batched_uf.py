@@ -29,8 +29,8 @@ Per lockstep iteration:
    (row slots never move), so the loop narrows to the *last* shots
    still growing.
 2. **Frontier discovery** — the members of active clusters ("hot"
-   nodes) expand through a CSR adjacency built once over the shared
-   endpoint arrays into an entry list of candidate ``(shot, edge)``
+   nodes) expand through the flat decoder's shared CSR adjacency
+   into an entry list of candidate ``(shot, edge)``
    pairs, row-major because the member list is sorted.  Entries whose
    other endpoint has the same root (internal edges) or whose edge
    already completed (its growth reached its length) are dropped —
@@ -127,9 +127,10 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
 class BatchedUnionFind:
     """Lockstep growth over the shared arrays of a ``UnionFindDecoder``.
 
-    The kernel owns no graph data: edge endpoints, discretized lengths
-    and the boundary node index are the *same arrays* the flat decoder
-    lowered in its ``__init__`` (the analyzer's GRF003 pass checks the
+    The kernel owns no graph data: edge endpoints, discretized lengths,
+    the CSR adjacency and the boundary node index are the *same arrays*
+    the flat decoder lowered in its ``__init__`` (the analyzer's GRF003
+    pass checks the
     sharing), so the two implementations cannot drift apart — and the
     flat decoder remains the per-shot oracle the property tests compare
     against, exactly like the legacy→flat transition.
@@ -153,25 +154,16 @@ class BatchedUnionFind:
                 "kernel cannot represent the growth overshoot"
             )
         self._len16 = self.lengths.astype(np.int16)
-        # CSR adjacency over the shared endpoint arrays: for each node,
-        # the incident edge ids and the opposite endpoints.  Growth
-        # discovers each shot's frontier by expanding the members of
-        # active clusters through this structure, so per-round work is
-        # proportional to cluster size, not to the edge count.
-        n1 = self.num_detectors + 1
-        num_edges = len(self.lengths)
-        ends = np.concatenate([self.edge_u, self.edge_v])
-        order = np.argsort(ends, kind="stable")
-        self._adj_edge = np.tile(
-            np.arange(num_edges, dtype=np.int32), 2
-        )[order]
-        self._adj_other = np.concatenate(
-            [self.edge_v, self.edge_u]
-        )[order].astype(np.int32)
-        self._indptr = np.zeros(n1 + 1, np.int32)
-        np.cumsum(np.bincount(ends, minlength=n1), out=self._indptr[1:])
-        self._deg = np.diff(self._indptr)
-        self._seq = np.arange(4 * num_edges, dtype=np.int32)
+        # The flat decoder's CSR adjacency, shared too: for each node, the
+        # incident edge ids and the opposite endpoints.  Growth discovers
+        # each shot's frontier by expanding the members of active
+        # clusters through it, so per-round work is proportional to
+        # cluster size, not to the edge count.
+        self.adj_indptr = decoder.adj_indptr
+        self.adj_edges = decoder.adj_edges
+        self.adj_other = decoder.adj_other
+        self._deg = np.diff(self.adj_indptr)
+        self._seq = np.arange(4 * len(self.lengths), dtype=np.int32)
         self._rows = 0  # allocated buffer rows; grown on demand in _ensure
 
     # ------------------------------------------------------------------
@@ -308,8 +300,8 @@ class BatchedUnionFind:
         surfflat, memflat = self._surfflat, self._memflat
         gflat = self._gflat
         unit_round = self._unit_round
-        adj_edge, adj_other = self._adj_edge, self._adj_other
-        indptr, deg = self._indptr, self._deg
+        adj_edge, adj_other = self.adj_edges, self.adj_other
+        indptr, deg = self.adj_indptr, self._deg
         # Each live row starts with its event nodes as members, each its
         # own root (the raveled ``(rows, n1)`` layout makes flat
         # positions global ids; parity is still 0/1, so it views as

@@ -8,6 +8,12 @@ likelihood of the correction.
 Mechanisms flipping more than two detectors (e.g. ancilla hook faults whose
 propagated data errors fire checks in later rounds) are *decomposed* into
 chains of known two-detector edges, mirroring what stim/pymatching do.
+
+:meth:`MatchingGraph.from_dem` builds the edges from the DEM's projected
+arrays: one- and two-detector rows are grouped by edge with one stable
+sort and merged by :meth:`MatchingGraph.add_edge`'s rule, so one
+:class:`DecodingEdge` is made per edge rather than one ``add_edge`` call
+per mechanism.  Only the decomposed mechanisms go through ``add_edge``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dem.model import DetectorErrorModel, FaultMechanism
+from repro.dem.model import (
+    DetectorErrorModel,
+    FaultMechanism,
+    group_ends,
+    group_starts,
+    xor_scan,
+)
 
 __all__ = ["DecodingEdge", "DistanceTables", "MatchingGraph"]
 
@@ -33,6 +45,15 @@ def probability_to_weight(p: float) -> float:
 
 def _xor_probability(a: float, b: float) -> float:
     return a + b - 2.0 * a * b
+
+
+def _observable_masks(observables: np.ndarray) -> np.ndarray:
+    """The int64 bitmask of each right-padded (-1) observable index row."""
+    if observables.size and int(observables.max()) > 62:
+        raise ValueError("at most 63 observables per basis fit an int64 edge mask")
+    bits = np.zeros(observables.shape, dtype=np.int64)
+    np.left_shift(np.int64(1), observables, out=bits, where=observables >= 0)
+    return np.bitwise_or.reduce(bits, axis=1)
 
 
 @dataclass
@@ -86,32 +107,64 @@ class MatchingGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_dem(cls, dem: DetectorErrorModel, basis: str) -> "MatchingGraph":
-        faults = dem.projected(basis)
-        num = len(dem.basis_detectors(basis))
-        graph = cls(num, basis)
-        graph.detector_coords = [
-            dem.detector_coords[i] for i in dem.basis_detectors(basis)
+        """The basis's matching graph, built from the projected DEM arrays.
+
+        Equivalent to calling :meth:`add_edge` once per one- or
+        two-detector mechanism in projection order: mechanisms on the
+        same detector pair merge into one edge, in that order, by
+        :meth:`add_edge`'s rule.  Observable-only mechanisms fold into
+        ``undetectable_probability``; larger ones are decomposed last.
+        """
+        probability, detectors, observables = dem.projected_arrays(basis)
+        kept = dem.basis_detectors(basis)
+        graph = cls(len(kept), basis)
+        graph.detector_coords = [dem.detector_coords[i] for i in kept]
+        width = np.count_nonzero(detectors >= 0, axis=1)
+        for p in probability[width == 0].tolist():  # observable-only
+            graph.undetectable_probability = _xor_probability(
+                graph.undetectable_probability, p
+            )
+
+        # Group the one- and two-detector rows by edge, each group in
+        # projection order; add_edge would list the edges in order of
+        # their first rows.
+        rows = np.flatnonzero((width == 1) | (width == 2))
+        head = detectors[rows, :2]  # fewer than two columns if none is wider
+        ends = np.full((rows.size, 2), graph.boundary, dtype=np.int64)
+        ends[:, : head.shape[1]] = np.where(head >= 0, head, graph.boundary)
+        order = np.argsort(ends[:, 0] * (graph.boundary + 1) + ends[:, 1], kind="stable")
+        rows, ends = rows[order], ends[order]
+        first = group_starts(ends)
+        running = xor_scan(probability[rows], first)
+        # add_edge's merge rule: a mechanism heavier than the edge so far
+        # takes over its observables.
+        takes_over = np.zeros(rows.size, dtype=bool)
+        takes_over[1:] = probability[rows[1:]] > running[:-1]
+        takes_over[first] = True
+        owner = np.maximum.reduceat(np.where(takes_over, np.arange(rows.size), 0), first)
+        last = group_ends(first, rows.size)
+        edge = np.argsort(rows[first])
+        first, last, owner = first[edge], last[edge], owner[edge]
+        edge_u, edge_v = ends[first].T.tolist()
+        graph.edges = [
+            DecodingEdge(a, b, p, m)
+            for a, b, p, m in zip(
+                edge_u,
+                edge_v,
+                running[last].tolist(),
+                _observable_masks(observables[rows[owner]]).tolist(),
+            )
         ]
-        deferred: list[FaultMechanism] = []
-        for fault in faults:
-            obs_mask = 0
-            for j in fault.observables:
-                obs_mask |= 1 << j
-            if len(fault.detectors) == 0:
-                if obs_mask:
-                    graph.undetectable_probability = _xor_probability(
-                        graph.undetectable_probability, fault.probability
-                    )
-            elif len(fault.detectors) == 1:
-                graph.add_edge(
-                    fault.detectors[0], graph.boundary, fault.probability, obs_mask
+        graph._edge_index = {key: i for i, key in enumerate(zip(edge_u, edge_v))}
+
+        for large in np.flatnonzero(width > 2).tolist():
+            graph._decompose(
+                FaultMechanism(
+                    float(probability[large]),
+                    tuple(i for i in detectors[large].tolist() if i >= 0),
+                    tuple(j for j in observables[large].tolist() if j >= 0),
                 )
-            elif len(fault.detectors) == 2:
-                graph.add_edge(*fault.detectors, fault.probability, obs_mask)
-            else:
-                deferred.append(fault)
-        for fault in deferred:
-            graph._decompose(fault)
+            )
         return graph
 
     def add_edge(self, u: int, v: int, probability: float, observables: int) -> None:

@@ -9,8 +9,9 @@ exactly when they resolve an unmatched event.  Near-MWPM accuracy at a
 fraction of the cost — the property tests compare it against MWPM directly.
 
 This is the flat-array implementation: the graph is lowered once in
-``__init__`` into preallocated int32/int64 numpy arrays plus CSR-style
-adjacency (mirrored into plain lists for the interpreted hot loop), and
+``__init__`` into preallocated int32/int64 numpy arrays plus a CSR
+adjacency built with one stable ``argsort`` (mirrored into plain lists
+for the interpreted hot loop, and shared with the batched kernel), and
 per-decode state — parent pointers, cluster parity/boundary flags, edge
 growth — lives in preallocated arrays reset by a generation counter
 instead of reallocation.  Growth is *fast-forwarded*: between merges the
@@ -81,11 +82,10 @@ class UnionFindDecoder(SyndromeDecoder):
         n = graph.num_detectors
         num_edges = graph.num_edges
 
-        weights = [e.weight for e in graph.edges if e.weight > 0]
-        unit = min(weights) / float(resolution) if weights else 1.0
-        lengths = [
-            max(1, min(_MAX_UNITS, round(e.weight / unit))) for e in graph.edges
-        ]
+        weights = [e.weight for e in graph.edges]
+        positive = [w for w in weights if w > 0]
+        unit = min(positive) / float(resolution) if positive else 1.0
+        lengths = [max(1, min(_MAX_UNITS, round(w / unit))) for w in weights]
 
         # Flat graph arrays, built once (canonical storage)...
         self.edge_u = np.fromiter((e.u for e in graph.edges), np.int32, count=num_edges)
@@ -94,29 +94,16 @@ class UnionFindDecoder(SyndromeDecoder):
             (e.observables for e in graph.edges), np.int64, count=num_edges
         )
         self.lengths = np.asarray(lengths, dtype=np.int32)
-        # ... CSR adjacency: node -> incident edge ids.
-        counts = np.zeros(n + 2, dtype=np.int32)
-        for e in graph.edges:
-            counts[e.u + 1] += 1
-            counts[e.v + 1] += 1
-        self.adj_indptr = np.cumsum(counts, dtype=np.int32)
-        self.adj_edges = np.zeros(self.adj_indptr[-1], dtype=np.int32)
-        cursor = self.adj_indptr[:-1].copy()
-        for idx, e in enumerate(graph.edges):
-            self.adj_edges[cursor[e.u]] = idx
-            cursor[e.u] += 1
-            self.adj_edges[cursor[e.v]] = idx
-            cursor[e.v] += 1
-
-        # Parallel "other endpoint" view of the CSR adjacency: entry j of
-        # ``adj_other`` is the far endpoint of edge ``adj_edges[j]`` seen
-        # from the node owning slot j.
-        self.adj_other = np.zeros_like(self.adj_edges)
-        for i in range(n + 1):
-            lo, hi = self.adj_indptr[i], self.adj_indptr[i + 1]
-            for j in range(lo, hi):
-                e = self.adj_edges[j]
-                self.adj_other[j] = self.edge_v[e] if self.edge_u[e] == i else self.edge_u[e]
+        # ... CSR adjacency: node -> incident edge ids, ascending, and in
+        # ``adj_other`` the far endpoint of each.  A stable sort of the
+        # interleaved endpoints ``u0, v0, u1, v1, ...`` lists each node's
+        # edges in id order; slot ``2e + s`` is side ``s`` of edge ``e``.
+        ends = np.stack([self.edge_u, self.edge_v], axis=1).ravel()
+        slot = np.argsort(ends, kind="stable")
+        self.adj_indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(np.bincount(ends, minlength=n + 1), out=self.adj_indptr[1:])
+        self.adj_edges = (slot >> 1).astype(np.int32)
+        self.adj_other = ends[slot ^ 1]
 
         # Plain-list mirrors: the per-decode loop is interpreted Python,
         # where list indexing beats numpy scalar indexing ~5x.  Adjacency
@@ -128,15 +115,9 @@ class UnionFindDecoder(SyndromeDecoder):
         self._ev = self.edge_v.tolist()
         self._eobs = self.edge_obs.tolist()
         self._len = self.lengths.tolist()
-        self._adj = [
-            list(
-                zip(
-                    self.adj_edges[self.adj_indptr[i] : self.adj_indptr[i + 1]].tolist(),
-                    self.adj_other[self.adj_indptr[i] : self.adj_indptr[i + 1]].tolist(),
-                )
-            )
-            for i in range(n + 1)
-        ]
+        pairs = list(zip(self.adj_edges.tolist(), self.adj_other.tolist()))
+        bounds = self.adj_indptr.tolist()
+        self._adj = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
         # Preallocated decode state, reset by generation counter: touching
         # a node/edge stamps it with the current decode generation, so no

@@ -1,4 +1,9 @@
-"""Structured detector error model built from the sampler's symptom table."""
+"""Structured detector error model built from the sampler's symptom table.
+
+The stored form is arrays, one row per mechanism; :class:`FaultMechanism`
+objects are built from them on demand.  The grouping helpers here also
+serve the sampler's own fold and the matching graph's edge merge.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from repro.circuits import Circuit
 if TYPE_CHECKING:
     from repro.sim.compiled import CompiledCircuit
 
-__all__ = ["DetectorErrorModel", "FaultMechanism"]
+__all__ = ["DetectorErrorModel", "FaultMechanism", "group_ends", "group_starts", "xor_scan"]
 
 
 def _index_tuples(padded: np.ndarray) -> list[tuple[int, ...]]:
@@ -21,6 +26,62 @@ def _index_tuples(padded: np.ndarray) -> list[tuple[int, ...]]:
     flat = padded[keep].tolist()
     ends = np.cumsum(keep.sum(axis=1)).tolist()
     return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _kept_indices(padded: np.ndarray, bases: list[str], basis: str) -> np.ndarray:
+    """Rows of a right-padded (-1) index array restricted to ``basis``.
+
+    Kept indices are renumbered densely in their original order, so each
+    row still ascends; the others become padding, moved to the right.
+    """
+    lookup = np.full(len(bases) + 1, -1, np.int32)  # lookup[-1]: padding
+    kept = np.flatnonzero([b == basis for b in bases])
+    lookup[kept] = np.arange(kept.size, dtype=np.int32)
+    mapped = lookup[padded]
+    padding = np.iinfo(np.int32).max  # sorts last
+    mapped[mapped < 0] = padding
+    mapped.sort(axis=1)
+    mapped[mapped == padding] = -1
+    return mapped[:, : int(np.count_nonzero(mapped >= 0, axis=1).max(initial=0))]
+
+
+def xor_scan(probability: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running XOR-combination within groups of consecutive entries.
+
+    Group ``g`` runs from ``first[g]`` to the next group's first entry.
+    Entry ``i`` of the result folds ``e + p − 2ep`` over its group up to
+    and including ``i``, one entry at a time and in order, as a
+    sequential loop would; all groups advance together.  A group's
+    combined probability is the result at its last entry.
+    """
+    size = np.diff(np.append(first, len(probability)))
+    running = probability.copy()
+    live, j = np.flatnonzero(size > 1), 1
+    while live.size:
+        at = first[live] + j
+        e, q = running[at - 1], probability[at]
+        running[at] = e + q - 2.0 * e * q
+        j += 1
+        live = live[size[live] > j]
+    return running
+
+
+def group_starts(*arrays: np.ndarray) -> np.ndarray:
+    """Indices of the rows that differ from their predecessor in any of
+    ``arrays`` (2-D, with equal row counts)."""
+    new = np.zeros(len(arrays[0]), dtype=bool)
+    new[:1] = True
+    for rows in arrays:
+        new[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(new)
+
+
+def group_ends(first: np.ndarray, size: int) -> np.ndarray:
+    """Index of each group's last entry, given its first (``size`` entries)."""
+    ends = np.empty_like(first)
+    ends[:-1] = first[1:] - 1
+    ends[-1:] = size - 1
+    return ends
 
 
 @dataclass(frozen=True)
@@ -46,13 +107,18 @@ class FaultMechanism:
 class DetectorErrorModel:
     """The full fault-mechanism list of a noisy circuit.
 
-    ``faults`` is read off the packed sampler of ``circuit`` (``compiled``
-    if the caller has one, else compiled here), sorted by
-    ``(detectors, observables)``.
+    Stored as the arrays that the packed sampler of ``circuit``
+    (``compiled`` if the caller has one, else compiled here) returns from
+    :meth:`~repro.sim.compiled.CompiledCircuit.fault_mechanisms`: one row
+    per mechanism, sorted by ``(detectors, observables)``.
+    ``probability`` is float64; ``detectors`` and ``observables`` are
+    int32 index rows, ascending and right-padded with -1.  ``faults``
+    builds the same list as :class:`FaultMechanism` objects on demand.
 
-    The decoding graphs for the two check bases are obtained with
-    :meth:`projected`, which keeps only the basis's detectors/observables
-    and re-merges mechanisms that become indistinguishable.
+    The decoding graphs for the two check bases are built from
+    :meth:`projected_arrays`, which keeps only the basis's
+    detectors/observables and re-merges mechanisms that become
+    indistinguishable; :meth:`projected` is its object view.
     """
 
     def __init__(self, circuit: Circuit, compiled: CompiledCircuit | None = None):
@@ -66,48 +132,47 @@ class DetectorErrorModel:
             from repro.sim.compiled import compile_circuit
 
             compiled = compile_circuit(circuit)
-        probability, detectors, observables = compiled.fault_mechanisms()
-        self.faults: list[FaultMechanism] = [
-            FaultMechanism(p, dets, obs)
-            for p, dets, obs in zip(
-                probability.tolist(), _index_tuples(detectors), _index_tuples(observables)
-            )
-        ]
+        self.probability, self.detectors, self.observables = compiled.fault_mechanisms()
+
+    @property
+    def faults(self) -> list[FaultMechanism]:
+        """Every mechanism as a :class:`FaultMechanism`, built on each call."""
+        return _mechanisms(self.probability, self.detectors, self.observables)
 
     # ------------------------------------------------------------------
-    def projected(self, basis: str) -> list[FaultMechanism]:
+    def projected_arrays(self, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mechanisms restricted to one basis's detectors and observables.
 
         The surface code detects and corrects X and Z errors independently
         (§IV-A); a Y fault appears in both projections.  Indices are
         *re-mapped* to a dense 0..n−1 range over the kept detectors, in the
-        order they appear in the circuit.
+        order they appear in the circuit.  Mechanisms left with an empty
+        symptom are dropped, and mechanisms that now share a symptom merge
+        ``e + p − 2ep`` in model order.
+
+        Returns ``(probability, detectors, observables)`` in the layout of
+        the model's own arrays, sorted by ``(detectors, observables)``.
         """
         if basis not in ("X", "Z"):
             raise ValueError("basis must be 'X' or 'Z'")
-        det_map = {}
-        for i, b in enumerate(self.detector_basis):
-            if b == basis:
-                det_map[i] = len(det_map)
-        obs_map = {}
-        for j, b in enumerate(self.observable_basis):
-            if b == basis:
-                obs_map[j] = len(obs_map)
+        detectors = _kept_indices(self.detectors, self.detector_basis, basis)
+        observables = _kept_indices(self.observables, self.observable_basis, basis)
+        nonempty = np.flatnonzero(
+            (detectors >= 0).any(axis=1) | (observables >= 0).any(axis=1)
+        )
+        if nonempty.size == 0:
+            return np.empty(0), detectors[:0], observables[:0]
+        # lexsort is stable, so each group keeps model order for the fold.
+        keys = (*observables[nonempty].T[::-1], *detectors[nonempty].T[::-1])
+        order = nonempty[np.lexsort(keys)]
+        detectors, observables = detectors[order], observables[order]
+        first = group_starts(detectors, observables)
+        running = xor_scan(self.probability[order], first)
+        return running[group_ends(first, len(order))], detectors[first], observables[first]
 
-        merged: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        for fault in self.faults:
-            detectors = tuple(det_map[i] for i in fault.detectors if i in det_map)
-            observables = tuple(obs_map[j] for j in fault.observables if j in obs_map)
-            if not detectors and not observables:
-                continue
-            key = (detectors, observables)
-            existing = merged.get(key, 0.0)
-            p = fault.probability
-            merged[key] = existing + p - 2.0 * existing * p
-        return [
-            FaultMechanism(p, detectors, observables)
-            for (detectors, observables), p in sorted(merged.items())
-        ]
+    def projected(self, basis: str) -> list[FaultMechanism]:
+        """:meth:`projected_arrays` as :class:`FaultMechanism` objects."""
+        return _mechanisms(*self.projected_arrays(basis))
 
     def basis_detectors(self, basis: str) -> list[int]:
         """Original indices of the detectors belonging to ``basis``."""
@@ -122,11 +187,22 @@ class DetectorErrorModel:
         These are invisible to any decoder; a sound circuit + detector set
         should make this zero (the test suite asserts it).
         """
+        probability, detectors, _ = self.projected_arrays(basis)
         total = 0.0
-        for fault in self.projected(basis):
-            if not fault.detectors and fault.observables:
-                total = total + fault.probability - 2.0 * total * fault.probability
+        for p in probability[~(detectors >= 0).any(axis=1)].tolist():
+            total = total + p - 2.0 * total * p
         return total
 
     def __len__(self) -> int:
-        return len(self.faults)
+        return len(self.probability)
+
+
+def _mechanisms(
+    probability: np.ndarray, detectors: np.ndarray, observables: np.ndarray
+) -> list[FaultMechanism]:
+    return [
+        FaultMechanism(p, dets, obs)
+        for p, dets, obs in zip(
+            probability.tolist(), _index_tuples(detectors), _index_tuples(observables)
+        )
+    ]

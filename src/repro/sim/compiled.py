@@ -57,6 +57,7 @@ import math
 import numpy as np
 
 from repro.circuits import Circuit, GateKind
+from repro.dem.model import group_ends, group_starts, xor_scan
 from repro.sim.frame import DetectionData
 
 __all__ = ["CompiledCircuit", "compile_circuit"]
@@ -537,20 +538,8 @@ class CompiledCircuit:
         order = np.lexsort((-draw, *observables[::-1], *detectors[::-1]))
         detectors, observables = detectors[:, order], observables[:, order]
         p = probability[draw[order]]
-        new = np.ones(len(p), dtype=bool)
-        new[1:] = (detectors[:, 1:] != detectors[:, :-1]).any(axis=0)
-        new[1:] |= (observables[:, 1:] != observables[:, :-1]).any(axis=0)
-        first = np.flatnonzero(new)
-        size = np.diff(np.append(first, len(p)))
-        # Fold every group one fault at a time, all groups at once.
-        combined = p[first]
-        live, j = np.flatnonzero(size > 1), 1
-        while live.size:
-            q = p[first[live] + j]
-            e = combined[live]
-            combined[live] = e + q - 2.0 * e * q
-            j += 1
-            live = live[size[live] > j]
+        first = group_starts(detectors.T, observables.T)
+        combined = xor_scan(p, first)[group_ends(first, len(p))]
         return combined, detectors[:, first].T, observables[:, first].T
 
     def _elementary_faults(self):

@@ -27,7 +27,7 @@ from repro import obs
 from repro.decoders import MatchingGraph, SyndromeDecoder, make_decoder
 from repro.dem import DetectorErrorModel
 from repro.sim.compiled import CompiledCircuit
-from repro.sim.engine import count_logical_errors
+from repro.sim.engine import count_logical_errors, make_sampler
 from repro.sim.stats import wilson_interval
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -165,7 +165,10 @@ def run_memory_experiment(
     :func:`repro.sim.engine.count_logical_errors`); a durable run also
     checkpoints each block's tiers in its ledger.
     """
-    setup = prepare_decoding(memory, decoder)
+    # One sampler serves the DEM and every block: a packed one holds the
+    # symptom table the DEM is read from.
+    sampler = make_sampler(memory.circuit, backend)
+    setup = prepare_decoding(memory, decoder, sampler=sampler)
     if executor is not None:
         outcome = executor.count(
             unit=unit,
@@ -176,6 +179,7 @@ def run_memory_experiment(
             shots=shots,
             seed=seed,
             backend=backend,
+            sampler=sampler,
         )
         errors, shots = outcome.errors, outcome.shots
     else:
@@ -188,6 +192,7 @@ def run_memory_experiment(
             seed=seed,
             workers=workers,
             backend=backend,
+            sampler=sampler,
         )
     return LogicalErrorResult(
         scheme=memory.scheme,

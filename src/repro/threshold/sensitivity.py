@@ -189,7 +189,7 @@ def cavity_size_crossover(
     def fault_mass(model: ErrorModel) -> float:
         memory = build_memory_circuit(scheme, distance, model)
         dem = DetectorErrorModel(memory.circuit)
-        return sum(f.probability for f in dem.faults)
+        return sum(dem.probability.tolist())
 
     k = 2
     while k <= max_k:

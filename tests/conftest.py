@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.vlq.campaign as campaign
 from repro import obs
+from repro.circuits import Circuit
+from repro.sim.compiled import CompiledCircuit
 
 
 @pytest.fixture()
@@ -32,3 +35,31 @@ def decode_totals(registry):
         )
 
     return read
+
+
+@pytest.fixture(scope="session")
+def program_lowerings() -> list[tuple[Circuit, CompiledCircuit]]:
+    """Each circuit a correlated d=3 compare of ``pairs(4)`` samples, with
+    the sampler it compiled: compact and natural, single qubit and joint.
+    """
+    lowered = []
+    make_sampler = campaign.make_sampler
+
+    def keep(circuit, backend):
+        sampler = make_sampler(circuit, backend)
+        lowered.append((circuit, sampler))
+        return sampler
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "make_sampler", keep)
+        campaign.compare_architectures(
+            campaign.build_program("pairs", 4),
+            distances=(3,),
+            embeddings=("compact", "natural"),
+            refresh_policies=("dram",),
+            p=1e-3,
+            shots=1,
+            correlated=True,
+            policy="surgery_only",
+        )
+    return lowered

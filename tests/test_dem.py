@@ -13,7 +13,6 @@ family the DEM's callers build.
 import numpy as np
 import pytest
 
-import repro.vlq.campaign as campaign
 from dem_oracle import oracle_faults
 from repro.circuits import Circuit, GateKind
 from repro.dem import DetectorErrorModel, FaultMechanism
@@ -163,34 +162,6 @@ class TestMechanismStructure:
         faults = DetectorErrorModel(circuit).faults
         assert faults == oracle_faults(circuit)
         assert all(type(i) is int for f in faults for i in f.detectors + f.observables)
-
-
-@pytest.fixture(scope="module")
-def program_lowerings() -> list[tuple[Circuit, CompiledCircuit]]:
-    """Each circuit a correlated d=3 compare of ``pairs(4)`` samples, with
-    the sampler it compiled: compact and natural, single qubit and joint.
-    """
-    lowered = []
-    make_sampler = campaign.make_sampler
-
-    def keep(circuit, backend):
-        sampler = make_sampler(circuit, backend)
-        lowered.append((circuit, sampler))
-        return sampler
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(campaign, "make_sampler", keep)
-        campaign.compare_architectures(
-            campaign.build_program("pairs", 4),
-            distances=(3,),
-            embeddings=("compact", "natural"),
-            refresh_policies=("dram",),
-            p=1e-3,
-            shots=1,
-            correlated=True,
-            policy="surgery_only",
-        )
-    return lowered
 
 
 class TestOracleAgreement:
