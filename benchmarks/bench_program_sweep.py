@@ -231,7 +231,11 @@ def test_correlated_sweep(once, monkeypatch):
         workers=1 if w != 1 else 2,
         policy="surgery_only",
         correlated=True,
-        certify_joint=False,  # certified above; shapes are identical
+        # Every shape was built and certified above: reuse the builds.
+        lowering_cache=comparison.lowering_cache,
+        graph_cache=comparison.graph_cache,
+        joint_cache=comparison.joint_cache,
+        joint_graph_cache=comparison.joint_graph_cache,
     )
     baseline_row = next(r for r in comparison.rows if r.embedding == "compact")
     for a, b in zip(baseline_row.pieces, resharded.rows[0].pieces):

@@ -1,7 +1,8 @@
 """Static-analysis passes over circuits, schedules and decoder graphs.
 
 ``symbolic`` proves detector/observable determinism by symbolic GF(2)
-propagation (the static replacement for per-shape tableau runs),
+propagation (the static replacement for per-shape tableau runs, which
+survive as its ``--oracle-cert`` cross-check),
 ``schedule`` lints compiled schedules, ``graph`` validates decoding
 graphs and the flat union-find mirrors, and ``lint`` drives all three
 over the preset matrix for the ``repro lint`` CLI subcommand.
@@ -17,6 +18,7 @@ from repro.analyze.symbolic import (
     SymbolicTableau,
     certify_deterministic,
     propagate,
+    tableau_oracle,
     verify_circuit,
 )
 
@@ -36,5 +38,6 @@ __all__ = [
     "lint_unionfind",
     "propagate",
     "static_refresh_violations",
+    "tableau_oracle",
     "verify_circuit",
 ]

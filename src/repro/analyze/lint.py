@@ -4,11 +4,13 @@ One call sweeps every registered program preset over the requested
 embeddings × distances × refresh policies, and for each point:
 
 * statically lints the compiled schedule (:mod:`repro.analyze.schedule`);
-* lowers every *distinct* timeline shape (single-qubit memory circuits
-  and, under the surgery CNOT policy, merged-patch joint circuits) and
-  proves its detectors/observables deterministic by symbolic GF(2)
-  propagation (:mod:`repro.analyze.symbolic`), in strict-init mode so a
-  dropped reset also surfaces;
+* lowers every *distinct* unit shape — the campaign's own enumeration
+  (:func:`repro.vlq.campaign.program_units`): single-qubit memory
+  circuits and, wherever the schedule has lattice-surgery CNOTs,
+  merged-patch joint circuits — and proves its detectors/observables
+  deterministic by symbolic GF(2) propagation
+  (:mod:`repro.analyze.symbolic`), in strict-init mode so a dropped
+  reset also surfaces;
 * builds the DEM/matching-graph/union-find stack for each distinct
   shape and validates it (:mod:`repro.analyze.graph`).
 
@@ -16,28 +18,24 @@ Shapes are deduplicated across the whole sweep, mirroring the campaign
 BuildCaches, so the driver stays fast enough for CI.  With
 ``oracle=True`` every symbolically-certified circuit is re-certified by
 the stabilizer-tableau oracle and any disagreement is reported as an
-internal SYM001 finding (the two must agree; a pinned test asserts it).
+internal SYM002 finding (the two must agree; a pinned test asserts it).
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.analyze.diagnostics import Diagnostic, LintReport
 from repro.analyze.graph import lint_graph
 from repro.analyze.schedule import lint_schedule
-from repro.analyze.symbolic import verify_circuit
+from repro.analyze.symbolic import tableau_oracle, verify_circuit
 from repro.core.addresses import Machine
 from repro.core.compiler import compile_program
 from repro.decoders import MatchingGraph, UnionFindDecoder
 from repro.dem import DetectorErrorModel
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
-from repro.vlq.campaign import PROGRAMS, build_program
-from repro.vlq.lowering import LoweringSpec, lower_timeline, timeline_shape
-from repro.vlq.surgery import (
-    JointLoweringSpec,
-    joint_shape,
-    lower_joint_timelines,
-    partition_surgery,
-)
+from repro.vlq.campaign import PROGRAMS, build_program, program_units
+from repro.vlq.surgery import partition_surgery
 
 __all__ = ["lint_instruments", "lint_matrix"]
 
@@ -71,45 +69,6 @@ def lint_instruments(specs=None) -> LintReport:
     return report
 
 
-def _oracle_check(circuit, location: str) -> list[Diagnostic]:
-    """Cross-check the symbolic proof against the tableau oracle."""
-    from repro.stabilizer import TableauSimulator
-
-    clean = circuit.without_noise()
-    diagnostics = []
-    for seed in (0, 1):
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for i, det in enumerate(clean.detectors):
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value:
-                diagnostics.append(
-                    Diagnostic(
-                        "SYM002",
-                        "error",
-                        f"{location}:oracle",
-                        f"tableau oracle (seed {seed}) fires detector {i} "
-                        "on a circuit the symbolic proof passed",
-                    )
-                )
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value:
-                diagnostics.append(
-                    Diagnostic(
-                        "SYM002",
-                        "error",
-                        f"{location}:oracle",
-                        f"tableau oracle (seed {seed}) flips observable "
-                        f"{obs.name} on a circuit the symbolic proof passed",
-                    )
-                )
-    return diagnostics
-
-
 def lint_matrix(
     programs: tuple[str, ...] = tuple(sorted(PROGRAMS)),
     qubits: int = 4,
@@ -131,91 +90,49 @@ def lint_matrix(
     error_model = ErrorModel(
         hardware=MEMORY_HARDWARE, p=REFERENCE_PHYSICAL_ERROR, scale_coherence=False
     )
-    seen_circuit_shapes: set = set()
-    seen_graph_shapes: set = set()
-
-    def check_circuit(circuit, shape, location: str, counter: str) -> None:
-        if ("circ", counter, shape) not in seen_circuit_shapes:
-            seen_circuit_shapes.add(("circ", counter, shape))
-            report.count(counter)
+    #: counter of each unit kind's distinct circuit shapes
+    shape_counters = {"qubit": "circuit_shapes", "pair": "joint_shapes"}
+    seen: set = set()
+    points = product(programs, embeddings, distances, refresh_policies, policies)
+    for name, embedding, distance, refresh, policy in points:
+        machine = Machine(
+            stack_grid=stack_grid,
+            cavity_modes=cavity_modes,
+            distance=distance,
+            embedding=embedding,
+        )
+        schedule = compile_program(
+            build_program(name, qubits),
+            machine,
+            policy=policy,
+            insert_refresh=(refresh == "dram"),
+        )
+        report.count("schedules")
+        location = f"{name}/{policy}/{embedding}/{refresh}/d{distance}"
+        report.extend(lint_schedule(schedule, location=location))
+        for unit in program_units(
+            schedule,
+            error_model,
+            refresh=refresh,
+            basis=basis,
+            seed=None,
+            partition=partition_surgery(schedule),
+        ):
+            if (unit.kind, unit.shape) in seen:
+                continue
+            seen.add((unit.kind, unit.shape))
+            location = f"{name}/{policy}/{unit.label}"
+            circuit = unit.lower().circuit
+            report.count(shape_counters[unit.kind])
             findings = verify_circuit(
                 circuit, strict_init=strict_init, location=location
             )
             report.extend(findings)
             if oracle and not findings:
-                report.extend(_oracle_check(circuit, location))
-        if ("graph", counter, shape) not in seen_graph_shapes:
-            seen_graph_shapes.add(("graph", counter, shape))
+                report.extend(tableau_oracle(circuit, location))
             report.count("graphs")
             dem = DetectorErrorModel(circuit)
             graph = MatchingGraph.from_dem(dem, basis)
             decoder = UnionFindDecoder(graph)
             report.extend(lint_graph(graph, dem, basis, decoder, location=location))
-
-    for name in programs:
-        program = build_program(name, qubits)
-        for embedding in embeddings:
-            for distance in distances:
-                for refresh in refresh_policies:
-                    for policy in policies:
-                        machine = Machine(
-                            stack_grid=stack_grid,
-                            cavity_modes=cavity_modes,
-                            distance=distance,
-                            embedding=embedding,
-                        )
-                        point = (
-                            f"{name}/{embedding}/d={distance}/"
-                            f"{refresh}/{policy}"
-                        )
-                        schedule = compile_program(
-                            program,
-                            machine,
-                            policy=policy,
-                            insert_refresh=(refresh == "dram"),
-                        )
-                        report.count("schedules")
-                        report.extend(lint_schedule(schedule, location=point))
-
-                        spec = LoweringSpec(
-                            distance=distance,
-                            embedding=embedding,
-                            basis=basis,
-                            refresh=(refresh == "dram"),
-                        )
-                        for qubit in sorted(schedule.residences):
-                            timeline = schedule.qubit_timeline(qubit)
-                            shape = timeline_shape(timeline, spec)
-                            if ("circ", "circuit_shapes", shape) in seen_circuit_shapes:
-                                continue
-                            lowered = lower_timeline(timeline, error_model, spec)
-                            check_circuit(
-                                lowered.circuit,
-                                shape,
-                                f"{point}/q{qubit}",
-                                "circuit_shapes",
-                            )
-
-                        jspec = JointLoweringSpec(
-                            distance=distance,
-                            embedding=embedding,
-                            basis=basis,
-                            refresh=(refresh == "dram"),
-                        )
-                        partition = partition_surgery(schedule)
-                        for (qa, qb), spans in partition.pairs:
-                            ta = schedule.qubit_timeline(qa)
-                            tb = schedule.qubit_timeline(qb)
-                            shape = joint_shape(ta, tb, spans, jspec)
-                            if ("circ", "joint_shapes", shape) in seen_circuit_shapes:
-                                continue
-                            lowered = lower_joint_timelines(
-                                ta, tb, spans, error_model, jspec
-                            )
-                            check_circuit(
-                                lowered.circuit,
-                                shape,
-                                f"{point}/joint({qa},{qb})",
-                                "joint_shapes",
-                            )
     return report

@@ -46,6 +46,7 @@ __all__ = [
     "SymbolicVariable",
     "certify_deterministic",
     "propagate",
+    "tableau_oracle",
     "verify_circuit",
 ]
 
@@ -396,3 +397,36 @@ def certify_deterministic(
             f"({len(diagnostics)} finding(s)); first: {diagnostics[0]}",
             diagnostics,
         )
+
+
+def tableau_oracle(circuit: Circuit, location: str = "circuit") -> list[Diagnostic]:
+    """The proof's sampled cross-check on the stabilizer tableau simulator.
+
+    Runs the noiseless circuit at seeds 0 and 1 and returns a SYM002
+    finding for every detector or observable that comes out 1.  A sample
+    can miss randomness that the proof catches, never the reverse, so on
+    a proven circuit any finding means the two engines disagree.
+    """
+    clean = circuit.without_noise()
+    checks = [
+        (f"detector {i} at {det.coord}", det.measurements)
+        for i, det in enumerate(clean.detectors)
+    ]
+    checks += [
+        (f"observable {obs.name}", obs.measurements) for obs in clean.observables
+    ]
+    findings: list[Diagnostic] = []
+    for seed in (0, 1):
+        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
+        for what, measurements in checks:
+            if sum(record[m] for m in measurements) % 2:
+                findings.append(
+                    Diagnostic(
+                        "SYM002",
+                        "error",
+                        f"{location}:oracle",
+                        f"tableau oracle (seed {seed}) fires {what} "
+                        "on the noiseless circuit",
+                    )
+                )
+    return findings

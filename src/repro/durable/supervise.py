@@ -57,8 +57,8 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -126,6 +126,13 @@ class SupervisedResult:
     aborted: bool = False
 
 
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Exit this process within a second of ``parent_pid`` dying."""
+    while os.getppid() == parent_pid:
+        time.sleep(1.0)
+    os._exit(0)
+
+
 def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
     """Worker loop: serve ``cfg``/``task`` messages until the None sentinel.
 
@@ -136,9 +143,11 @@ def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
     (injected ``os._exit`` or a real crash) is detected by the parent's
     liveness check instead.
 
-    The queue is polled with a timeout so an orphaned worker notices
-    when its spawning process ``parent_pid`` is gone (SIGKILLed, so no
-    sentinel ever arrives) and exits instead of blocking forever.
+    A daemon thread exits the worker once its spawning process
+    ``parent_pid`` is gone (SIGKILLed, so no sentinel ever arrives).  The
+    main loop cannot check this itself: a parent killed mid-write leaves
+    a partial message that blocks ``task_q.get`` forever (every forked
+    worker holds a write end of every task queue, so no EOF arrives).
     """
     # Forked workers inherit the parent's graceful-interrupt handlers,
     # under which SIGTERM merely requests a stop — so the supervisor's
@@ -147,15 +156,13 @@ def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
     # signals the whole process group; the parent drains us instead).
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True
+    ).start()
     epoch = None
     sampler = decoder = basis_ids = obs_ids = fault = None
     while True:
-        try:
-            message = task_q.get(timeout=1.0)
-        except queue_mod.Empty:
-            if os.getppid() != parent_pid:
-                return
-            continue
+        message = task_q.get()
         if message is None:
             return
         if message[0] == "cfg":

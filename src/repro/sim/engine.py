@@ -180,7 +180,8 @@ def decode_block_full(
     the blocks are re-decoded with nothing but the full decoder, which
     the tiers are provably equivalent to, so the error count is
     preserved.  Stats keep the tier-sum == unique identity with
-    everything heavy in ``full``.
+    everything heavy in ``full``, and reach the decode registry through
+    the decoder's ``_record_stats`` like any other decode call.
     """
     dets = np.asarray(dets, dtype=bool)
     shots = dets.shape[0]
@@ -197,11 +198,11 @@ def decode_block_full(
             trivial += 1
             continue
         predictions[k] = decoder._checked_decode(events.tolist())
-    stats = {tier: 0 for tier in TIER_NAMES}
-    stats["trivial"] = trivial
-    stats["full"] = len(index) - trivial
-    stats["unique"] = len(index)
-    stats["shots"] = shots
+    tiers = {tier: 0 for tier in TIER_NAMES}
+    tiers["trivial"] = trivial
+    tiers["full"] = len(index) - trivial
+    decoder._record_stats(shots, tiers, unique=len(index))
+    stats = {**tiers, "unique": len(index), "shots": shots}
     return predictions[np.asarray(inverse).ravel()], stats
 
 

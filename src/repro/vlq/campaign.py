@@ -1,19 +1,27 @@
 """Multi-circuit Monte-Carlo campaigns over compiled VLQ programs.
 
 :func:`run_program_experiment` compiles a logical program onto a 2.5D
-machine, lowers every qubit's timeline to a noisy circuit
-(:mod:`repro.vlq.lowering`), and pushes each circuit through the batched
-engine.  Work is shared aggressively across the campaign:
+machine, splits the schedule into *units* (:func:`program_units`) and
+pushes each unit's noisy circuit through the batched engine.  A unit is
+either one qubit's timeline lowered on its own
+(:mod:`repro.vlq.lowering`) or, in correlated mode, a lattice-surgery
+pair lowered to one merged-patch circuit (:mod:`repro.vlq.surgery`).
+Both kinds run the same path: the unit's certified lowering and
+compiled sampler come from its kind's lowering cache, its DEM, matching
+graph and decoder from its kind's decoder-graph cache, and it is counted
+in process or, given an executor, durably under its ledger label.
 
-* **lowering cache** — qubits whose timelines have the same *shape*
-  (identical segment sequences) share one lowered circuit and one
-  compiled packed sampler;
-* **decoder-graph cache** — the DEM extraction, matching graph (and its
-  ``DistanceTables``) and decoder are likewise built once per shape.
+Work is shared aggressively across the campaign: units whose timelines
+have the same *shape* share one lowering, one certificate, one packed
+sampler and one decoder setup.  All four caches (lowering and
+decoder-graph, for each kind) are :class:`repro.decoders.BuildCache`
+instances with hit/miss accounting (the CI smoke job gates on hits >
+0), and all can be passed in so a whole architecture sweep shares them.
 
-Both caches are :class:`repro.decoders.BuildCache` instances with
-hit/miss accounting (the CI smoke job gates on hits > 0), and both can
-be passed in so a whole architecture sweep shares them.
+Certification: every distinct shape is proven deterministic by symbolic
+GF(2) propagation (:mod:`repro.analyze.symbolic`) before any noisy shot
+is drawn, and ``oracle_cert`` cross-checks it on the stabilizer tableau
+simulator.
 
 Determinism: qubit ``i`` (in sorted-qubit order) runs with seed
 ``seed + 104729·i``; within each run the engine's SeedSequence block
@@ -23,16 +31,12 @@ whole campaign is therefore a pure function of
 
 Correlated mode (``correlated=True``) additionally partitions the
 program's qubits into *pieces* along the schedule's lattice-surgery
-CNOTs: each surgery-coupled pair lowers to a single merged-patch
-circuit (:mod:`repro.vlq.surgery`) decoded jointly over both operands'
-observables, so ``p_program`` no longer assumes the operands of a
-surgery fail independently.  Joint circuits/samplers and decoder setups
-get their own shape caches (the CI bench gates on their hits), joint
-pieces run with seeds ``seed + 15485863·(pair index + 1)`` — disjoint
-from the per-qubit streams, so the independent estimates stay
-bit-identical with the uncorrelated mode — and each distinct joint
-shape is certified deterministic on the exact stabilizer simulator
-before any noisy shots are drawn.
+CNOTs: each surgery-coupled pair is one more unit, decoded jointly over
+both operands' observables, so ``p_program`` no longer assumes the
+operands of a surgery fail independently.  Pair units run with seeds
+``seed + 15485863·(pair index + 1)`` — disjoint from the per-qubit
+streams, so the independent estimates stay bit-identical with the
+uncorrelated mode.
 
 :func:`compare_architectures` sweeps Compact-vs-Natural machines ×
 refresh policy × code distance — the paper's architectural comparison
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.core import (
@@ -62,11 +66,12 @@ from repro.sim import (
     prepare_decoding,
     wilson_interval,
 )
+from repro.surface_code.extraction import MemoryCircuit
 from repro.vlq.lowering import LoweringSpec, lower_timeline, timeline_shape
 from repro.vlq.surgery import (
     JointLoweringSpec,
+    SurgeryPartition,
     certify_joint_deterministic,
-    certify_joint_oracle,
     joint_shape,
     lower_joint_timelines,
     partition_surgery,
@@ -78,9 +83,11 @@ __all__ = [
     "ArchitectureComparison",
     "PieceExperiment",
     "ProgramExperimentResult",
+    "ProgramUnit",
     "QubitExperiment",
     "build_program",
     "compare_architectures",
+    "program_units",
     "run_program_experiment",
 ]
 
@@ -108,17 +115,9 @@ PROGRAMS = {
 }
 
 
-def _record_unit_metrics(kind: str, unit_shots: int, t0: float) -> None:
-    """Campaign-unit instruments (no-op when observability is off)."""
-    reg = obs.active()
-    if reg is None:
-        return
-    reg.counter("repro_campaign_units_total").inc(1, kind)
-    reg.counter("repro_campaign_shots_total").inc(unit_shots)
-    if t0:
-        reg.histogram("repro_campaign_unit_seconds").observe(
-            perf_counter() - t0, kind
-        )
+def _cache(cache: BuildCache | None, name: str) -> BuildCache:
+    """``cache``, or a fresh one called ``name`` (an empty cache is falsy)."""
+    return cache if cache is not None else BuildCache(name)
 
 
 def build_program(name: str, qubits: int) -> LogicalProgram:
@@ -241,6 +240,165 @@ class ProgramExperimentResult:
         return text
 
 
+@dataclass(frozen=True)
+class ProgramUnit:
+    """One circuit of a compiled program: the campaign's unit of work.
+
+    A ``"qubit"`` unit lowers one qubit's timeline; a ``"pair"`` unit
+    lowers a surgery-coupled pair, over its ``windows`` shared surgery
+    spans, to one merged-patch circuit.  ``shape`` keys the kind's build
+    caches (equal shapes lower identically), ``seed`` is the engine seed
+    and ``label`` the ledger label that resume finds the unit's blocks
+    by.  ``lower`` builds the noisy circuit, uncertified.
+    """
+
+    kind: str
+    qubits: tuple[int, ...]
+    windows: int
+    shape: tuple
+    seed: int | None
+    label: str
+    lower: Callable[[], MemoryCircuit]
+
+
+def program_units(
+    schedule: CompiledSchedule,
+    error_model: ErrorModel,
+    *,
+    refresh: str,
+    basis: str,
+    seed: int | None,
+    partition: SurgeryPartition | None,
+    rounds_per_timestep: int = 1,
+) -> list[ProgramUnit]:
+    """A compiled program's units, in the order a campaign runs them.
+
+    Every qubit first, in sorted order, then ``partition``'s surgery
+    pairs (none without a partition) in its order.  Labels are
+    ``<embedding>/<refresh>/d<distance>/q<qubit>`` and
+    ``.../pair<k>:q<a>+q<b>``; seeds follow the module docstring.
+    """
+    machine = schedule.machine
+    prefix = f"{machine.embedding}/{refresh}/d{machine.distance}"
+    geometry = dict(
+        distance=machine.distance,
+        embedding=machine.embedding,
+        basis=basis,
+        rounds_per_timestep=rounds_per_timestep,
+        refresh=(refresh == "dram"),
+    )
+    spec = LoweringSpec(**geometry)
+    units = []
+    for index, qubit in enumerate(sorted(schedule.residences)):
+        timeline = schedule.qubit_timeline(qubit)
+        units.append(
+            ProgramUnit(
+                kind="qubit",
+                qubits=(qubit,),
+                windows=0,
+                shape=timeline_shape(timeline, spec),
+                seed=None if seed is None else seed + _QUBIT_SEED_STRIDE * index,
+                label=f"{prefix}/q{qubit}",
+                lower=partial(lower_timeline, timeline, error_model, spec),
+            )
+        )
+    if partition is None:
+        return units
+    jspec = JointLoweringSpec(**geometry)
+    for index, ((qa, qb), spans) in enumerate(partition.pairs):
+        ta = schedule.qubit_timeline(qa)
+        tb = schedule.qubit_timeline(qb)
+        units.append(
+            ProgramUnit(
+                kind="pair",
+                qubits=(qa, qb),
+                windows=len(spans),
+                shape=joint_shape(ta, tb, spans, jspec),
+                seed=None if seed is None else seed + _PAIR_SEED_STRIDE * (index + 1),
+                label=f"{prefix}/pair{index}:q{qa}+q{qb}",
+                lower=partial(lower_joint_timelines, ta, tb, spans, error_model, jspec),
+            )
+        )
+    return units
+
+
+def _run_unit(
+    unit: ProgramUnit,
+    lowering_cache: BuildCache,
+    graph_cache: BuildCache,
+    error_model: ErrorModel,
+    *,
+    shots: int,
+    decoder: str,
+    workers: int,
+    backend: str,
+    oracle_cert: bool,
+    executor,
+) -> LogicalErrorResult:
+    """Build (or reuse) one unit's circuit and decoder, then count it."""
+    qubits = "+".join(map(str, unit.qubits))
+
+    def certified_lowering():
+        obs.counter("repro_campaign_lowerings_total").inc(1, unit.kind)
+        with obs.span("campaign.lower", kind=unit.kind, qubits=qubits):
+            lowered = unit.lower()
+            certify_joint_deterministic(lowered, oracle=oracle_cert)
+            return lowered, make_sampler(lowered.circuit, backend)
+
+    memory, sampler = lowering_cache.get(
+        (unit.shape, error_model, backend), certified_lowering
+    )
+    setup = graph_cache.get(
+        (unit.shape, error_model, decoder),
+        partial(prepare_decoding, memory, decoder, sampler),
+    )
+    t0 = perf_counter()
+    with obs.span("campaign.unit", kind=unit.kind, qubits=qubits):
+        if executor is not None:
+            outcome = executor.count(
+                unit=unit.label,
+                circuit=memory.circuit,
+                decoder=setup.decoder,
+                basis_ids=setup.basis_detectors,
+                obs_ids=setup.basis_observables,
+                shots=shots,
+                seed=unit.seed,
+                backend=backend,
+                sampler=sampler,
+            )
+            errors, unit_shots = outcome.errors, outcome.shots
+        else:
+            unit_shots = shots
+            errors = count_logical_errors(
+                memory.circuit,
+                setup.decoder,
+                setup.basis_detectors,
+                setup.basis_observables,
+                shots,
+                seed=unit.seed,
+                workers=workers,
+                backend=backend,
+                sampler=sampler,
+            )
+    reg = obs.active()
+    if reg is not None:
+        reg.counter("repro_campaign_units_total").inc(1, unit.kind)
+        reg.counter("repro_campaign_shots_total").inc(unit_shots)
+        reg.histogram("repro_campaign_unit_seconds").observe(
+            perf_counter() - t0, unit.kind
+        )
+    return LogicalErrorResult(
+        scheme=memory.scheme,
+        basis=memory.basis,
+        distance=memory.code.distance,
+        rounds=memory.rounds,
+        shots=unit_shots,
+        logical_errors=errors,
+        undetectable_probability=setup.graph.undetectable_probability,
+        decoder=decoder,
+    )
+
+
 def run_program_experiment(
     program: LogicalProgram,
     machine: Machine,
@@ -258,9 +416,6 @@ def run_program_experiment(
     lowering_cache: BuildCache | None = None,
     graph_cache: BuildCache | None = None,
     correlated: bool = False,
-    window_noise_scale: float = 1.0,
-    certify_joint: bool = True,
-    certify_lowering: bool = True,
     oracle_cert: bool = False,
     joint_cache: BuildCache | None = None,
     joint_graph_cache: BuildCache | None = None,
@@ -272,32 +427,27 @@ def run_program_experiment(
     overlap; ``policy`` is the compiler's CNOT policy, ``refresh`` one
     of :data:`REFRESH_POLICIES`, and the caches (fresh ones are created
     when omitted) may be shared across calls to reuse builds between
-    sweep points.
+    sweep points: ``lowering_cache``/``graph_cache`` serve qubit units,
+    ``joint_cache``/``joint_graph_cache`` pair units.
 
     With ``correlated=True`` the schedule's lattice-surgery pairs are
     additionally lowered as merged-patch circuits and decoded jointly
-    (see the module docstring); ``certify_joint`` proves the
-    determinism certificate once per distinct joint shape, and
-    ``window_noise_scale`` scales the §IV-A channels inside the merged
-    windows only (0.0 is the factorization limit the tests pin).
-    Surgery components of three or more qubits fall back to independent
-    pieces and are reported via ``uncovered_windows`` and the
+    (see the module docstring).  Surgery components of three or more
+    qubits fall back to independent pieces and are reported via
+    ``uncovered_windows`` and the
     ``repro_campaign_uncovered_windows_total`` counter.
 
-    Certification is *static*: the symbolic GF(2) verifier
-    (:mod:`repro.analyze.symbolic`) proves each distinct shape's
-    detectors and observables deterministic for every
-    measurement-randomness outcome.  ``certify_lowering`` applies the
-    same proof to every distinct single-qubit lowering; ``oracle_cert``
-    additionally cross-checks each certified circuit against the
-    sampled stabilizer-tableau oracle (the CLI's ``--oracle-cert``).
+    Each distinct shape is certified once, when first built
+    (:func:`~repro.vlq.surgery.certify_joint_deterministic`);
+    ``oracle_cert`` adds the sampled stabilizer-tableau cross-check (the
+    CLI's ``--oracle-cert``).
 
     ``executor`` (optional, duck-typed ``repro.durable.DurableExecutor``)
-    runs every unit through the durable checkpointing path: each
-    qubit/pair gets a stable unit label inside the executor's ledger, so
-    an interrupted campaign resumes mid-program without redoing finished
-    qubits — and without touching the build caches, which are repopulated
-    deterministically per shape on the resumed process.
+    runs every unit through the durable checkpointing path under its
+    ledger label, so an interrupted campaign resumes mid-program without
+    redoing finished units — and without touching the build caches,
+    which are repopulated deterministically per shape on the resumed
+    process.
     """
     if refresh not in REFRESH_POLICIES:
         raise ValueError(f"refresh must be one of {REFRESH_POLICIES}")
@@ -307,196 +457,58 @@ def run_program_experiment(
             p=REFERENCE_PHYSICAL_ERROR,
             scale_coherence=False,
         )
-    lowering_cache = lowering_cache if lowering_cache is not None else BuildCache("lowering")
-    graph_cache = graph_cache if graph_cache is not None else BuildCache("decoder-graph")
-    joint_cache = joint_cache if joint_cache is not None else BuildCache("joint-lowering")
-    joint_graph_cache = (
-        joint_graph_cache if joint_graph_cache is not None else BuildCache("joint-graph")
-    )
-    # Imported here: repro.analyze's lint driver imports this module, so a
-    # top-level import would be circular.
-    from repro.analyze.symbolic import certify_deterministic
-
+    caches = {
+        "qubit": (
+            _cache(lowering_cache, "lowering"),
+            _cache(graph_cache, "decoder-graph"),
+        ),
+        "pair": (
+            _cache(joint_cache, "joint-lowering"),
+            _cache(joint_graph_cache, "joint-graph"),
+        ),
+    }
     schedule = compile_program(
         program, machine, policy=policy, insert_refresh=(refresh == "dram")
     )
-    spec = LoweringSpec(
-        distance=machine.distance,
-        embedding=machine.embedding,
+    partition = partition_surgery(schedule) if correlated else None
+    if partition is not None and partition.uncovered_windows:
+        obs.counter("repro_campaign_uncovered_windows_total").inc(
+            partition.uncovered_windows
+        )
+    per_qubit: list[QubitExperiment] = []
+    pairs: list[PieceExperiment] = []
+    for unit in program_units(
+        schedule,
+        error_model,
+        refresh=refresh,
         basis=basis,
         rounds_per_timestep=rounds_per_timestep,
-        refresh=(refresh == "dram"),
-    )
-
-    per_qubit: list[QubitExperiment] = []
-    for index, qubit in enumerate(sorted(schedule.residences)):
-        timeline = schedule.qubit_timeline(qubit)
-        shape = timeline_shape(timeline, spec)
-
-        def _build_lowering():
-            obs.counter("repro_campaign_lowerings_total").inc(1, "single")
-            with obs.span("campaign.lower", qubit=timeline.qubit):
-                lowered = lower_timeline(timeline, error_model, spec)
-                if certify_lowering:
-                    certify_deterministic(
-                        lowered.circuit, name=f"q{timeline.qubit} lowering"
-                    )
-                    if oracle_cert:
-                        certify_joint_oracle(lowered)
-                return lowered, make_sampler(lowered.circuit, backend)
-
-        memory, sampler = lowering_cache.get(
-            (shape, error_model, backend), _build_lowering
+        seed=seed,
+        partition=partition,
+    ):
+        result = _run_unit(
+            unit,
+            *caches[unit.kind],
+            error_model,
+            shots=shots,
+            decoder=decoder,
+            workers=workers,
+            backend=backend,
+            oracle_cert=oracle_cert,
+            executor=executor,
         )
-        setup = graph_cache.get(
-            (shape, error_model, decoder),
-            partial(prepare_decoding, memory, decoder, sampler),
-        )
-        unit_seed = None if seed is None else seed + _QUBIT_SEED_STRIDE * index
-        unit_t0 = perf_counter() if obs.enabled() else 0.0
-        with obs.span("campaign.unit", kind="qubit", qubit=qubit):
-            if executor is not None:
-                outcome = executor.count(
-                    unit=f"{machine.embedding}/{refresh}/d{machine.distance}/q{qubit}",
-                    circuit=memory.circuit,
-                    decoder=setup.decoder,
-                    basis_ids=setup.basis_detectors,
-                    obs_ids=setup.basis_observables,
-                    shots=shots,
-                    seed=unit_seed,
-                    backend=backend,
-                    sampler=sampler,
-                )
-                errors, unit_shots = outcome.errors, outcome.shots
-            else:
-                unit_shots = shots
-                errors = count_logical_errors(
-                    memory.circuit,
-                    setup.decoder,
-                    setup.basis_detectors,
-                    setup.basis_observables,
-                    shots,
-                    seed=unit_seed,
-                    workers=workers,
-                    backend=backend,
-                    sampler=sampler,
-                )
-        _record_unit_metrics("qubit", unit_shots, unit_t0)
-        per_qubit.append(
-            QubitExperiment(
-                qubit=qubit,
-                shape=shape,
-                result=LogicalErrorResult(
-                    scheme=memory.scheme,
-                    basis=memory.basis,
-                    distance=machine.distance,
-                    rounds=memory.rounds,
-                    shots=unit_shots,
-                    logical_errors=errors,
-                    undetectable_probability=setup.graph.undetectable_probability,
-                    decoder=decoder,
-                ),
-            )
-        )
+        if unit.kind == "qubit":
+            per_qubit.append(QubitExperiment(unit.qubits[0], unit.shape, result))
+        else:
+            pairs.append(PieceExperiment(unit.qubits, unit.windows, unit.shape, result))
     pieces: list[PieceExperiment] | None = None
-    uncovered_windows = 0
-    if correlated:
-        jspec = JointLoweringSpec(
-            distance=machine.distance,
-            embedding=machine.embedding,
-            basis=basis,
-            rounds_per_timestep=rounds_per_timestep,
-            refresh=(refresh == "dram"),
-            window_noise_scale=window_noise_scale,
-        )
-        partition = partition_surgery(schedule)
-        uncovered_windows = partition.uncovered_windows
-        if uncovered_windows:
-            obs.counter("repro_campaign_uncovered_windows_total").inc(
-                uncovered_windows
-            )
-        pieces = []
-        for index, ((qa, qb), spans) in enumerate(partition.pairs):
-            ta = schedule.qubit_timeline(qa)
-            tb = schedule.qubit_timeline(qb)
-            shape = joint_shape(ta, tb, spans, jspec)
-
-            def _build_joint():
-                obs.counter("repro_campaign_lowerings_total").inc(1, "joint")
-                with obs.span("campaign.joint_lower", qubits=f"{qa}+{qb}"):
-                    lowered = lower_joint_timelines(ta, tb, spans, error_model, jspec)
-                    if certify_joint:
-                        certify_joint_deterministic(lowered, oracle=oracle_cert)
-                    return lowered, make_sampler(lowered.circuit, backend)
-
-            memory, sampler = joint_cache.get(
-                (shape, error_model, backend), _build_joint
-            )
-            setup = joint_graph_cache.get(
-                (shape, error_model, decoder),
-                partial(prepare_decoding, memory, decoder, sampler),
-            )
-            pair_seed = None if seed is None else seed + _PAIR_SEED_STRIDE * (index + 1)
-            unit_t0 = perf_counter() if obs.enabled() else 0.0
-            with obs.span("campaign.unit", kind="pair", qubits=f"{qa}+{qb}"):
-                if executor is not None:
-                    outcome = executor.count(
-                        unit=(
-                            f"{machine.embedding}/{refresh}/d{machine.distance}"
-                            f"/pair{index}:q{qa}+q{qb}"
-                        ),
-                        circuit=memory.circuit,
-                        decoder=setup.decoder,
-                        basis_ids=setup.basis_detectors,
-                        obs_ids=setup.basis_observables,
-                        shots=shots,
-                        seed=pair_seed,
-                        backend=backend,
-                        sampler=sampler,
-                    )
-                    errors, pair_shots = outcome.errors, outcome.shots
-                else:
-                    pair_shots = shots
-                    errors = count_logical_errors(
-                        memory.circuit,
-                        setup.decoder,
-                        setup.basis_detectors,
-                        setup.basis_observables,
-                        shots,
-                        seed=pair_seed,
-                        workers=workers,
-                        backend=backend,
-                        sampler=sampler,
-                    )
-            _record_unit_metrics("pair", pair_shots, unit_t0)
-            pieces.append(
-                PieceExperiment(
-                    qubits=(qa, qb),
-                    windows=len(spans),
-                    shape=shape,
-                    result=LogicalErrorResult(
-                        scheme=memory.scheme,
-                        basis=memory.basis,
-                        distance=machine.distance,
-                        rounds=memory.rounds,
-                        shots=pair_shots,
-                        logical_errors=errors,
-                        undetectable_probability=setup.graph.undetectable_probability,
-                        decoder=decoder,
-                    ),
-                )
-            )
+    if partition is not None:
         paired = partition.paired_qubits
-        for qubit in per_qubit:
-            if qubit.qubit not in paired:
-                pieces.append(
-                    PieceExperiment(
-                        qubits=(qubit.qubit,),
-                        windows=0,
-                        shape=qubit.shape,
-                        result=qubit.result,
-                    )
-                )
+        pieces = pairs + [
+            PieceExperiment((qubit.qubit,), 0, qubit.shape, qubit.result)
+            for qubit in per_qubit
+            if qubit.qubit not in paired
+        ]
         pieces.sort(key=lambda piece: piece.qubits)
     return ProgramExperimentResult(
         embedding=machine.embedding,
@@ -507,7 +519,7 @@ def run_program_experiment(
         schedule=schedule,
         per_qubit=per_qubit,
         pieces=pieces,
-        uncovered_windows=uncovered_windows,
+        uncovered_windows=0 if partition is None else partition.uncovered_windows,
     )
 
 
@@ -635,8 +647,6 @@ def compare_architectures(
     backend: str = "packed",
     program_name: str = "program",
     correlated: bool = False,
-    window_noise_scale: float = 1.0,
-    certify_joint: bool = True,
     oracle_cert: bool = False,
     executor=None,
     lowering_cache=None,
@@ -661,24 +671,10 @@ def compare_architectures(
     resumes exactly where it stopped.
     """
     modes = MEMORY_HARDWARE.cavity_modes if cavity_modes is None else cavity_modes
-    lowering_cache = (
-        lowering_cache if lowering_cache is not None else BuildCache("lowering")
-    )
-    graph_cache = (
-        graph_cache if graph_cache is not None else BuildCache("decoder-graph")
-    )
-    if correlated:
-        joint_cache = (
-            joint_cache if joint_cache is not None else BuildCache("joint-lowering")
-        )
-        joint_graph_cache = (
-            joint_graph_cache
-            if joint_graph_cache is not None
-            else BuildCache("joint-graph")
-        )
-    else:
-        joint_cache = None
-        joint_graph_cache = None
+    lowering_cache = _cache(lowering_cache, "lowering")
+    graph_cache = _cache(graph_cache, "decoder-graph")
+    joint_cache = _cache(joint_cache, "joint-lowering") if correlated else None
+    joint_graph_cache = _cache(joint_graph_cache, "joint-graph") if correlated else None
     error_model = ErrorModel(hardware=MEMORY_HARDWARE, p=p, scale_coherence=False)
     rows = []
     for embedding in embeddings:
@@ -707,8 +703,6 @@ def compare_architectures(
                         lowering_cache=lowering_cache,
                         graph_cache=graph_cache,
                         correlated=correlated,
-                        window_noise_scale=window_noise_scale,
-                        certify_joint=certify_joint,
                         oracle_cert=oracle_cert,
                         joint_cache=joint_cache,
                         joint_graph_cache=joint_graph_cache,

@@ -43,10 +43,11 @@ along the other axis symmetrically.  Consequences for the detector map:
   measurement): no first-round detector, consecutive detectors within
   one window only, and their time-like chain ends at the split.
 
-Noiseless joint lowerings are certified deterministic (all detectors
-and both observables) on the exact stabilizer simulator by
-:func:`certify_joint_deterministic`; the campaign runs the certificate
-once per joint circuit shape.
+:func:`certify_joint_deterministic` proves by symbolic GF(2)
+propagation that every detector and both observables of the noiseless
+joint lowering are deterministic (the stabilizer tableau simulator is
+only its optional sampled cross-check); the campaign runs the
+certificate once per circuit shape, single-qubit lowerings included.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "MergedPatchLayout",
     "SurgeryPartition",
     "certify_joint_deterministic",
-    "certify_joint_oracle",
     "joint_shape",
     "lower_joint_timelines",
     "partition_surgery",
@@ -82,7 +82,7 @@ __all__ = [
 
 
 class JointCertificationError(RuntimeError):
-    """A noiseless joint lowering failed the exact-simulator certificate."""
+    """A VLQ lowering failed :func:`certify_joint_deterministic`."""
 
 
 # ----------------------------------------------------------------------
@@ -741,66 +741,35 @@ def _emit_joint_detectors(
 # ----------------------------------------------------------------------
 # Certification
 # ----------------------------------------------------------------------
-def certify_joint_deterministic(
-    memory: JointMemoryCircuit, seeds: Sequence[int] = (0, 1), oracle: bool = False
-) -> None:
-    """Static determinism certificate of a joint lowering.
+def certify_joint_deterministic(memory: MemoryCircuit, oracle: bool = False) -> None:
+    """Static determinism certificate of a VLQ lowering.
 
-    Proves by symbolic GF(2) propagation that every detector and both
-    per-patch observables are zero on the noiseless circuit for *every*
-    measurement-randomness outcome (the seam's joint-measurement
-    randomness must have been kept out of the detector map) — one
-    symbolic walk covers all seeds at once, and a failure names the
-    instruction whose randomness leaks.  Raises
+    Proves by symbolic GF(2) propagation that every detector and
+    observable is zero on the noiseless circuit for *every*
+    measurement-randomness outcome (for a joint lowering, the seam's
+    joint-measurement randomness must have been kept out of the detector
+    map) — one symbolic walk covers all seeds at once, and a failure
+    names the instruction whose randomness leaks.  Raises
     :class:`JointCertificationError` otherwise.  The campaign runs this
-    once per distinct joint circuit shape.
+    once per distinct circuit shape, joint or single-qubit.
 
-    With ``oracle=True`` the pre-analyzer certificate — sampled runs of
-    the stabilizer tableau simulator at the given ``seeds`` — is run as
-    a cross-check after the proof (``repro``'s CLI exposes this as
-    ``--oracle-cert``).
+    With ``oracle=True`` the sampled cross-check
+    (:func:`repro.analyze.symbolic.tableau_oracle`) must agree after the
+    proof (``repro``'s CLI exposes this as ``--oracle-cert``).
     """
-    from repro.analyze.symbolic import SymbolicCertificationError, certify_deterministic
+    from repro.analyze.symbolic import (
+        SymbolicCertificationError,
+        certify_deterministic,
+        tableau_oracle,
+    )
 
     try:
         certify_deterministic(memory.circuit, name=memory.scheme)
     except SymbolicCertificationError as exc:
         raise JointCertificationError(str(exc)) from exc
-    if oracle:
-        certify_joint_oracle(memory, seeds)
-
-
-def certify_joint_oracle(
-    memory: JointMemoryCircuit, seeds: Sequence[int] = (0, 1)
-) -> None:
-    """Sampled tableau-simulator certificate (the pre-analyzer oracle).
-
-    Strips the noise channels and runs the circuit on the stabilizer
-    tableau simulator once per seed; every detector and observable must
-    come out zero.  Kept as an independent cross-check of the symbolic
-    proof — a pinned test asserts the two agree on every joint shape.
-    """
-    from repro.stabilizer import TableauSimulator
-
-    clean = memory.circuit.without_noise()
-    for seed in seeds:
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for i, det in enumerate(clean.detectors):
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value != 0:
-                raise JointCertificationError(
-                    f"{memory.scheme}: detector {i} at {det.coord} "
-                    f"(basis {det.basis}) fired on the noiseless circuit "
-                    f"(seed {seed})"
-                )
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value != 0:
-                raise JointCertificationError(
-                    f"{memory.scheme}: observable {obs.name} is not "
-                    f"deterministic on the noiseless circuit (seed {seed})"
-                )
+    findings = tableau_oracle(memory.circuit, memory.scheme) if oracle else []
+    if findings:
+        raise JointCertificationError(
+            f"{memory.scheme}: the symbolic proof passed, but "
+            f"{findings[0].message} ({len(findings)} finding(s))"
+        )

@@ -14,6 +14,8 @@ Three pillars:
   matrix (the same gate CI enforces).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analyze import (
@@ -27,6 +29,7 @@ from repro.analyze import (
     lint_schedule,
     propagate,
     static_refresh_violations,
+    tableau_oracle,
     verify_circuit,
 )
 from repro.analyze.schedule import _static_violation_ticks
@@ -36,7 +39,6 @@ from repro.core.program import LogicalProgram
 from repro.decoders import MatchingGraph, UnionFindDecoder
 from repro.dem import DetectorErrorModel
 from repro.noise import MEMORY_HARDWARE, ErrorModel
-from repro.stabilizer import TableauSimulator
 from repro.surface_code import baseline_memory_circuit
 from repro.vlq.campaign import run_program_experiment
 from repro.vlq.lowering import LoweringSpec, lower_timeline
@@ -61,26 +63,6 @@ def surgery_schedule():
     return compile_program(
         LogicalProgram.ghz(4), machine, policy="surgery_only"
     ), machine
-
-
-def _oracle_agrees(circuit, seeds=(0, 1)):
-    """The sampled-tableau verdict: True iff all detectors/observables 0."""
-    clean = circuit.without_noise()
-    for seed in seeds:
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for det in clean.detectors:
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value:
-                return False
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +173,7 @@ class TestOracleAgreement:
                 spans, error_model, jspec,
             )
             symbolic_ok = verify_circuit(lowered.circuit) == []
-            assert symbolic_ok == _oracle_agrees(lowered.circuit)
+            assert symbolic_ok == (tableau_oracle(lowered.circuit) == [])
             assert symbolic_ok  # and both say: deterministic
             # the certify entry point agrees too, oracle included
             certify_joint_deterministic(lowered, oracle=True)
@@ -203,7 +185,7 @@ class TestOracleAgreement:
         for qubit in sorted(schedule.residences):
             lowered = lower_timeline(schedule.qubit_timeline(qubit), error_model, spec)
             symbolic_ok = verify_circuit(lowered.circuit) == []
-            assert symbolic_ok == _oracle_agrees(lowered.circuit)
+            assert symbolic_ok == (tableau_oracle(lowered.circuit) == [])
             assert symbolic_ok
 
     def test_broken_circuit_rejected_by_both(self, error_model):
@@ -218,7 +200,37 @@ class TestOracleAgreement:
             )
         )
         assert verify_circuit(circuit) != []
-        assert not _oracle_agrees(circuit)
+        assert tableau_oracle(circuit) != []
+
+    @staticmethod
+    def _coins():
+        """Eight detectors, each a fair coin."""
+        c = Circuit(8)
+        c.reset(*range(8))
+        c.h(*range(8))
+        for m in c.measure(*range(8)):
+            c.add_detector([m])
+        return c
+
+    def test_oracle_flags_non_deterministic_detectors(self):
+        # The proof finds every coin random, and the two sampled tableau
+        # runs see some of them fire.
+        coins = self._coins()
+        assert {f.code for f in verify_circuit(coins)} == {"SYM001"}
+        findings = tableau_oracle(coins, location="coins")
+        assert findings
+        assert {(f.code, f.location) for f in findings} == {("SYM002", "coins:oracle")}
+        assert tableau_oracle(Circuit(1).reset(0)) == []
+
+    def test_certificate_raises_when_the_oracle_disagrees(self, monkeypatch):
+        import repro.analyze.symbolic as symbolic
+
+        # Stub the proof to pass, so only the oracle can object.
+        monkeypatch.setattr(symbolic, "certify_deterministic", lambda c, name: None)
+        memory = SimpleNamespace(circuit=self._coins(), scheme="coins")
+        certify_joint_deterministic(memory)
+        with pytest.raises(JointCertificationError, match="tableau oracle"):
+            certify_joint_deterministic(memory, oracle=True)
 
     def test_campaign_certifies_via_symbolic_path(self, error_model):
         machine = Machine(stack_grid=(2, 2), cavity_modes=10, distance=3,

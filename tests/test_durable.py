@@ -793,6 +793,37 @@ class TestFleetOrphans:
             time.sleep(0.1)
         assert not [pid for pid in pids if _pid_alive(pid)]
 
+    def test_worker_blocked_mid_message_exits_without_its_parent(self):
+        """A parent killed mid-``configure`` leaves a partial task message.
+
+        Reading it blocks forever: every forked worker holds a write end
+        of the task queue, so no EOF arrives.  The worker must still exit
+        once its parent is gone (here: a pid that is not its parent).
+        """
+        import multiprocessing
+        import struct
+
+        from repro.durable.supervise import _worker_main
+
+        ctx = multiprocessing.get_context()  # as the fleet does
+        task_q, result_q = ctx.Queue(), ctx.SimpleQueue()
+        # The length header of a 1 MiB + 100 byte message, and its first bytes.
+        header = struct.pack("!i", 2**20 + 100)
+        os.write(task_q._writer.fileno(), header + bytes(100))
+        worker = ctx.Process(
+            target=_worker_main, args=(0, task_q, result_q, -1), daemon=True
+        )
+        worker.start()
+        try:
+            worker.join(timeout=6.0)
+            assert not worker.is_alive()
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+            task_q.close()
+            result_q.close()
+
 
 def _run_with_fleet(path, fleet, *, fault=None, policy=FAST):
     """A durable memory campaign on a borrowed persistent fleet."""

@@ -149,8 +149,15 @@ class TestPlainRunFailures:
         assert self._count(broken, shots=2100) == healthy
         # One run_block call (three blocks) fell back, and the registry
         # says so even though the count is healthy.
-        totals = obs.summarize_snapshot(registry.snapshot())
+        snapshot = registry.snapshot()
+        totals = obs.summarize_snapshot(snapshot)
         assert totals["repro_engine_decode_fallbacks_total"] == 1
+        # The fallback's decodes are in the decode registry too: every
+        # engine shot was decoded, and the tiers still sum to unique.
+        assert totals["repro_decode_shots_total"] == totals["repro_engine_shots_total"]
+        tiers = snapshot["repro_decode_tier_shots_total"]["values"]
+        assert sum(tiers.values()) == totals["repro_decode_unique_total"]
+        assert tiers["full"] > 0
 
     def test_tier_mismatch_raises_instead_of_falling_back(self, registry):
         """Misrouted tiers are a fault, not a decode failure to degrade."""

@@ -6,9 +6,9 @@ Four layers are covered:
   (interior / upgraded / seam-born) is construction-verified against the
   standalone layouts, and the timeline phasing around surgery windows;
 * **lowering** — merged-patch circuits are certified deterministic
-  (every detector and both per-patch observables) on the exact
-  stabilizer simulator for both embeddings, both bases, multiple
-  windows and the paper clock;
+  (every detector and both per-patch observables) by the symbolic
+  certificate for both embeddings, both bases, multiple windows and
+  the paper clock;
 * **factorization** — with the surgery-window noise channels zeroed the
   joint detector error model contains no cross-patch mechanism and the
   joint decode agrees shot-for-shot with independently decoded patches
@@ -28,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import LogicalProgram, Machine, compile_program
 from repro.decoders import TIER_NAMES
+from repro.durable import DurableExecutor, RunLedger
+from repro.durable.ledger import parse_ledger
 from repro.noise import MEMORY_HARDWARE, ErrorModel
 from repro.sim import make_sampler, prepare_decoding
 from repro.threshold import estimate_program_threshold
@@ -151,7 +153,7 @@ class TestJointLowering:
     @pytest.mark.parametrize("embedding", ["natural", "compact"])
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_noiseless_joint_lowering_is_deterministic(self, embedding, basis):
-        """Acceptance: the exact-simulator certificate for both embeddings."""
+        """Acceptance: the determinism certificate for both embeddings."""
         ta, tb, spans, _ = _surgery_pair(
             LogicalProgram.bell_pairs(2), _machine(embedding=embedding)
         )
@@ -447,6 +449,55 @@ class TestCorrelatedCampaign:
             comparison.correlated_table_rows()
         with pytest.raises(ValueError, match="correlated"):
             comparison.rows[0].joint_program_error_rate
+
+    def test_durable_correlated_compare_is_pinned(self, tmp_path):
+        """Unit labels, counts and cache traffic of one durable compare.
+
+        Resume finds a unit's completed blocks by its ledger label, so
+        the labels (and the order units run in) are part of the ledger
+        contract, alongside every count.
+        """
+        path = tmp_path / "pin.jsonl"
+        with RunLedger(path, {"pin": "correlated compare"}) as ledger:
+            comparison = compare_architectures(
+                LogicalProgram.bell_pairs(4),
+                distances=(3,),
+                refresh_policies=("dram",),
+                p=1e-3,
+                shots=self.SHOTS,
+                seed=7,
+                policy="surgery_only",
+                correlated=True,
+                executor=DurableExecutor(ledger),
+            )
+        assert list(parse_ledger(path).units) == [
+            f"{embedding}/dram/d3/{unit}"
+            for embedding in ("compact", "natural")
+            for unit in ("q0", "q1", "q2", "q3", "pair0:q0+q1", "pair1:q2+q3")
+        ]
+        counts = {
+            row.embedding: (
+                [q.result.logical_errors for q in row.per_qubit],
+                [(piece.qubits, piece.result.logical_errors) for piece in row.pieces],
+            )
+            for row in comparison.rows
+        }
+        assert counts == {
+            "compact": ([104, 96, 100, 94], [((0, 1), 77), ((2, 3), 99)]),
+            "natural": ([17, 13, 24, 13], [((0, 1), 24), ((2, 3), 23)]),
+        }
+        caches = (
+            comparison.lowering_cache,
+            comparison.graph_cache,
+            comparison.joint_cache,
+            comparison.joint_graph_cache,
+        )
+        assert [cache.stats() for cache in caches] == [
+            {"entries": 4, "hits": 4, "misses": 4},
+            {"entries": 4, "hits": 4, "misses": 4},
+            {"entries": 2, "hits": 2, "misses": 2},
+            {"entries": 2, "hits": 2, "misses": 2},
+        ]
 
 
 class TestTTeleport:
