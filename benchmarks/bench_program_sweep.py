@@ -219,24 +219,36 @@ def test_correlated_sweep(once, monkeypatch):
         assert row.pieces is not None and row.uncovered_windows == 0
         assert all(len(piece.qubits) == 2 for piece in row.pieces)
 
-    # Workers must never change a correlated campaign's counts.
-    resharded = compare_architectures(
-        program,
-        distances=DISTANCES,
-        embeddings=("compact",),
-        refresh_policies=("dram",),
-        p=P,
-        shots=n,
-        seed=0,
-        workers=1 if w != 1 else 2,
-        policy="surgery_only",
-        correlated=True,
-        # Every shape was built and certified above: reuse the builds.
-        lowering_cache=comparison.lowering_cache,
-        graph_cache=comparison.graph_cache,
-        joint_cache=comparison.joint_cache,
-        joint_graph_cache=comparison.joint_graph_cache,
-    )
+    # Workers must never change a correlated campaign's counts.  The
+    # reshard reuses decoders the run above already decoded with, so it
+    # also checks that they reach other workers clean: a fault-free run
+    # must never fall back to the tier-free decode.
+    obs.disable()
+    reg = obs.enable()
+    try:
+        resharded = compare_architectures(
+            program,
+            distances=DISTANCES,
+            embeddings=("compact",),
+            refresh_policies=("dram",),
+            p=P,
+            shots=n,
+            seed=0,
+            workers=1 if w != 1 else 2,
+            policy="surgery_only",
+            correlated=True,
+            # Every shape was built and certified above: reuse the builds.
+            lowering_cache=comparison.lowering_cache,
+            graph_cache=comparison.graph_cache,
+            joint_cache=comparison.joint_cache,
+            joint_graph_cache=comparison.joint_graph_cache,
+        )
+        reshard_totals = obs.summarize_snapshot(reg.snapshot())
+    finally:
+        obs.disable()
+    fallbacks = reshard_totals.get("repro_engine_decode_fallbacks_total", 0)
+    assert fallbacks == 0, f"{fallbacks} clean reshard blocks fell back"
+    assert reshard_totals.get("repro_engine_blocks_total", 0) > 0, reshard_totals
     baseline_row = next(r for r in comparison.rows if r.embedding == "compact")
     for a, b in zip(baseline_row.pieces, resharded.rows[0].pieces):
         assert a.result.logical_errors == b.result.logical_errors, a.qubits

@@ -1,8 +1,9 @@
 """Static-analysis passes over circuits, schedules and decoder graphs.
 
-``symbolic`` proves detector/observable determinism by symbolic GF(2)
-propagation (the static replacement for per-shape tableau runs, which
-survive as its ``--oracle-cert`` cross-check),
+``symbolic`` proves detector/observable determinism with one backward
+Pauli-flow pass over every detector and observable at once (the static
+replacement for per-shape tableau runs, which survive as its
+``--oracle-cert`` cross-check),
 ``schedule`` lints compiled schedules, ``graph`` validates decoding
 graphs and the flat union-find mirrors, and ``lint`` drives all three
 over the preset matrix for the ``repro lint`` CLI subcommand.
@@ -14,10 +15,7 @@ from repro.analyze.lint import lint_instruments, lint_matrix
 from repro.analyze.schedule import lint_schedule, static_refresh_violations
 from repro.analyze.symbolic import (
     SymbolicCertificationError,
-    SymbolicRun,
-    SymbolicTableau,
     certify_deterministic,
-    propagate,
     tableau_oracle,
     verify_circuit,
 )
@@ -28,15 +26,12 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "SymbolicCertificationError",
-    "SymbolicRun",
-    "SymbolicTableau",
     "certify_deterministic",
     "lint_graph",
     "lint_instruments",
     "lint_matrix",
     "lint_schedule",
     "lint_unionfind",
-    "propagate",
     "static_refresh_violations",
     "tableau_oracle",
     "verify_circuit",

@@ -8,7 +8,7 @@ embeddings × distances × refresh policies, and for each point:
   (:func:`repro.vlq.campaign.program_units`): single-qubit memory
   circuits and, wherever the schedule has lattice-surgery CNOTs,
   merged-patch joint circuits — and proves its detectors/observables
-  deterministic by symbolic GF(2) propagation
+  deterministic with one backward Pauli-flow pass
   (:mod:`repro.analyze.symbolic`), in strict-init mode so a dropped
   reset also surfaces;
 * builds the DEM/matching-graph/union-find stack for each distinct

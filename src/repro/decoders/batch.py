@@ -87,6 +87,16 @@ class SyndromeDecoder:
         self.last_batch_stats: dict[str, int] | None = None
         self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
 
+    def __getstate__(self) -> dict:
+        """Pickle without LRU contents: a worker starts from an empty one.
+
+        Durable workers reset the LRU before every block anyway, and a
+        warm one would make every shipped decoder as large as its cache.
+        """
+        state = self.__dict__.copy()
+        state["_lru"] = PackedLRU(self._lru.capacity)
+        return state
+
     def reset_batch_state(self) -> None:
         """Drop cross-batch decode state (the LRU and last-batch stats).
 

@@ -197,13 +197,6 @@ class BatchedUnionFind:
         # flat offset r*n1, so ``row_off + node`` gathers straight out of
         # the raveled buffer with no 2-D advanced indexing.
         self._row_off = (np.arange(rows, dtype=np.int32) * n1)[:, None]
-        # Raveled views for flat takes/scatters (share the buffers above).
-        self._pflat = self._parent.reshape(-1)
-        self._parflat = self._par.reshape(-1)
-        self._bndflat = self._bnd.reshape(-1)
-        self._gflat = self._growth.reshape(-1)
-        self._surfflat = self._surf.reshape(-1)
-        self._memflat = self._member.reshape(-1)
         self._rows = rows
 
     # ------------------------------------------------------------------
@@ -295,10 +288,12 @@ class BatchedUnionFind:
         self._surf[:a] = 1
 
         len16 = self._len16
-        pflat = self._pflat
-        parflat, bndflat = self._parflat, self._bndflat
-        surfflat, memflat = self._surfflat, self._memflat
-        gflat = self._gflat
+        # Raveled views for flat takes/scatters, taken per call: a view
+        # stored as an attribute would be pickled as a separate array.
+        pflat = self._parent.reshape(-1)
+        parflat, bndflat = self._par.reshape(-1), self._bnd.reshape(-1)
+        surfflat, memflat = self._surf.reshape(-1), self._member.reshape(-1)
+        gflat = self._growth.reshape(-1)
         unit_round = self._unit_round
         adj_edge, adj_other = self.adj_edges, self.adj_other
         indptr, deg = self.adj_indptr, self._deg
@@ -470,7 +465,7 @@ class BatchedUnionFind:
         so a retired root can never become a root again — which is what
         lets parity live only at root slots.
         """
-        pflat = self._pflat
+        pflat = self._parent.reshape(-1)
         h = root_a.size
         rr = np.concatenate([root_a, root_b])
         while True:

@@ -403,6 +403,13 @@ class UnionFindDecoder(SyndromeDecoder):
             raise RuntimeError(f"peeling left unmatched events: {leftover}")
         return prediction
 
+    def __getstate__(self) -> dict:
+        """Pickle without the lazily built kernel and its buffer pool;
+        the unpickled decoder builds a fresh kernel on first use."""
+        state = super().__getstate__()
+        state["_batched"] = None
+        return state
+
     # ------------------------------------------------------------------
     def batched_kernel(self) -> BatchedUnionFind:
         """The shared-array lockstep kernel, built on first use.

@@ -18,10 +18,10 @@ decoder-graph, for each kind) are :class:`repro.decoders.BuildCache`
 instances with hit/miss accounting (the CI smoke job gates on hits >
 0), and all can be passed in so a whole architecture sweep shares them.
 
-Certification: every distinct shape is proven deterministic by symbolic
-GF(2) propagation (:mod:`repro.analyze.symbolic`) before any noisy shot
-is drawn, and ``oracle_cert`` cross-checks it on the stabilizer tableau
-simulator.
+Certification: every distinct shape is proven deterministic by one
+backward Pauli-flow pass over all its detectors and observables
+(:mod:`repro.analyze.symbolic`) before any noisy shot is drawn, and
+``oracle_cert`` cross-checks it on the stabilizer tableau simulator.
 
 Determinism: qubit ``i`` (in sorted-qubit order) runs with seed
 ``seed + 104729·i``; within each run the engine's SeedSequence block

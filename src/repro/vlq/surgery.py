@@ -43,11 +43,12 @@ along the other axis symmetrically.  Consequences for the detector map:
   measurement): no first-round detector, consecutive detectors within
   one window only, and their time-like chain ends at the split.
 
-:func:`certify_joint_deterministic` proves by symbolic GF(2)
-propagation that every detector and both observables of the noiseless
-joint lowering are deterministic (the stabilizer tableau simulator is
-only its optional sampled cross-check); the campaign runs the
-certificate once per circuit shape, single-qubit lowerings included.
+:func:`certify_joint_deterministic` proves with one backward
+Pauli-flow pass (:mod:`repro.analyze.symbolic`) that every detector and
+both observables of the noiseless joint lowering are deterministic (the
+stabilizer tableau simulator is only its optional sampled cross-check);
+the campaign runs the certificate once per circuit shape, single-qubit
+lowerings included.
 """
 
 from __future__ import annotations
@@ -744,14 +745,16 @@ def _emit_joint_detectors(
 def certify_joint_deterministic(memory: MemoryCircuit, oracle: bool = False) -> None:
     """Static determinism certificate of a VLQ lowering.
 
-    Proves by symbolic GF(2) propagation that every detector and
-    observable is zero on the noiseless circuit for *every*
-    measurement-randomness outcome (for a joint lowering, the seam's
-    joint-measurement randomness must have been kept out of the detector
-    map) — one symbolic walk covers all seeds at once, and a failure
-    names the instruction whose randomness leaks.  Raises
-    :class:`JointCertificationError` otherwise.  The campaign runs this
-    once per distinct circuit shape, joint or single-qubit.
+    Proves that every detector and observable is zero on the noiseless
+    circuit for *every* measurement-randomness outcome (for a joint
+    lowering, the seam's joint-measurement randomness must have been
+    kept out of the detector map).  One backward Pauli-flow pass
+    (:func:`repro.analyze.symbolic.verify_circuit`) carries every
+    detector and observable at once and covers all seeds at once; a
+    failure names the measurement or reset whose collapse the operator
+    anticommutes with.  Raises :class:`JointCertificationError`
+    otherwise.  The campaign runs this once per distinct circuit shape,
+    joint or single-qubit.
 
     With ``oracle=True`` the sampled cross-check
     (:func:`repro.analyze.symbolic.tableau_oracle`) must agree after the

@@ -2,10 +2,12 @@
 
 Three pillars:
 
-* **Agreement** — the symbolic GF(2) determinism proof must agree with
-  the sampled stabilizer-tableau oracle on every lowered shape the
+* **Agreement** — the backward Pauli-flow determinism proof must agree
+  with the sampled stabilizer-tableau oracle on every lowered shape the
   campaign produces (single-qubit and merged-patch joint circuits, both
-  embeddings, both bases).
+  embeddings, both bases), and verdict for verdict with the forward
+  symbolic tableau of ``tests/symbolic_oracle.py``, on random Clifford
+  circuits and on production lowerings.
 * **Seeded defects** — every mutation in the corpus (stray gate before a
   final measurement, dropped reset, starved refresh deadline, orphaned
   detector, zeroed weight, skewed union-find mirror) must be flagged
@@ -17,6 +19,9 @@ Three pillars:
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from symbolic_oracle import oracle_verify, propagate
 
 from repro.analyze import (
     CODES,
@@ -27,19 +32,19 @@ from repro.analyze import (
     lint_graph,
     lint_matrix,
     lint_schedule,
-    propagate,
     static_refresh_violations,
     tableau_oracle,
     verify_circuit,
 )
 from repro.analyze.schedule import _static_violation_ticks
-from repro.circuits import Circuit
+from repro.circuits import GATE_SPECS, Circuit, GateKind
 from repro.core import Machine, compile_program
 from repro.core.program import LogicalProgram
 from repro.decoders import MatchingGraph, UnionFindDecoder
 from repro.dem import DetectorErrorModel
 from repro.noise import MEMORY_HARDWARE, ErrorModel
 from repro.surface_code import baseline_memory_circuit
+from repro.threshold import SCHEMES, build_memory_circuit
 from repro.vlq.campaign import run_program_experiment
 from repro.vlq.lowering import LoweringSpec, lower_timeline
 from repro.vlq.surgery import (
@@ -109,7 +114,8 @@ class TestSymbolic:
         memory = baseline_memory_circuit(3, error_model)
         circuit = memory.circuit.without_noise()
         # A stray Hadamard right before the final data measurements makes
-        # them random; the proof must name the random measurement.
+        # them random; the proof must name the collapse it anticommutes
+        # with (walking back, the first one is a reset).
         last_measure = max(
             i for i, ins in enumerate(circuit.instructions) if ins.name == "M"
         )
@@ -120,7 +126,7 @@ class TestSymbolic:
         )
         findings = verify_circuit(circuit)
         assert findings and all(f.code == "SYM001" for f in findings)
-        assert any("random measurement" in f.message for f in findings)
+        assert all("instruction #" in f.message for f in findings)
         with pytest.raises(SymbolicCertificationError):
             certify_deterministic(circuit)
 
@@ -151,6 +157,104 @@ class TestSymbolic:
         # missing reset surfaces as initial-state dependence.
         findings = verify_circuit(circuit, strict_init=True)
         assert findings and {f.code for f in findings} == {"SYM003"}
+
+
+# ----------------------------------------------------------------------
+# Backward certificate vs the forward symbolic-tableau oracle
+# ----------------------------------------------------------------------
+@st.composite
+def clifford_circuits(draw):
+    """Random circuits over every instruction name.
+
+    Target lists may repeat a qubit, two-qubit layers may chain through
+    one, measurements may carry flip args, and detectors and observables
+    may reference one measurement more than once.
+    """
+    n = draw(st.integers(2, 4))
+    c = Circuit(n)
+    qubit = st.integers(0, n - 1)
+    qubits = st.lists(qubit, min_size=1, max_size=3)
+    pairs = st.lists(
+        st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1]),
+        min_size=1, max_size=2,
+    ).map(lambda chosen: [q for pair in chosen for q in pair])
+    # Measurements weighted up, so most circuits record several.
+    names = st.sampled_from(sorted(GATE_SPECS) + ["M"] * 3)
+    for _ in range(draw(st.integers(1, 30))):
+        name = draw(names)
+        kind = GATE_SPECS[name].kind
+        paired = kind in (GateKind.UNITARY2, GateKind.NOISE2)
+        targets = draw(pairs if paired else qubits)
+        if kind in (GateKind.NOISE1, GateKind.NOISE2):
+            c.append(name, targets, (draw(st.sampled_from([0.01, 0.2])),))
+        elif name == "M":
+            c.measure(*targets,
+                      flip_probability=draw(st.sampled_from([0.0, 0.1])))
+        else:
+            c.append(name, targets)
+    if not c.num_measurements:
+        c.measure(0)
+    measurement = st.integers(0, c.num_measurements - 1)
+    for _ in range(draw(st.integers(1, 5))):
+        c.add_detector(draw(st.lists(measurement, min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 2))):
+        c.add_observable(draw(st.lists(measurement, min_size=1, max_size=4)))
+    return c
+
+
+def _assert_verdicts_match_oracle(circuit):
+    """Same code, or none, for every detector and observable, in both modes."""
+    for strict_init in (False, True):
+        backward = verify_circuit(circuit, strict_init=strict_init)
+        forward = oracle_verify(circuit, strict_init=strict_init)
+        assert [(f.code, f.location) for f in backward] == [
+            (f.code, f.location) for f in forward
+        ], strict_init
+
+
+class TestBackwardCertificate:
+    def test_sym001_names_the_collapse_met_first(self):
+        def first_finding(circuit):
+            circuit.add_detector([circuit.num_measurements - 1])
+            (finding,) = verify_circuit(circuit)
+            assert finding.code == "SYM001"
+            return finding.message
+
+        # Walking back from the last measurement, H turns its Z into an X,
+        # which anticommutes with the collapse just before the H.
+        c = Circuit(1).h(0)
+        c.measure(0)
+        assert first_finding(c).endswith(
+            "anticommutes with the |0⟩ start of qubit 0"
+        )
+        c = Circuit(2).reset(1).h(1)
+        c.measure(1)
+        assert first_finding(c).endswith("the reset of qubit 1 at instruction #0")
+        c = Circuit(1).reset(0)
+        c.measure(0)
+        c.h(0)
+        c.measure(0)
+        assert first_finding(c).endswith(
+            "the measurement of qubit 0 at instruction #1"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(clifford_circuits())
+    def test_agrees_with_forward_oracle(self, circuit):
+        _assert_verdicts_match_oracle(circuit)
+
+    def test_program_lowerings_agree(self, program_lowerings):
+        assert len(program_lowerings) == 6
+        for circuit, _ in program_lowerings:
+            _assert_verdicts_match_oracle(circuit)
+
+    @pytest.mark.parametrize(
+        "scheme,distance",
+        [(scheme, d) for scheme in SCHEMES for d in (3, 5)] + [("baseline", 7)],
+    )
+    def test_memory_circuits_agree(self, scheme, distance, error_model):
+        memory = build_memory_circuit(scheme, distance, error_model)
+        _assert_verdicts_match_oracle(memory.circuit)
 
 
 # ----------------------------------------------------------------------
@@ -457,10 +561,12 @@ class TestDriver:
             programs=("pairs",), distances=(3,), embeddings=("compact",)
         )
         assert report.ok, report.format_text()
-        assert report.checked["schedules"] == 2
-        assert report.checked["circuit_shapes"] > 0
-        assert report.checked["joint_shapes"] > 0
-        assert report.checked["graphs"] > 0
+        assert not report.diagnostics
+        # Exact coverage: a certifier that silently skips shapes fails.
+        assert report.checked == {
+            "instruments": 44, "schedules": 2, "circuit_shapes": 4,
+            "joint_shapes": 1, "graphs": 5,
+        }
 
     def test_certify_joint_raises_joint_error(self, error_model):
         machine = Machine(stack_grid=(2, 2), cavity_modes=10, distance=3,

@@ -10,9 +10,12 @@ the flat decoder itself is pinned round by round against the unit-step
 reference in ``test_decoders.py``), exact corrections-equality on sampled
 d=3/5/7 syndromes at threshold, the vectorized peel against the per-shot
 ``_peel`` (including the observable-odd cycles that must fall back to
-it), and the durable executor's graceful degradation when the batched
-tier raises mid-block.
+it), the durable executor's graceful degradation when the batched
+tier raises mid-block, and pickled warm decoders (what fleet workers
+receive) decoding exactly as the originals.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -389,3 +392,44 @@ class TestDurableDegradation:
         assert stats_fb["batched"] == 0
         assert stats_fb["full"] > 0
         assert stats_fb["unique"] == stats["unique"]
+
+
+class TestPickledDecoder:
+    """Fleet workers receive decoders by pickle, so a decoder that has
+    already decoded in process must arrive decoding exactly as it does."""
+
+    def test_warm_decoder_pickles_clean(self):
+        memory = baseline_memory_circuit(
+            5, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3)
+        )
+        sampler = make_sampler(memory.circuit, "packed")
+        setup = prepare_decoding(memory, sampler=sampler)
+        decoder, basis = setup.decoder, setup.basis_detectors
+        cold_bytes = len(pickle.dumps(decoder))
+        decoder.decode_batch(sampler.sample(2048, 1).detectors[:, basis])
+        # Neither the kernel's buffer pool nor the LRU travels.
+        blob = pickle.dumps(decoder)
+        assert len(blob) < 1.1 * cold_bytes
+        clone = pickle.loads(blob)
+        # A pickled warm kernel keeps its buffers, and must grow over them.
+        kernel = pickle.loads(pickle.dumps(decoder.batched_kernel()))
+
+        rows = sampler.sample(1024, 2).detectors[:, basis]
+        for lo in range(0, rows.shape[0], DEFAULT_LOCKSTEP):
+            sub = rows[lo : lo + DEFAULT_LOCKSTEP]
+            expected = _row_supports(decoder.batched_kernel(), sub)
+            assert _row_supports(clone.batched_kernel(), sub) == expected
+            assert _row_supports(kernel, sub) == expected
+        decoder.reset_batch_state()
+        predictions = decoder.decode_batch(rows)
+        assert np.array_equal(clone.decode_batch(rows), predictions)
+        assert np.array_equal(kernel.decode_batch(rows), predictions)
+
+        # Through the block runner: same count and tiers, no fallback.
+        blocks = block_seeds(2048, 3)
+        expected = run_block(
+            sampler, decoder, basis, setup.basis_observables, blocks
+        )
+        got = run_block(sampler, clone, basis, setup.basis_observables, blocks)
+        assert got == expected
+        assert "fallback" not in got[1]

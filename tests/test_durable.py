@@ -37,7 +37,13 @@ from repro.durable import (
 )
 from repro.noise import BASELINE_HARDWARE, ErrorModel
 from repro.sim import SHOT_BLOCK, run_memory_experiment
-from repro.sim.engine import BlockExecutionError, block_seeds, run_block
+from repro.sim.engine import (
+    BlockExecutionError,
+    block_seeds,
+    count_logical_errors,
+    make_sampler,
+    run_block,
+)
 from repro.sim.experiment import prepare_decoding
 from repro.surface_code import baseline_memory_circuit
 
@@ -85,6 +91,41 @@ def _clean_run(backend):
             result, _ = _run(path, backend=backend)
             _CLEAN[backend] = (result, parse_ledger(path).blocks)
     return _CLEAN[backend]
+
+
+class TestWarmDecoderFleet:
+    def test_warm_decoder_writes_cold_block_records(self):
+        """A decoder that decoded inline first, then runs on the fleet,
+        checkpoints the same block records as a cold decoder."""
+        sampler = make_sampler(_MEMORY.circuit, "packed")
+
+        def block_lines(decoder, basis_ids, obs_ids, path):
+            ledger = RunLedger(path, SPEC)
+            executor = DurableExecutor(ledger, workers=2, policy=FAST)
+            try:
+                executor.count(
+                    unit="memory", circuit=_MEMORY.circuit, decoder=decoder,
+                    basis_ids=basis_ids, obs_ids=obs_ids, shots=SHOTS,
+                    seed=SEED, sampler=sampler,
+                )
+            finally:
+                ledger.close()
+            lines = path.read_text().splitlines()
+            return sorted(line for line in lines if '"kind":"block"' in line)
+
+        warm = prepare_decoding(_MEMORY, sampler=sampler)
+        ids = (warm.basis_detectors, warm.basis_observables)
+        count_logical_errors(
+            _MEMORY.circuit, warm.decoder, *ids, SHOTS, seed=SEED + 1,
+            sampler=sampler,
+        )
+        cold = prepare_decoding(_MEMORY, sampler=sampler).decoder
+        with tempfile.TemporaryDirectory() as td:
+            warm_lines = block_lines(warm.decoder, *ids, Path(td) / "warm.jsonl")
+            cold_lines = block_lines(cold, *ids, Path(td) / "cold.jsonl")
+        assert len(cold_lines) == 3
+        assert warm_lines == cold_lines
+        assert not any('"fallback"' in line for line in warm_lines)
 
 
 class TestResumeBitIdentity:
