@@ -11,31 +11,75 @@ changes wall-clock only, never the measured counts (see EXPERIMENTS.md).
 
 import json
 import os
+import platform
+import subprocess
+from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.decoders import TIER_NAMES
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def shots(default: int) -> int:
     return int(os.environ.get("REPRO_SHOTS", default))
 
 
+def _provenance(path: Path) -> dict:
+    """Which commit and machine produced a bench section written to ``path``.
+
+    ``commit`` and ``dirty`` are null outside a git checkout.  ``dirty``
+    ignores ``path`` itself, which earlier sections of the same run
+    may already have rewritten.
+    """
+    commit = dirty = None
+    if (REPO_ROOT / ".git").exists():
+        try:
+            commit = _git("rev-parse", "HEAD").strip()
+            status = _git("status", "--porcelain", "--untracked-files=no")
+        except (OSError, subprocess.CalledProcessError):
+            pass
+        else:
+            written = os.path.relpath(path.resolve(), REPO_ROOT)
+            dirty = any(line[3:] != written for line in status.splitlines())
+    return {
+        "commit": commit,
+        "dirty": dirty,
+        "date_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def merge_bench_json(path: Path, sections: dict) -> None:
     """Update ``sections`` of a bench JSON file, preserving the rest.
 
     Several benches share BENCH_engine.json; each owns its top-level
-    keys and must not clobber the others'.  The write is atomic (temp
-    file + ``os.replace``) — the same durability rule the run ledger
-    enforces — so a crash mid-bench leaves either the old file or the
-    new one, never a torn JSON that breaks every later merge.
+    keys and must not clobber the others'.  Every section written is
+    stamped with :func:`_provenance` under the top-level ``provenance``
+    map, so the file's history says which commit and machine produced
+    each number.  The write is atomic (temp file + ``os.replace``) —
+    the same durability rule the run ledger enforces — so a crash
+    mid-bench leaves either the old file or the new one, never a torn
+    JSON that breaks every later merge.
     """
     merged = {}
     if path.exists():
         merged = json.loads(path.read_text())
     merged.update(sections)
+    stamp = _provenance(path)
+    merged.setdefault("provenance", {}).update(dict.fromkeys(sections, stamp))
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(merged, indent=2) + "\n")
     os.replace(tmp, path)

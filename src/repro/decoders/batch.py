@@ -2,8 +2,10 @@
 
 The Monte-Carlo engine hands decoders whole arrays of sampled syndromes at
 once.  :meth:`SyndromeDecoder.decode_batch` deduplicates rows first —
-bit-packed ``np.unique`` at C speed — and then routes every *unique*
-syndrome through a tier ladder, cheapest first:
+one stable sort of the bit-packed rows as 64-bit words
+(:func:`_unique_rows`: row-wise ``np.unique``'s result without its
+per-byte row compares) — and then routes every *unique* syndrome
+through a tier ladder, cheapest first:
 
 ``trivial``
     All-zero syndromes decode to 0 without touching the decoder.
@@ -66,6 +68,31 @@ TIER_NAMES = ("trivial", "weight1", "weight2", "cached", "batched", "full")
 #: a d=7 entry is ~60 bytes of key plus an int, so the default tops out
 #: around a few MB per worker).
 DEFAULT_LRU_CAPACITY = 65536
+
+
+def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dedup a ``(rows, bytes)`` uint8 array by one sort over 64-bit words.
+
+    Returns exactly the ``index`` (first occurrence of each unique row)
+    and ``inverse`` that row-wise ``np.unique`` returns with
+    ``return_index`` and ``return_inverse``, so unique order is
+    unchanged.  Rows are zero-padded to whole words and read big-endian,
+    which makes numeric word order ``np.unique``'s byte order; the sort
+    is stable, as ``np.unique``'s mergesort is.  Zero-width rows are one
+    unique row.
+    """
+    rows, width = packed.shape
+    buf = np.zeros((rows, max(1, -(-width // 8)) * 8), np.uint8)
+    buf[:, :width] = packed
+    # One native-order key per word, last word first as lexsort wants.
+    keys = np.ascontiguousarray(buf.view(">u8").T[::-1], dtype=np.uint64)
+    order = np.lexsort(keys) if len(keys) > 1 else keys[0].argsort(kind="stable")
+    ordered = keys[:, order]
+    start = np.ones(rows, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=start[1:])
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return order[start], inverse
 
 
 class SyndromeDecoder:
@@ -179,11 +206,10 @@ class SyndromeDecoder:
         if shots == 0:
             self._record_stats(0, {t: 0 for t in TIER_NAMES})
             return np.zeros(0, dtype=np.int64)
-        # Bit-pack rows so np.unique compares 8x fewer columns.
+        # Bit-pack rows: the dedup sorts 64 detectors per word, and the
+        # packed bytes are the LRU keys.
         packed = np.packbits(dets, axis=1) if dets.shape[1] else np.zeros((shots, 0), np.uint8)
-        unique_rows, index, inverse = np.unique(
-            packed, axis=0, return_index=True, return_inverse=True
-        )
+        index, inverse = _unique_rows(packed)
         unique_dets = dets[index]
         weights = unique_dets.sum(axis=1, dtype=np.int64)
         predictions = np.zeros(len(index), dtype=np.int64)
@@ -217,7 +243,7 @@ class SyndromeDecoder:
             heavy = np.sort(np.concatenate(heavy_parts))
 
         if heavy.size:
-            keys = self._lru.keys_for(unique_rows[heavy])
+            keys = self._lru.keys_for(packed[index[heavy]])
             hit, cached_values = self._lru.get_many(keys)
             hits = int(np.count_nonzero(hit))
             if hits:
@@ -254,7 +280,7 @@ class SyndromeDecoder:
             lru_hits=self._lru.hits - hits_before,
             lru_misses=self._lru.misses - misses_before,
         )
-        return predictions[np.asarray(inverse).ravel()]
+        return predictions[inverse]
 
     def _record_stats(
         self,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.circuits import Circuit
-from repro.decoders.batch import TIER_NAMES, SyndromeDecoder
+from repro.decoders.batch import TIER_NAMES, SyndromeDecoder, _unique_rows
 from repro.sim.compiled import compile_circuit
 from repro.sim.frame import DetectionData, sample_detection_data
 
@@ -179,16 +179,19 @@ def decode_block_full(
     dispatcher raises (a tier assertion, or an injected decode fault),
     the blocks are re-decoded with nothing but the full decoder, which
     the tiers are provably equivalent to, so the error count is
-    preserved.  Stats keep the tier-sum == unique identity with
-    everything heavy in ``full``, and reach the decode registry through
-    the decoder's ``_record_stats`` like any other decode call.
+    preserved.  It dedups with ``decode_batch``'s own word sort
+    (``repro.decoders.batch._unique_rows``), so both paths see the same
+    unique syndromes in the same order.  Stats keep the tier-sum ==
+    unique identity with everything heavy in ``full``, and reach the
+    decode registry through the decoder's ``_record_stats`` like any
+    other decode call.
     """
     dets = np.asarray(dets, dtype=bool)
     shots = dets.shape[0]
     packed = (
         np.packbits(dets, axis=1) if dets.shape[1] else np.zeros((shots, 0), np.uint8)
     )
-    _, index, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    index, inverse = _unique_rows(packed)
     unique_dets = dets[index]
     predictions = np.zeros(len(index), dtype=np.int64)
     trivial = 0
@@ -203,7 +206,7 @@ def decode_block_full(
     tiers["full"] = len(index) - trivial
     decoder._record_stats(shots, tiers, unique=len(index))
     stats = {**tiers, "unique": len(index), "shots": shots}
-    return predictions[np.asarray(inverse).ravel()], stats
+    return predictions[inverse], stats
 
 
 def run_block(

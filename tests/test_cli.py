@@ -113,6 +113,27 @@ class TestCLI:
         assert "proven deterministic by symbolic GF(2) propagation" in out
         assert _tiers_balance(tmp_path)
 
+    def test_compare_correlated_decode_totals_are_pinned(self, capsys, tmp_path):
+        """Every decode total of one in-process correlated compare.
+
+        Units of one shape share a decoder whose LRU outlives each
+        unit's decode batch, so the ``cached`` cell counts syndromes
+        repeated across units; with the other cells it pins the dedup
+        and the LRU traffic end to end.
+        """
+        assert main([
+            "compare", "--correlated", "--distance", "3", "--shots", "2000",
+            "--obs-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        snapshot = json.loads((tmp_path / "metrics.json").read_text())
+        totals = obs.summarize_snapshot(snapshot)
+        assert snapshot["repro_decode_tier_shots_total"]["values"] == {
+            "trivial": 24, "cached": 1790, "batched": 25318,
+        }
+        assert totals["repro_decode_unique_total"] == 27132
+        assert totals["repro_decode_shots_total"] == 48000
+
     def test_compare_correlated_flags_uncovered_windows(self, capsys):
         # A 3-qubit GHZ chain is one surgery component: no pair decodes
         # jointly, so the "joint" cell must not pass as a joint estimate.

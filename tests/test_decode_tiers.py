@@ -7,12 +7,20 @@ element-wise exactly what a plain loop over ``decode`` would, for every
 decoder.  Hypothesis drives random batches through both paths, including
 the degenerate shapes the tiers special-case: all-zero rows, batches of
 only weight-1/weight-2 syndromes, and heavy (>2 event) syndromes.
+
+The dedup itself (``_unique_rows``, a sort over 64-bit words) is checked
+against :func:`oracle_unique_rows`, row-wise ``np.unique``, which both
+decode paths used before.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import repro.decoders.batch as batch
+import repro.sim.engine as engine
 from repro.decoders import (
     TIER_NAMES,
     MatchingGraph,
@@ -21,7 +29,16 @@ from repro.decoders import (
 )
 from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
+from repro.sim.experiment import prepare_decoding
 from repro.surface_code import baseline_memory_circuit
+
+
+def oracle_unique_rows(packed):
+    """The old dedup: ``np.unique``'s ``index`` and flat ``inverse``."""
+    _, index, inverse = np.unique(
+        packed, axis=0, return_index=True, return_inverse=True
+    )
+    return index, np.asarray(inverse).ravel()
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +212,85 @@ class TestLRU:
             np.testing.assert_array_equal(
                 bounded.decode_batch(dets), unbounded.decode_batch(dets)
             )
+
+
+@st.composite
+def _packed_rows(draw, width):
+    """``(rows, width)`` uint8 rows built to collide and to tie on a prefix."""
+    rows = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "first byte", "last byte")))
+    if shape == "random" or not width:
+        # Few byte values, so random rows collide as well.
+        high = draw(st.sampled_from((2, 4, 256)))
+        packed = rng.integers(0, high, (rows, width), dtype=np.uint8)
+    else:
+        # One shared row that varies only in byte 0 or the last byte.
+        packed = np.tile(rng.integers(0, 256, width, dtype=np.uint8), (rows, 1))
+        column = 0 if shape == "first byte" else width - 1
+        packed[:, column] = rng.integers(0, 256, rows, dtype=np.uint8)
+    copies = draw(st.integers(0, rows))  # forced duplicate rows
+    packed[rng.integers(0, rows, copies)] = packed[rng.integers(0, rows, copies)]
+    return packed
+
+
+class TestWordSortDedup:
+    """``_unique_rows`` is ``np.unique(axis=0)`` for both decode paths."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 40])
+    def test_matches_np_unique(self, width, data):
+        packed = data.draw(_packed_rows(width))
+        index, inverse = batch._unique_rows(packed)
+        expected_index, expected_inverse = oracle_unique_rows(packed)
+        np.testing.assert_array_equal(index, expected_index)
+        np.testing.assert_array_equal(inverse, expected_inverse)
+        assert index.dtype == expected_index.dtype
+        assert inverse.dtype == expected_inverse.dtype
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        """A d=5 p=5e-3 union-find decoder and three sampled batches."""
+        memory = baseline_memory_circuit(
+            5, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3)
+        )
+        sampler = engine.make_sampler(memory.circuit, "packed")
+        setup = prepare_decoding(memory, sampler=sampler)
+        batches = [
+            sampler.sample(2048, seed).detectors[:, setup.basis_detectors]
+            for seed in range(3)
+        ]
+        return setup.decoder, batches
+
+    def test_decode_batch_matches_oracle_dedup(self, sampled, monkeypatch):
+        decoder, batches = sampled
+        decoder.reset_batch_state()
+        oracle = pickle.loads(pickle.dumps(decoder))  # same graph, empty LRU
+        # Far below each batch's ~1,900 uniques, so every call evicts and
+        # which rows stay cached depends on the insertion order.
+        decoder._lru.capacity = oracle._lru.capacity = 700
+        cached = 0
+        for dets in batches:
+            predictions = decoder.decode_batch(dets)
+            with monkeypatch.context() as patch:
+                patch.setattr(batch, "_unique_rows", oracle_unique_rows)
+                expected = oracle.decode_batch(dets)
+            np.testing.assert_array_equal(predictions, expected)
+            assert decoder.last_batch_stats == oracle.last_batch_stats
+            assert list(decoder._lru._data.items()) == list(
+                oracle._lru._data.items()
+            )
+            assert len(decoder._lru) == 700
+            cached += decoder.last_batch_stats["cached"]
+        assert cached > 0
+
+    def test_decode_block_full_matches_oracle_dedup(self, sampled, monkeypatch):
+        decoder, batches = sampled
+        dets = batches[0][:512]
+        predictions, stats = engine.decode_block_full(decoder, dets)
+        monkeypatch.setattr(engine, "_unique_rows", oracle_unique_rows)
+        expected, expected_stats = engine.decode_block_full(decoder, dets)
+        np.testing.assert_array_equal(predictions, expected)
+        assert stats == expected_stats
+        assert stats["trivial"] > 0 and stats["full"] > 0
