@@ -13,7 +13,8 @@ which
 3. executes the rest under supervision (timeouts, retry with backoff,
    quarantine — ``repro.durable.supervise``), checkpointing each block
    to the ledger the moment it completes,
-4. evaluates early stopping on deterministic *wave* boundaries, and
+4. under a CI target, evaluates early stopping on deterministic *wave*
+   boundaries, and
 5. writes a ``unit`` summary reconciling
    ``completed + quarantined == scheduled``.
 
@@ -38,13 +39,19 @@ interval over its completed blocks is at most that wide.  The check
 runs only after whole *waves* of ``stop_interval_blocks`` blocks —
 never on raw completion order, which varies with workers — so the
 decision (and hence the final shot count) is a pure function of the
-block results themselves.
+block results themselves.  Each wave is one supervised call (one
+fleet configure, a barrier at its end).  Without a target nothing is
+decided between blocks, so the whole unit is one wave: one
+``run_supervised`` call, the shape of a plain
+``count_logical_errors(workers>1)``.
 
 **Interrupts.**  :func:`graceful_interrupts` maps the first
-SIGINT/SIGTERM to :meth:`request_stop`: the supervisor stops assigning
-work, drains in-flight blocks (each still checkpointed), an
-``interrupt`` event is appended, and :class:`CampaignInterrupted`
-unwinds to the CLI (exit code 130).  A second signal aborts hard.
+SIGINT/SIGTERM to :meth:`request_stop`.  The supervisor polls it every
+tick and checks it after each checkpointed block, so the stop takes
+effect inside a wave: no new block is assigned, in-flight blocks drain
+(each still checkpointed), an ``interrupt`` event is appended, and
+:class:`CampaignInterrupted` unwinds to the CLI (exit code 130).  A
+second signal aborts hard.
 """
 
 from __future__ import annotations
@@ -68,8 +75,9 @@ __all__ = [
     "graceful_interrupts",
 ]
 
-#: Early-stopping is evaluated every this-many blocks (a "wave"); fixed
-#: so the stopping decision never depends on worker scheduling.
+#: Under a CI target, early stopping is evaluated every this-many blocks
+#: (a "wave"); fixed so the stopping decision never depends on worker
+#: scheduling.  Without a target the whole unit is one wave.
 DEFAULT_STOP_INTERVAL_BLOCKS = 8
 
 
@@ -116,6 +124,8 @@ class DurableExecutor:
         self.policy = policy or RetryPolicy()
         self.fault = fault
         self.target_ci_width = target_ci_width
+        #: blocks per early-stopping wave; read only when
+        #: ``target_ci_width`` is set (a unit without a target is one wave)
         self.stop_interval_blocks = max(1, stop_interval_blocks)
         #: optional persistent :class:`~repro.durable.supervise.WorkerFleet`
         #: — when set, units run on these long-lived workers instead of
@@ -202,30 +212,34 @@ class DurableExecutor:
 
         done: dict[int, dict] = {}  # index -> {"errors", "shots"}
         quarantined: list[int] = []
-        resumed = 0
         for index, record in self.ledger.prior_unit_blocks(unit).items():
             done[index] = {"errors": record["errors"], "shots": record["shots"]}
-            resumed += 1
+        resumed = len(done)
         if resumed:
             obs.counter("repro_durable_blocks_total").inc(resumed, "resumed")
         executed = 0
+        # Running durable totals for ``on_block`` (resumed blocks included).
+        errors_done = sum(d["errors"] for d in done.values())
+        shots_done = sum(d["shots"] for d in done.values())
 
         def on_block_done(outcome) -> bool:
-            nonlocal executed
+            nonlocal executed, errors_done, shots_done
             self.ledger.record_block(
                 unit, outcome.index, outcome.shots, outcome.errors, outcome.stats
             )
             done[outcome.index] = {"errors": outcome.errors, "shots": outcome.shots}
             executed += 1
+            errors_done += outcome.errors
+            shots_done += outcome.shots
             obs.counter("repro_durable_blocks_total").inc(1, "executed")
             if self.on_block is not None:
-                # Cumulative durable totals for this unit (resumed blocks
-                # included) — exactly what a Wilson interval needs.
+                # Cumulative durable totals for this unit — exactly what a
+                # Wilson interval needs.
                 self.on_block(
                     unit=unit,
                     block=outcome.index,
-                    errors=sum(d["errors"] for d in done.values()),
-                    shots=sum(d["shots"] for d in done.values()),
+                    errors=errors_done,
+                    shots=shots_done,
                     completed_blocks=len(done),
                     scheduled_blocks=len(blocks),
                 )
@@ -233,7 +247,12 @@ class DurableExecutor:
                 self.request_stop("abort-after fault injection")
             return self._stop_requested
 
-        interval = self.stop_interval_blocks
+        # Only a CI target decides anything between blocks; without one
+        # the unit is a single wave, so one supervised call runs it all.
+        if self.target_ci_width is not None:
+            interval = self.stop_interval_blocks
+        else:
+            interval = max(1, len(blocks))
         waves = [blocks[i : i + interval] for i in range(0, len(blocks), interval)]
         stopped_early = False
         decided: list = []  # blocks inside the waves that actually ran

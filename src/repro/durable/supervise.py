@@ -35,9 +35,17 @@ is passed, preserving the one-shot behaviour; a long-lived caller (the
 campaign service, ``repro.service``) passes its own fleet so the same
 worker processes serve many units and many jobs.  Each
 :meth:`WorkerFleet.configure` call starts a new *epoch* and ships the
-unit's ``worker_args`` to every worker; tasks and results are tagged
+call's ``worker_args`` to every worker; tasks and results are tagged
 with the epoch, so a straggler result from a previous unit can never be
 mistaken for current work.
+
+One call is one fleet epoch with a barrier at its end, so callers make
+as few as they can: the durable executor runs a whole unit per call,
+and cuts a unit into several calls (*waves*) only when an early-stop
+target has to be checked between them.  Inside a call, blocks not yet
+handed out wait in a heap keyed ``(ready_at, index, attempt)``: an idle
+worker takes the lowest block index first, and a retry once its backoff
+has elapsed, at logarithmic cost however many blocks the unit holds.
 
 Every worker runs one block per ``repro.sim.engine.run_block`` call,
 with fresh decoder state.  Because every block's result is therefore a
@@ -55,6 +63,7 @@ and testable without a pool.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import multiprocessing
 import os
 import signal
@@ -487,10 +496,11 @@ class _PoolSupervisor:
         self.stopped = stopped
         self.by_index = {index: (shots, seed) for index, shots, seed in blocks}
         self.epoch = fleet.configure(worker_args, fault)
-        #: (ready_at, index, attempt) tasks not yet handed to a worker
+        #: heap of (ready_at, index, attempt) tasks not yet handed to a worker
         self.pending: list[tuple[float, int, int]] = [
             (0.0, index, 0) for index, _, _ in blocks
         ]
+        heapq.heapify(self.pending)
         self.handled: set[tuple[int, int]] = set()
         self.draining = False
 
@@ -529,18 +539,19 @@ class _PoolSupervisor:
             self.sweep(time.monotonic())
 
     def assign(self, now: float) -> None:
-        """Hand ready pending tasks to idle workers."""
+        """Hand ready pending tasks to idle workers, least task first.
+
+        The heap's top is the least ``(ready_at, index, attempt)``; when
+        even it is not ready at ``now``, no task is.
+        """
         if self.draining:
             return
         for slot in self.fleet.slots:
-            if slot["busy"] is not None or not self.pending:
+            if slot["busy"] is not None:
                 continue
-            ready = [t for t in self.pending if t[0] <= now]
-            if not ready:
-                continue
-            task = min(ready)
-            self.pending.remove(task)
-            _, index, attempt = task
+            if not self.pending or self.pending[0][0] > now:
+                return
+            _, index, attempt = heapq.heappop(self.pending)
             shots, seed = self.by_index[index]
             slot["q"].put(("task", self.epoch, self.unit, index, shots, seed, attempt))
             slot["busy"] = (index, attempt, now + self.policy.block_timeout)
@@ -586,7 +597,9 @@ class _PoolSupervisor:
         else:
             retry = self.fail(index, shots, attempt, payload[0])
             if retry is not None and not self.draining:
-                self.pending.append((time.monotonic() + retry[2], index, retry[1]))
+                heapq.heappush(
+                    self.pending, (time.monotonic() + retry[2], index, retry[1])
+                )
         if slot["busy"] is not None and slot["busy"][:2] == (index, attempt):
             slot["busy"] = None
 
@@ -612,7 +625,8 @@ class _PoolSupervisor:
                     )
                     retry = self.fail(index, shots, attempt, reason)
                     if retry is not None and not self.draining:
-                        self.pending.append(
-                            (time.monotonic() + retry[2], index, retry[1])
+                        heapq.heappush(
+                            self.pending,
+                            (time.monotonic() + retry[2], index, retry[1]),
                         )
             self.fleet.respawn(wid)

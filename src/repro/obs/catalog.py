@@ -181,7 +181,10 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "Cumulative deterministic backoff slept before retries",
     ),
     _c("repro_durable_respawns_total", "Fleet worker processes respawned"),
-    _c("repro_durable_waves_total", "Early-stop waves executed"),
+    _c(
+        "repro_durable_waves_total",
+        "Supervised calls: one per unit, one per wave under a CI target",
+    ),
     _h("repro_durable_block_seconds", "Wall time for one supervised block attempt"),
     # --- service: long-lived campaign server --------------------------------
     _c(

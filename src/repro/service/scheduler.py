@@ -312,10 +312,6 @@ class Scheduler:
             fault=self.fault,
             fleet=self.fleet,
             on_block=on_block,
-            # Block-granular stop checks: a drain or job timeout takes
-            # effect at the next completed block, not the next 8-block
-            # wave.  Never affects results (worker invariance).
-            stop_interval_blocks=1,
         )
         with self._cond:
             self._current_executor = executor

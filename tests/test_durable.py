@@ -17,10 +17,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.decoders import TIER_NAMES
 from repro.durable import (
     CampaignInterrupted,
@@ -35,6 +38,7 @@ from repro.durable import (
     parse_ledger,
     run_key,
 )
+from repro.durable import supervise
 from repro.noise import BASELINE_HARDWARE, ErrorModel
 from repro.sim import SHOT_BLOCK, run_memory_experiment
 from repro.sim.engine import (
@@ -59,7 +63,8 @@ FAST = RetryPolicy(block_timeout=60.0, max_attempts=3, retry_base_delay=0.001)
 
 
 def _run(path, *, workers=1, fault=None, backend="packed", policy=FAST,
-         target_ci_width=None, stop_interval_blocks=1, shots=SHOTS, seed=SEED):
+         target_ci_width=None, stop_interval_blocks=1, shots=SHOTS, seed=SEED,
+         on_block=None):
     """One durable memory campaign against the ledger at ``path``."""
     ledger = RunLedger(path, SPEC, fault=fault)
     executor = DurableExecutor(
@@ -69,6 +74,7 @@ def _run(path, *, workers=1, fault=None, backend="packed", policy=FAST,
         fault=fault,
         target_ci_width=target_ci_width,
         stop_interval_blocks=stop_interval_blocks,
+        on_block=on_block,
     )
     try:
         result = run_memory_experiment(
@@ -174,6 +180,25 @@ class TestResumeBitIdentity:
             outcome = executor.units[-1]
             assert outcome.executed_blocks == 0
             assert outcome.resumed_blocks == 3
+
+    def test_resumed_progress_totals_match_the_ledger(self):
+        """``on_block``'s running totals start from the resumed blocks:
+        each report equals the sums over the ledger's durable blocks."""
+        with tempfile.TemporaryDirectory() as td:
+            path = Path(td) / "run.jsonl"
+            with pytest.raises(CampaignInterrupted):
+                _run(path, fault=FaultPlan(abort_after=1))
+            reports = []
+            _run(path, on_block=lambda **progress: reports.append(progress))
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+        blocks = [r for r in records if r["kind"] == "block"]  # append order
+        assert len(blocks) == 3 and len(reports) == 2
+        for report in reports:
+            durable = blocks[: report["completed_blocks"]]
+            assert report["errors"] == sum(b["errors"] for b in durable)
+            assert report["shots"] == sum(b["shots"] for b in durable)
+        assert [r["completed_blocks"] for r in reports] == [2, 3]
+        assert reports[-1]["shots"] == SHOTS and reports[-1]["errors"] > 0
 
 
 class TestFaultInjectionNeverAltersResults:
@@ -633,8 +658,34 @@ class _FakeFleet:
         self.slots[wid] = {"proc": _FakeProc(), "q": _FakeQueue(), "busy": None}
 
 
-def _make_supervisor(fleet, blocks, policy):
-    """A _PoolSupervisor wired to recording callbacks (no processes)."""
+class _ListScanSupervisor(supervise._PoolSupervisor):
+    """The pending-queue rule the heap replaced, kept as a test oracle:
+    scan every pending task for the ready ones and take the least."""
+
+    def assign(self, now):
+        if self.draining:
+            return
+        for slot in self.fleet.slots:
+            if slot["busy"] is not None or not self.pending:
+                continue
+            ready = [t for t in self.pending if t[0] <= now]
+            if not ready:
+                continue
+            task = min(ready)
+            self.pending.remove(task)
+            _, index, attempt = task
+            shots, seed = self.by_index[index]
+            slot["q"].put(("task", self.epoch, self.unit, index, shots, seed, attempt))
+            slot["busy"] = (index, attempt, now + self.policy.block_timeout)
+
+
+def _make_supervisor(fleet, blocks, policy, *, cls=None,
+                     delay=lambda index, attempt: 0.0):
+    """A _PoolSupervisor wired to recording callbacks (no processes).
+
+    ``delay(index, attempt)`` is the backoff before a failed attempt's
+    retry becomes ready.
+    """
     from repro.durable.supervise import (
         BlockOutcome,
         SupervisedResult,
@@ -655,9 +706,9 @@ def _make_supervisor(fleet, blocks, policy):
             )
             return None
         result.retries += 1
-        return (index, next_attempt, 0.0)
+        return (index, next_attempt, delay(index, attempt))
 
-    supervisor = _PoolSupervisor(
+    supervisor = (cls or _PoolSupervisor)(
         fleet, blocks, ("sampler", "decoder", "basis", "obs"),
         unit="memory", policy=policy, fault=None, block_done=block_done,
         fail=fail, should_abort=None, result=result, stopped=lambda: False,
@@ -748,6 +799,70 @@ class TestCrossRespawnDedup:
         assert [o.errors for o in result.completed] == [2]
 
 
+class TestPendingHeapOrder:
+    """The supervisor's pending heap hands tasks to workers in exactly
+    the order of the list scan it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_assignment_order_matches_list_scan_oracle(self, data):
+        n_blocks = data.draw(st.integers(1, 10), label="blocks")
+        size = data.draw(st.integers(1, 3), label="workers")
+        delays = data.draw(
+            st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05]), min_size=1,
+                     max_size=6),
+            label="retry delays",
+        )
+        policy = RetryPolicy(block_timeout=10.0, max_attempts=3,
+                             retry_base_delay=0.0)
+        blocks = [(index, 1024, None) for index in range(n_blocks)]
+        clock = [0.0]  # retries are re-queued at supervise.time.monotonic()
+
+        def delay(index, attempt):
+            return delays[(3 * index + attempt) % len(delays)]
+
+        fake_time = SimpleNamespace(monotonic=lambda: clock[0])
+        with mock.patch.object(supervise, "time", fake_time):
+            runs = [
+                _make_supervisor(_FakeFleet(size), blocks, policy, cls=cls,
+                                 delay=delay)
+                for cls in (supervise._PoolSupervisor, _ListScanSupervisor)
+            ]
+            for _ in range(6 * n_blocks + 6):
+                clock[0] += data.draw(
+                    st.sampled_from([0.0, 0.005, 0.01, 0.03]), label="poll")
+                for supervisor, _ in runs:
+                    supervisor.assign(clock[0])
+                heap_busy, scan_busy = (
+                    [slot["busy"] for slot in supervisor.fleet.slots]
+                    for supervisor, _ in runs
+                )
+                assert heap_busy == scan_busy
+                for wid, busy in enumerate(heap_busy):
+                    if busy is None:
+                        continue
+                    action = data.draw(
+                        st.sampled_from(["run", "ok", "err", "die"]),
+                        label=f"worker {wid}")
+                    index, attempt, _ = busy
+                    for supervisor, _ in runs:
+                        if action == "ok":
+                            supervisor.handle_message(
+                                ("ok", supervisor.epoch, wid, index, attempt,
+                                 0, {}))
+                        elif action == "err":
+                            supervisor.handle_message(
+                                ("err", supervisor.epoch, wid, index, attempt,
+                                 "boom"))
+                        elif action == "die":
+                            supervisor.fleet.slots[wid]["proc"].alive = False
+                            supervisor.sweep(clock[0])
+        (heap, heap_result), (scan, scan_result) = runs
+        assert sorted(heap.pending) == sorted(scan.pending)
+        for field in ("completed", "quarantined", "retries"):
+            assert getattr(heap_result, field) == getattr(scan_result, field)
+
+
 class TestWorkerFleetReuse:
     """Tentpole hook: one persistent fleet serves many units (epochs)
     with results bit-identical to ephemeral per-call pools."""
@@ -764,9 +879,9 @@ class TestWorkerFleetReuse:
                 assert second.logical_errors == clean_result.logical_errors
                 assert parse_ledger(Path(td) / "a.jsonl").blocks == clean_blocks
                 assert parse_ledger(Path(td) / "b.jsonl").blocks == clean_blocks
-            # Epochs advanced (one per supervised chunk) but the
-            # workers themselves persisted across both campaigns.
-            assert fleet.epoch >= 2
+            # One epoch per unit (a unit without a CI target is one
+            # supervised call), and the workers persisted across both.
+            assert fleet.epoch == 2
             assert fleet.respawns == 0
             assert fleet.alive_workers() == 2
 
@@ -788,6 +903,24 @@ class TestWorkerFleetReuse:
                 assert executor.total_retries > 0
             assert fleet.respawns > 0  # crashes really killed workers
             assert fleet.alive_workers() == 2  # ...and the fleet healed
+
+    def test_ci_target_runs_one_epoch_per_wave(self, registry):
+        from repro.durable import WorkerFleet
+
+        with WorkerFleet(2) as fleet, tempfile.TemporaryDirectory() as td:
+            # At seed 11 the interval first narrows to 0.012 after the
+            # fourth of eight blocks: four one-block waves run.
+            result, executor = _run_with_fleet(
+                Path(td) / "led.jsonl", fleet, target_ci_width=0.012,
+                shots=8 * SHOT_BLOCK,
+            )
+            outcome = executor.units[-1]
+            assert outcome.stopped_early
+            waves = outcome.scheduled  # one block per wave
+            assert waves == 4 and result.shots == 4 * SHOT_BLOCK
+            assert fleet.epoch == waves
+        totals = obs.summarize_snapshot(registry.snapshot())
+        assert totals["repro_durable_waves_total"] == waves
 
 
 def _pid_alive(pid):
@@ -866,16 +999,17 @@ class TestFleetOrphans:
             result_q.close()
 
 
-def _run_with_fleet(path, fleet, *, fault=None, policy=FAST):
+def _run_with_fleet(path, fleet, *, fault=None, policy=FAST,
+                    target_ci_width=None, shots=SHOTS):
     """A durable memory campaign on a borrowed persistent fleet."""
     ledger = RunLedger(path, SPEC, fault=fault)
     executor = DurableExecutor(
         ledger, workers=2, policy=policy, fault=fault, fleet=fleet,
-        stop_interval_blocks=1,
+        target_ci_width=target_ci_width, stop_interval_blocks=1,
     )
     try:
         result = run_memory_experiment(
-            _MEMORY, shots=SHOTS, seed=SEED, backend="packed",
+            _MEMORY, shots=shots, seed=SEED, backend="packed",
             executor=executor,
         )
     finally:

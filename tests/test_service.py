@@ -316,6 +316,27 @@ class TestSchedulerRuns:
         assert (parse_ledger(store.ledger_path(job_id)).blocks
                 == parse_ledger(tmp_path / "ref.jsonl").blocks)
 
+    def test_fleet_job_runs_each_unit_as_one_epoch(self, tmp_path):
+        # A four-block memory job is one unit: one supervised call on
+        # the shared two-worker fleet, not one call per block.
+        spec = spec_from_payload(
+            {"command": "memory", "distance": 3, "shots": 4096, "seed": 5})
+        _reference_run(spec, tmp_path / "ref.jsonl")
+        store = JobStore(tmp_path / "svc")
+        scheduler = Scheduler(store, workers=2, policy=FAST)
+        epoch = scheduler.fleet.epoch
+        scheduler.start()
+        try:
+            job_id = scheduler.admit(spec).job.id
+            job = _wait_terminal(store, job_id)
+            assert scheduler.fleet.epoch == epoch + 1
+        finally:
+            scheduler.drain(timeout=30.0)
+        assert job.state == "done"
+        blocks = parse_ledger(store.ledger_path(job_id)).blocks
+        assert len(blocks[next(iter(blocks))]) == 4
+        assert blocks == parse_ledger(tmp_path / "ref.jsonl").blocks
+
     def test_quarantined_blocks_degrade_and_strike(self, tmp_path):
         store = JobStore(tmp_path)
         scheduler = Scheduler(
