@@ -15,7 +15,8 @@ statically:
 * **GRF003** — the union-find decoder's flat arrays, CSR adjacency or
   plain-list mirrors disagree with the graph they were built from, or
   its batched lockstep kernel copies (rather than shares) the edge
-  arrays or the CSR adjacency;
+  arrays or the CSR adjacency, or lays the CSR out wrongly in its slot
+  tables or sentinel length;
 * **GRF004** — a DEM error mechanism is not covered by the graph (a
   fault's detector has no incident edge, or an observable-only fault is
   missing from ``undetectable_probability``).
@@ -253,4 +254,47 @@ def lint_unionfind(
                     f"batched kernel holds a copy of {name} instead of "
                     "sharing the flat decoder's array",
                 )
+        _lint_slots(kernel, decoder, graph, add)
     return diagnostics
+
+
+def _lint_slots(kernel, decoder: UnionFindDecoder, graph: MatchingGraph, add) -> None:
+    """The kernel's slot tables and sentinel length against the CSR.
+
+    Slot ``j`` of a detector holds its ``j``-th CSR entry (edge id, far
+    endpoint) in CSR order; every other slot, and every slot of the
+    boundary row, holds the sentinel ``(num_edges, node)``, and the
+    sentinel's length is 0.
+    """
+    m = graph.num_edges
+    n1 = graph.num_detectors + 1
+    edges, other = kernel.slot_edges, kernel.slot_other
+    if edges.ndim != 2 or edges.shape != other.shape or edges.shape[1] != n1:
+        add(
+            "batched.slots",
+            f"slot tables have shapes {edges.shape} and {other.shape}, "
+            f"want (D, {n1})",
+        )
+    else:
+        width = edges.shape[0]
+        for node in range(n1):
+            lo, hi = int(decoder.adj_indptr[node]), int(decoder.adj_indptr[node + 1])
+            if node == graph.boundary:
+                lo = hi
+            expected = list(
+                zip(decoder.adj_edges[lo:hi].tolist(), decoder.adj_other[lo:hi].tolist())
+            )
+            expected += [(m, node)] * (width - len(expected))
+            slots = list(zip(edges[:, node].tolist(), other[:, node].tolist()))
+            if slots != expected:
+                add(
+                    f"batched.slots{node}",
+                    f"slots of node {node} hold {slots}, expected {expected}",
+                )
+    lengths = [int(x) for x in kernel._len16]
+    if lengths != [int(x) for x in decoder.lengths] + [0]:
+        add(
+            "batched.len16",
+            f"kernel lengths (sentinel {lengths[-1:]}) are not the flat "
+            "decoder's lengths plus a sentinel of length 0",
+        )

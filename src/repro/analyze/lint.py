@@ -12,7 +12,8 @@ embeddings × distances × refresh policies, and for each point:
   (:mod:`repro.analyze.symbolic`), in strict-init mode so a dropped
   reset also surfaces;
 * builds the DEM/matching-graph/union-find stack for each distinct
-  shape and validates it (:mod:`repro.analyze.graph`).
+  shape, with its batched kernel, and validates it
+  (:mod:`repro.analyze.graph`).
 
 Shapes are deduplicated across the whole sweep, mirroring the campaign
 BuildCaches, so the driver stays fast enough for CI.  With
@@ -134,5 +135,6 @@ def lint_matrix(
             dem = DetectorErrorModel(circuit)
             graph = MatchingGraph.from_dem(dem, basis)
             decoder = UnionFindDecoder(graph)
+            decoder.batched_kernel()  # built here so GRF003 checks it too
             report.extend(lint_graph(graph, dem, basis, decoder, location=location))
     return report

@@ -5,12 +5,12 @@ that misses its LRU here, so this kernel is the only growth loop
 production decoding runs.  It grows *all* of a batch's syndromes
 simultaneously instead of calling the per-shot pure-Python flat-array
 union-find once per syndrome: state lives in 2-D numpy arrays shaped
-``(batch, n_nodes)`` / ``(batch, n_edges)`` over the *shared* flat edge
+``(batch, n_nodes)`` / ``(batch, n_edges + 1)`` over the *shared* flat edge
 arrays the :class:`~repro.decoders.unionfind.UnionFindDecoder` already
 built, so every growth round is a handful of vectorized passes instead
 of an interpreted per-edge loop per shot.  Those passes follow the
 clusters, not the state: each one runs over a sorted **member list** or
-over the frontier entries the members expand into.
+over fixed-shape blocks of the slots of its hot members.
 
 Per lockstep iteration:
 
@@ -19,53 +19,66 @@ Per lockstep iteration:
    event nodes at the start, plus the far endpoint of every completed
    edge.  Any other node is an untouched even singleton — its own root,
    inactive — so no pass needs to visit it.  Cluster parity and
-   boundary contact are kept *incrementally* at root positions only
-   (merges XOR the absorbed root's parity into the surviving root and
-   zero the stale slot), and members stay compressed, so a member's
-   activity is ``par & ~bnd`` gathered at its root.  The boundary node
-   starts as a boundary-flagged parity-0 singleton, so any cluster that
-   absorbs it goes inactive automatically.  A shot is live while some
-   member root is active; the members of finished shots leave the list
-   (row slots never move), so the loop narrows to the *last* shots
-   still growing.
+   boundary contact are kept *incrementally* in one flags byte at root
+   positions only (bit 0 parity, bit 1 boundary; merges XOR the
+   absorbed roots' parity into the surviving root, OR their boundary
+   bits, and zero the stale slots), and members stay compressed, so a
+   member's activity is ``flags == 1`` gathered at its root.  The
+   boundary node starts as a boundary-flagged parity-0 singleton, so
+   any cluster that absorbs it goes inactive automatically.  A shot is
+   live while some member root is active; the members of finished shots
+   leave the list (row slots never move), so the loop narrows to the
+   *last* shots still growing.
 2. **Frontier discovery** — the members of active clusters ("hot"
-   nodes) expand through the flat decoder's shared CSR adjacency
-   into an entry list of candidate ``(shot, edge)``
-   pairs, row-major because the member list is sorted.  Entries whose
-   other endpoint has the same root (internal edges) or whose edge
-   already completed (its growth reached its length) are dropped —
-   what survives is exactly the edge set the flat decoder's pass 1
-   rates, each entry carrying the full rate ``1 + activity(other
-   root)``.  A node whose every incident edge has become internal or
-   complete is permanently retired from expansion (both conditions are
-   monotone), so per-round work tracks the live cluster surface, not
-   the graph size.
+   nodes) read their slots out of two ``(D, n_nodes)`` slot tables,
+   laid out once from the flat decoder's shared CSR adjacency: slot
+   ``j`` of a node is its ``j``-th CSR entry (edge id, far endpoint),
+   and ``D`` is the largest detector degree.  One ``take`` per table
+   gives ``(D, H)`` blocks for the ``H`` hot nodes, one column each,
+   row-major in the shot index because the member list is sorted.  A
+   mask keeps the entries the flat decoder's pass 1 rates: the far
+   endpoint's root differs (not internal) and some length remains (not
+   completed).  Unused slots hold a sentinel edge of length 0 and point
+   at the node itself, so the mask drops them both ways.  Nothing is
+   compacted: masked entries ride along at rate 0, and every unmasked
+   one carries the full rate ``1 + activity(far root)``.  A hot node
+   with no unmasked slot is permanently retired from expansion (both
+   conditions are monotone), so per-round work tracks the live cluster
+   surface, not the graph size.
 3. **Completion jump** — the flat decoder's fast-forward trick
-   generalized per shot, computed on the entry list: remaining
-   lengths, ceil-divided slack, and the per-shot ``k = min over the
-   frontier of ceil(remaining / rate)`` run segmented per shot
-   (``minimum.reduceat`` over the row-major entries).  Growth is read
-   and written at the entries only.  Every live shot completes at
-   least one edge per iteration, and the far endpoints of completed
-   edges that were not yet members join the list.
+   generalized per shot: the per-shot ``k = min over the frontier of
+   ceil(remaining / rate)`` runs per hot node over the slots (axis 0),
+   then per shot over the sorted hot nodes (``minimum.reduceat``), with
+   every masked entry reading the uint16 maximum.  Remaining lengths
+   are read and written at the blocks only, masked entries written back
+   unchanged.  An entry finishes when its distance is within its shot's
+   jump; every live shot completes at least one edge per iteration, and
+   the far endpoints of completed edges that were not yet members join
+   the list.
 4. **Merges** — an edge between two active clusters appears in the
-   entry list once per side, with both copies agreeing on rate and
-   growth; at completion the copy seen from the smaller root is kept so
-   each genuine completion is processed exactly once and is recorded
-   as a ``(shot, edge)`` support entry.  Genuine edges union their
-   endpoint clusters by iterated min-root hooking on the small per-edge
-   root arrays — hook the larger root id onto the smaller, re-chase
-   lost writes, then recompress the members by pointer jumping.
-   Min-root hooking keeps every parent pointer non-increasing, so the
-   pointer graph stays acyclic and a retired root can never become a
-   root again — which is what lets parity live only at root slots.
+   blocks once per side, with both copies agreeing on rate and
+   remaining length; at completion the copy seen from the smaller root
+   is kept so each genuine completion is processed exactly once and is
+   recorded as a ``(shot, edge)`` support entry.  Genuine edges union
+   their endpoint clusters by iterated min-root hooking on the small
+   per-edge root arrays — hook the larger root id onto the smaller,
+   re-chase lost writes, then recompress the members by pointer
+   jumping.  Min-root hooking keeps every parent pointer
+   non-increasing, so the pointer graph stays acyclic and a retired
+   root can never become a root again — which is what lets the flags
+   live only at root slots.
 
 No pass in the loop touches a full ``(rows, n_nodes)`` or ``(rows,
-n_edges)`` array; those are reset once per sub-batch.  The pooled
-state is allocated once per kernel and reused across calls (``growth``
-is int16, rates and parities int8), and the full-width resets write
-through ``out=`` or slice fills: numpy routes MB-sized temporaries
-through mmap, and the page-fault churn costs more than the arithmetic.
+n_edges + 1)`` array; those are reset once per sub-batch.  The pooled
+state is allocated once per kernel and reused across calls (remaining
+lengths are int16, with one column for the sentinel; root flags int8),
+and the full-width resets write through ``out=`` or slice
+fills: numpy routes MB-sized temporaries through mmap, and the
+page-fault churn costs more than the arithmetic.  The blocks are never
+compacted because compaction costs more than the padding it drops:
+gathers and compactions cost about 1.5–1.8 ns per element against
+about 0.2 ns for arithmetic, and 89–96% of the real (non-padding)
+entries pass the mask on the benchmark graphs.
 
 **Determinism contract.**  The support returned per shot is identical
 to the flat decoder's: both realize the unit-step growth trajectory.
@@ -101,19 +114,30 @@ from repro import obs
 __all__ = ["BatchedUnionFind", "DEFAULT_LOCKSTEP"]
 
 #: Shots grown per lockstep sub-batch.  Each iteration's passes cover the
-#: members and frontier entries of every shot in the sub-batch, so wider
+#: members and slot blocks of every shot in the sub-batch, so wider
 #: sub-batches amortize numpy dispatch over more shots, while the
 #: per-sub-batch state reset and the wait for the slowest shot grow
-#: with it.  In a kernel-only sweep over 256–2048, 512 was fastest at
-#: d=11 p=1e-3, while 1024 ran about 9% faster at d=7 p=5e-3.  It also
-#: bounds the preallocated ``(lockstep, n_edges)`` pool.
+#: with it.  It also sizes the preallocated ``(lockstep, n_edges + 1)``
+#: pool, and every decoder owns one, so width is paid in memory: sized
+#: per graph to keep the int16 pool under 2 MB (1024 rows at d=7,
+#: 2048–4096 on the d=3 program graphs), perfbench's ``peak_rss_mb``
+#: rose from about 96 to 117 MB on the program workload (six decoders,
+#: six pools) and from 85 to 94 MB at d=7, while two runs per side left
+#: the speed change unresolved (2-core shared Linux host).
 DEFAULT_LOCKSTEP = 512
 
 _MAX_GROWTH_ROUNDS = 1_000_000
-#: Largest edge length the int16 growth state supports: growth can
-#: overshoot its length by at most ``2 * max_length`` in the final jump.
-#: The flat decoder caps its lengths well below this, at 4096 units.
+#: Largest edge length the kernel accepts.  Remaining lengths are int16,
+#: and a jump never takes a rated entry's below -1; the flat decoder
+#: caps its lengths well below this, at 4096 units.
 _MAX_LENGTH = 10922
+#: A masked entry's completion distance, read as uint16: above any real
+#: one, which is at most ``_MAX_LENGTH``.
+_NEVER = np.iinfo(np.uint16).max
+#: Root flag bits: parity and boundary contact.  A cluster is active
+#: when its root's flags equal ``_ACTIVE``: odd, off the boundary.
+_ACTIVE = np.int8(1)
+_BOUNDARY = np.int8(2)
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
@@ -151,20 +175,44 @@ class BatchedUnionFind:
         if len(self.lengths) and int(self.lengths.max()) > _MAX_LENGTH:
             raise ValueError(
                 f"edge lengths exceed {_MAX_LENGTH} units; the int16 lockstep "
-                "kernel cannot represent the growth overshoot"
+                "kernel cannot represent them"
             )
-        self._len16 = self.lengths.astype(np.int16)
+        # One int16 length column per edge plus a sentinel column of
+        # length 0 that every padding slot points at (see ``_slot_tables``).
+        self._len16 = np.zeros(len(self.lengths) + 1, np.int16)
+        self._len16[:-1] = self.lengths
         # The flat decoder's CSR adjacency, shared too: for each node, the
-        # incident edge ids and the opposite endpoints.  Growth discovers
-        # each shot's frontier by expanding the members of active
-        # clusters through it, so per-round work is proportional to
-        # cluster size, not to the edge count.
+        # incident edge ids and the opposite endpoints.  The growth loop
+        # reads it through the slot tables laid out from it once here.
         self.adj_indptr = decoder.adj_indptr
         self.adj_edges = decoder.adj_edges
         self.adj_other = decoder.adj_other
-        self._deg = np.diff(self.adj_indptr)
-        self._seq = np.arange(4 * len(self.lengths), dtype=np.int32)
+        self.slot_edges, self.slot_other = self._slot_tables()
         self._rows = 0  # allocated buffer rows; grown on demand in _ensure
+
+    def _slot_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR laid out slot-major: two ``(D, n_nodes)`` int32 tables.
+
+        Slot ``j`` of node ``x`` holds ``x``'s ``j``-th CSR entry — its
+        edge id and far endpoint, in CSR order.  ``D`` is the largest
+        degree of any *detector* (at least 1).  The boundary row is all
+        padding: its cluster is boundary-flagged, so it is never hot.
+        An unused slot holds the sentinel edge id ``num_edges`` (length
+        0) and the node itself, so its far root is its own root and no
+        length remains — the growth loop's mask drops it both ways.
+        """
+        n1 = self.num_detectors + 1
+        indptr = self.adj_indptr
+        node = np.repeat(np.arange(n1, dtype=np.int32), np.diff(indptr))
+        slot = np.arange(node.size, dtype=np.int32) - indptr.take(node)
+        keep = node != self.boundary
+        node, slot = node[keep], slot[keep]
+        width = int(slot.max(initial=0)) + 1
+        edges = np.full((width, n1), len(self.lengths), np.int32)
+        other = np.tile(np.arange(n1, dtype=np.int32), (width, 1))
+        edges[slot, node] = self.adj_edges[keep]
+        other[slot, node] = self.adj_other[keep]
+        return edges, other
 
     # ------------------------------------------------------------------
     def _ensure(self, rows: int) -> None:
@@ -173,18 +221,19 @@ class BatchedUnionFind:
             return
         rows = max(rows, self.lockstep)
         n1 = self.num_detectors + 1
-        num_edges = len(self._len16)
-        if rows * max(n1, num_edges) >= 2**31:
+        columns = len(self._len16)  # edges plus the sentinel
+        if rows * max(n1, columns) >= 2**31:
             raise ValueError(
                 "batch too large for the kernel's int32 flat indexing"
             )
         shape_n = (rows, n1)
-        shape_e = (rows, num_edges)
-        # Per-shot cluster state (int8 parity/boundary live at root slots).
+        shape_e = (rows, columns)
+        # Per-shot cluster state: int8 flags live at root slots (bit 0
+        # parity, bit 1 boundary contact; a cluster is active at 1), and
+        # each edge's remaining length is int16.
         self._parent = np.empty(shape_n, np.int32)
-        self._par = np.empty(shape_n, np.int8)
-        self._bnd = np.empty(shape_n, np.int8)
-        self._growth = np.empty(shape_e, np.int16)
+        self._flags = np.empty(shape_n, np.int8)
+        self._remain = np.empty(shape_e, np.int16)
         self._unit_round = np.empty(rows, np.int32)
         # Surface (not yet interior) and member masks.
         self._surf = np.empty(shape_n, np.int8)
@@ -247,9 +296,9 @@ class BatchedUnionFind:
 
         Steps 1–4 of the module docstring.  Every pass runs over the
         sorted *member list* — the global ids ``row*n1 + node`` of the
-        nodes inside some cluster — or over the entry list the members
-        expand into; no pass in the loop touches a full ``(rows,
-        n_nodes)`` or ``(rows, n_edges)`` array.  Completions are
+        nodes inside some cluster — or over the ``(D, H)`` slot blocks
+        of its hot members; no pass in the loop touches a full ``(rows,
+        n_nodes)`` or ``(rows, n_edges + 1)`` array.  Completions are
         recorded as they happen, each exactly once, and the support comes
         back as entry arrays (the peel's input; order is unspecified).
         """
@@ -260,7 +309,7 @@ class BatchedUnionFind:
             )
         n = dets.shape[1]
         n1 = n + 1
-        num_edges = len(self._len16)
+        columns = len(self._len16)  # edges plus the sentinel
         done_shot: list[np.ndarray] = [np.empty(0, np.int64)]
         done_edge: list[np.ndarray] = [np.empty(0, np.int32)]
 
@@ -273,35 +322,33 @@ class BatchedUnionFind:
         # Reset the pooled state: every event node starts as its own odd
         # singleton, the boundary a boundary-flagged even one, everything
         # else an even singleton (absorbing a node is just hooking it
-        # into a cluster).  Parents are kept in *global* flat coordinates
+        # into a cluster), and every edge with its full length to grow.
+        # Parents are kept in *global* flat coordinates
         # (``row*n1 + node``): every root gather, activity lookup, hook,
         # chase and compression pass then indexes the raveled buffers
         # directly, with no per-pass row-offset add.
         self._parent[:a] = np.arange(n1, dtype=np.int32)
         np.add(self._parent[:a], self._row_off[:a], out=self._parent[:a])
-        self._par[:a] = 0
-        self._par[:a, :n] = dets[live_ids]
-        self._bnd[:a] = 0
-        self._bnd[:a, self.boundary] = 1
-        self._growth[:a] = 0
+        self._flags[:a] = 0
+        self._flags[:a, :n] = dets[live_ids]
+        self._flags[:a, self.boundary] = _BOUNDARY
+        self._remain[:a] = self._len16
         self._unit_round[:a] = 0
         self._surf[:a] = 1
 
-        len16 = self._len16
         # Raveled views for flat takes/scatters, taken per call: a view
         # stored as an attribute would be pickled as a separate array.
         pflat = self._parent.reshape(-1)
-        parflat, bndflat = self._par.reshape(-1), self._bnd.reshape(-1)
+        flagflat = self._flags.reshape(-1)
         surfflat, memflat = self._surf.reshape(-1), self._member.reshape(-1)
-        gflat = self._growth.reshape(-1)
+        remflat = self._remain.reshape(-1)
         unit_round = self._unit_round
-        adj_edge, adj_other = self.adj_edges, self.adj_other
-        indptr, deg = self.adj_indptr, self._deg
+        slot_edges, slot_other = self.slot_edges, self.slot_other
         # Each live row starts with its event nodes as members, each its
         # own root (the raveled ``(rows, n1)`` layout makes flat
-        # positions global ids; parity is still 0/1, so it views as
-        # bool).  Row slots never move: a member's row is ``// n1``.
-        members = np.flatnonzero(self._par[:a].view(bool)).astype(np.int32)
+        # positions global ids).  Row slots never move: a member's row
+        # is ``// n1``.
+        members = np.flatnonzero(self._flags[:a] == _ACTIVE).astype(np.int32)
         roots = members
         self._member[:a] = False
         memflat[members] = True
@@ -309,15 +356,14 @@ class BatchedUnionFind:
 
         while True:
             # Member activity: odd parity, no boundary contact at the
-            # member's root.  Root slots hold exact parity/boundary flags
-            # and ``par & ~bnd`` is 0/1 in int8, so it views as bool.
-            active = parflat.take(roots) & ~bndflat.take(roots)
+            # member's root, whose slot holds the cluster's exact flags.
+            active = flagflat.take(roots) == _ACTIVE
             mrow = members // n1
 
             # A shot is live iff some member root is active; members of
             # finished shots leave the list for good.
             live = np.zeros(a, bool)
-            live[mrow[active.view(bool)]] = True
+            live[mrow[active]] = True
             n_live = int(np.count_nonzero(live))
             if n_live == 0:
                 return np.concatenate(done_shot), np.concatenate(done_edge)
@@ -330,9 +376,9 @@ class BatchedUnionFind:
 
             # Hot nodes — members of active clusters, minus nodes whose
             # every incident edge has become internal or complete (both
-            # conditions are permanent, so once a node stops producing
-            # frontier entries it never produces one again and the
-            # ``surf`` mask retires it from expansion for good).
+            # conditions are permanent, so once a node has no unmasked
+            # slot left it never has one again and the ``surf`` mask
+            # retires it from expansion for good).
             hsel = np.flatnonzero(active & surfflat.take(members))
             if hsel.size == 0:
                 raise RuntimeError("union-find growth failed to terminate")
@@ -341,79 +387,80 @@ class BatchedUnionFind:
             hb = hs * n1
             hn = hidx - hb
 
-            # Expand hot nodes through the CSR adjacency into an entry
-            # list (shot, edge, other endpoint) — row-major in the shot
-            # index because the member list is sorted.
-            dh = deg.take(hn)
-            cum = np.cumsum(dh)
-            starts = cum - dh
-            total = int(cum[-1])
-            if total > self._seq.size:
-                self._seq = np.arange(total * 2, dtype=np.int32)
-            pos = self._seq[:total] + np.repeat(indptr.take(hn) - starts, dh)
-            eidx = adj_edge.take(pos)
-            far = np.repeat(hb, dh) + adj_other.take(pos)  # global far node
-            shr = np.repeat(hs, dh)
-            fi = shr * num_edges + eidx
+            # The hot nodes' slots as (D, H) blocks, one column per hot
+            # node (row-major in the shot index because the member list
+            # is sorted): edge id, global far node, remaining-length
+            # position.  Padding slots point at the sentinel edge and the
+            # hot node itself.
+            rsrc = roots.take(hsel)  # this side's root (the hot node's cluster)
+            eidx = slot_edges.take(hn, axis=1)
+            far = slot_other.take(hn, axis=1)
+            far += hb
+            fi = eidx + hs * columns
 
-            # Keep the edges the flat decoder would rate: not internal
+            # Mask to the edges the flat decoder would rate: not internal
             # (other endpoint's root differs) and not completed.  A far
             # node outside the member list is its own root, and an edge
-            # is complete exactly when its growth reached its length.
-            ro = pflat.take(far)
-            rrep = np.repeat(roots.take(hsel), dh)
-            m = rrep != ro
-            g = gflat.take(fi)
-            lens = len16.take(eidx)
-            m &= g < lens
-            if total and dh.all():
-                produced = np.logical_or.reduceat(m, starts)
-                exhausted = hidx[~produced]
-                if exhausted.size:
-                    surfflat[exhausted] = 0
-            sel = np.flatnonzero(m)
-            fi = fi.take(sel)
-            ed = eidx.take(sel)
-            sh = shr.take(sel)
-            far = far.take(sel)
-            g = g.take(sel)
-            lens = lens.take(sel)
-            rsrc = rrep.take(sel)  # this side's root (the hot node's cluster)
-            roth = ro.take(sel)  # other endpoint's root
-            # 1 + other side's activity (0 for an even singleton)
-            rate = parflat.take(roth) & ~bndflat.take(roth)
-            rate += np.int8(1)
+            # is complete exactly when no length remains; a padding slot
+            # fails both tests.
+            ro = pflat.take(far)  # other endpoint's root
+            rem = remflat.take(fi)
+            m = ro != rsrc
+            m &= rem > 0
+            produced = np.logical_or.reduce(m, axis=0)
+            if not produced.all():
+                surfflat[hidx[~produced]] = 0
+            # Rate 1 + the other side's activity, 0 where masked.
+            both = flagflat.take(ro) == _ACTIVE
+            both &= m
+            rate = np.add(both, m, dtype=np.int8)
 
-            # Per-shot segments of the row-major entry list; every live
+            # Per-shot segments of the row-major hot nodes; every live
             # shot needs one, or an active cluster has no frontier left
             # (disconnected component) — the flat decoder's failure.
-            first = np.flatnonzero(_run_starts(sh))
+            first = np.flatnonzero(_run_starts(hs))
             if first.size != n_live:
                 raise RuntimeError("union-find growth failed to terminate")
 
-            # Per-shot completion jump on the entry list: k = min over
-            # the shot's frontier of ceil(remaining / rate).
-            shift = rate >> 1  # 0 for rate 1, 1 for rate 2
-            need = np.right_shift(np.subtract(lens, g) + shift, shift)
-            k = np.minimum.reduceat(need, first)
-            shots = sh.take(first)
+            # Per-shot completion jump: k = min over the shot's frontier
+            # of ceil(remaining / rate).  A masked entry's distance is
+            # OR-ed with -1, so read as uint16 it is ``_NEVER``, above
+            # any real one.  The minimum runs per hot node over its
+            # slots, then per shot over its hot nodes.
+            shift = both.view(np.int8)  # 1 for rate 2, else 0
+            need = np.right_shift(rem + shift, shift)
+            need |= np.subtract(m, 1, dtype=np.int16)
+            need = need.view(np.uint16)
+            k = np.minimum.reduceat(need.min(axis=0), first)
+            if int(k.max()) == _NEVER:
+                raise RuntimeError("union-find growth failed to terminate")
+            shots = hs.take(first)
             step[shots] = k
             unit_round[shots] += k
             if int(unit_round[:a].max()) > _MAX_GROWTH_ROUNDS:  # pragma: no cover
                 raise RuntimeError("union-find growth failed to terminate")
 
-            # Apply the jump and complete what finished; every surviving
-            # entry is an edge the flat decoder rates, so completions go
-            # straight into the support.  A rate-2 edge finished from
-            # both sides — keep the copy seen from the smaller root so
-            # each completion is processed once.
-            g += rate * step.take(sh)
-            gflat[fi] = g
-            finished = g >= lens
-            finished &= (rate == np.int8(1)) | (rsrc < roth)
-            done = np.flatnonzero(finished)
-            done_shot.append(live_ids.take(sh.take(done)))
-            done_edge.append(ed.take(done))
+            # Apply the jump; an entry finishes when its distance is
+            # within the jump, which no masked entry is.  The scatter
+            # writes masked entries back unchanged (padding only ever
+            # writes the sentinel column's 0).  Every finished entry is
+            # an edge the flat decoder rates, so completions go straight
+            # into the support.  A rate-2 edge finished from both sides
+            # — keep the copy seen from the smaller root so each
+            # completion is processed once.
+            hstep = step.take(hs)
+            rem -= rate * hstep
+            remflat[fi] = rem
+            done = np.flatnonzero(need <= hstep.view(np.uint16))
+            col = done % hs.size  # the hot node of each completion
+            root_a = rsrc.take(col)
+            root_b = ro.take(done)
+            once = (rate.take(done) == 1) | (root_a < root_b)
+            if not once.all():
+                done, col = done[once], col[once]
+                root_a, root_b = root_a[once], root_b[once]
+            done_shot.append(live_ids.take(hs.take(col)))
+            done_edge.append(eidx.take(done))
 
             # Far endpoints not yet in a cluster join the member list,
             # once each and in sorted place, so hot nodes stay row-major
@@ -427,26 +474,22 @@ class BatchedUnionFind:
                 members.sort(kind="stable")
 
             # Merge across the newly completed edges — their pre-merge
-            # endpoint roots are the entry's (rsrc, roth) pair, already
-            # in hand.  Parity/boundary of every involved pre-merge root
-            # is lifted out, the slots zeroed, and the values scattered
-            # back onto the post-merge roots (XOR for parity, OR for
-            # boundary) so root slots stay exact.
-            root_a = rsrc.take(done)
-            root_b = roth.take(done)
+            # endpoint roots are the entry's (root_a, root_b) pair,
+            # already in hand.  The flags of every involved pre-merge
+            # root are lifted out, the slots zeroed, and the values
+            # scattered back onto the post-merge roots (XOR for parity,
+            # OR for boundary) so root slots stay exact.
             # Sorted dedup of the involved root slots (every live shot
             # completes at least one edge, so the list is never empty);
             # plain sort beats hash-unique at these sizes.
             rf = np.sort(np.concatenate([root_a, root_b]))
             roots_flat = rf[_run_starts(rf)]
-            vals_par = parflat[roots_flat]
-            vals_bnd = bndflat[roots_flat]
-            parflat[roots_flat] = 0
-            bndflat[roots_flat] = 0
+            vals = flagflat[roots_flat]
+            flagflat[roots_flat] = 0
             roots = self._merge_sparse(members, root_a, root_b)
             new_roots = pflat[roots_flat]
-            np.bitwise_xor.at(parflat, new_roots, vals_par)
-            np.bitwise_or.at(bndflat, new_roots, vals_bnd)
+            np.bitwise_xor.at(flagflat, new_roots, vals & _ACTIVE)
+            np.bitwise_or.at(flagflat, new_roots, vals & _BOUNDARY)
 
     # ------------------------------------------------------------------
     def _merge_sparse(

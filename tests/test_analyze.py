@@ -18,6 +18,7 @@ Three pillars:
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,7 @@ from repro.analyze.schedule import _static_violation_ticks
 from repro.circuits import GATE_SPECS, Circuit, GateKind
 from repro.core import Machine, compile_program
 from repro.core.program import LogicalProgram
-from repro.decoders import MatchingGraph, UnionFindDecoder
+from repro.decoders import BatchedUnionFind, MatchingGraph, UnionFindDecoder
 from repro.dem import DetectorErrorModel
 from repro.noise import MEMORY_HARDWARE, ErrorModel
 from repro.surface_code import baseline_memory_circuit
@@ -535,6 +536,31 @@ class TestGraph:
         assert {f.code for f in findings} == {"GRF003"}
         assert [f.location for f in findings] == [f"graph:batched.{name}"]
 
+    @pytest.mark.parametrize("mutation", ["swap_far", "padding_edge", "sentinel"])
+    def test_batched_slot_tables_flagged(self, setup, mutation):
+        # The kernel grows over slot tables laid out from the CSR and a
+        # sentinel edge of length 0; each mis-layout is one finding.
+        dem, _ = setup
+        graph = self._fresh(dem)
+        decoder = UnionFindDecoder(graph)
+        kernel = decoder.batched_kernel()
+        assert lint_graph(graph, decoder=decoder) == []
+        degree = np.diff(decoder.adj_indptr)[: graph.num_detectors]
+        if mutation == "swap_far":
+            node = int(np.flatnonzero(degree >= 2)[0])
+            kernel.slot_other[[0, 1], node] = kernel.slot_other[[1, 0], node]
+            location = f"batched.slots{node}"
+        elif mutation == "padding_edge":
+            node = int(np.flatnonzero(degree < kernel.slot_edges.shape[0])[0])
+            kernel.slot_edges[degree[node], node] = kernel.slot_edges[0, node]
+            location = f"batched.slots{node}"
+        else:
+            kernel._len16[-1] = 1
+            location = "batched.len16"
+        findings = lint_graph(graph, decoder=decoder)
+        assert {f.code for f in findings} == {"GRF003"}
+        assert [f.location for f in findings] == [f"graph:{location}"]
+
 
 # ----------------------------------------------------------------------
 # Diagnostics plumbing + driver
@@ -567,6 +593,23 @@ class TestDriver:
             "instruments": 44, "schedules": 2, "circuit_shapes": 4,
             "joint_shapes": 1, "graphs": 5,
         }
+
+    def test_lint_matrix_checks_the_batched_kernel(self, monkeypatch):
+        # ``lint_matrix`` builds each decoder's kernel, so GRF003's kernel
+        # checks run on every linted graph: skewed slot tables surface.
+        build = BatchedUnionFind._slot_tables
+
+        def skewed(kernel):
+            edges, other = build(kernel)
+            other[[0, 1]] = other[[1, 0]]
+            return edges, other
+
+        monkeypatch.setattr(BatchedUnionFind, "_slot_tables", skewed)
+        report = lint_matrix(
+            programs=("pairs",), distances=(3,), embeddings=("compact",)
+        )
+        assert {d.code for d in report.diagnostics} == {"GRF003"}
+        assert any(".slots" in d.location for d in report.diagnostics)
 
     def test_certify_joint_raises_joint_error(self, error_model):
         machine = Machine(stack_grid=(2, 2), cavity_modes=10, distance=3,

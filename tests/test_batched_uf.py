@@ -12,9 +12,11 @@ d=3/5/7 syndromes at threshold, the vectorized peel against the per-shot
 ``_peel`` (including the observable-odd cycles that must fall back to
 it), the durable executor's graceful degradation when the batched
 tier raises mid-block, and pickled warm decoders (what fleet workers
-receive) decoding exactly as the originals.
+receive) decoding exactly as the originals.  Digests of the predictions
+on 4,096-shot corpora at d=7 and d=11 pin the kernel across rewrites.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -184,12 +186,57 @@ class TestBatchedEqualsFlat:
             BatchedUnionFind(flat, lockstep=0)
 
 
+class TestPinnedPredictions:
+    """sha256 of ``decode_batch`` predictions on sampled corpora.
+
+    The flat-oracle comparisons above cover 128–512 shots per point;
+    these digests cover 4,096 shots, nearly all of them non-trivial, so
+    a slip that only shows at a rare slot or merge pattern still changes
+    them.
+    """
+
+    @pytest.mark.parametrize(
+        "d,p,seed,digest",
+        [
+            (7, 5e-3, 2407,
+             "5f8792c5d35daf4e933618b1bbb8843275388eb57be4613a7cc4191acc10bdc9"),
+            (11, 1e-3, 2411,
+             "0ed8fcbdb4e4db3968f5bcdb0287156bdb8f5a40a0e137eff35c693d7da3e0a1"),
+        ],
+    )
+    def test_prediction_digest(self, d, p, seed, digest):
+        memory, dem, flat = _setup(baseline_memory_circuit, d=d, p=p)
+        sampler = make_sampler(memory.circuit, "packed")
+        dets = sampler.sample(4096, np.random.SeedSequence(seed)).detectors[
+            :, dem.basis_detectors(memory.basis)
+        ]
+        predictions = BatchedUnionFind(flat).decode_batch(
+            np.ascontiguousarray(dets, dtype=bool)
+        )
+        assert hashlib.sha256(predictions.astype("<i8").tobytes()).hexdigest() == digest
+
+
 def _row_supports(kernel, dets):
     """Each row's sorted support edges, from the kernel's ``(shot, edge)`` entries."""
     shot, edge = kernel.grow_batch(dets)
     # Every completion is recorded once: no entry may repeat.
     assert len(set(zip(shot.tolist(), edge.tolist()))) == shot.size
+    # Padding slots point at the sentinel edge, which never completes.
+    assert (edge < kernel.decoder.graph.num_edges).all()
     return [sorted(edge[shot == row].tolist()) for row in range(dets.shape[0])]
+
+
+def _sliced_supports(kernel, dets):
+    """``_row_supports`` over ``kernel.lockstep``-row sub-batches, as
+    ``decode_batch`` slices them."""
+    supports = []
+    for lo in range(0, dets.shape[0], kernel.lockstep):
+        supports += _row_supports(kernel, dets[lo : lo + kernel.lockstep])
+    return supports
+
+
+def _flat_supports(flat, dets):
+    return [sorted(flat._grow(np.flatnonzero(row).tolist())) for row in dets]
 
 
 def _per_shot_peel(flat, dets, supports):
@@ -306,6 +353,20 @@ class TestVectorizedPeel:
             kernel._peel_batch(dets, np.array([], np.int64), np.array([], np.int32))
 
 
+def _hub_graph():
+    """Detector 0 is a hub of the maximal detector degree, detector 9 has
+    degree 0, and the boundary's degree exceeds every detector's: the
+    slot tables' full rows, empty columns and all-padding boundary row."""
+    graph = MatchingGraph(10, "Z")
+    for leaf in range(1, 6):
+        graph.add_edge(0, leaf, 0.01 * leaf, leaf % 2)
+    graph.add_edge(6, 7, 0.02, 0)
+    graph.add_edge(7, 8, 0.03, 1)
+    for det in range(1, 9):
+        graph.add_edge(det, graph.boundary, 0.005 * det, det % 2)
+    return graph
+
+
 def _hand_cases():
     tri = MatchingGraph(3, "Z")
     tri.add_edge(0, 1, 0.01, 0)
@@ -351,10 +412,41 @@ class TestSupportPinning:
             (flat, rng.random((32, flat.graph.num_detectors)) < 0.25),
             (flat7, np.ascontiguousarray(sampled, dtype=bool)),
         ):
-            expected = [
-                sorted(decoder._grow(np.flatnonzero(row).tolist())) for row in dets
-            ]
+            expected = _flat_supports(decoder, dets)
             assert _row_supports(BatchedUnionFind(decoder), dets) == expected
+
+    def test_hub_graph_slots_and_supports(self):
+        graph = _hub_graph()
+        flat = UnionFindDecoder(graph)
+        degree = np.diff(flat.adj_indptr)
+        assert degree[9] == 0 and degree[0] == degree[:-1].max()
+        assert degree[graph.boundary] > degree[0]
+        kernel = BatchedUnionFind(flat)
+        assert kernel.slot_edges.shape == (degree[0], graph.num_detectors + 1)
+        # Events anywhere but the isolated detector, which cannot decode.
+        rng = np.random.default_rng(17)
+        dets = rng.random((200, graph.num_detectors)) < 0.3
+        dets[:, 9] = False
+        expected = _flat_supports(flat, dets)
+        for lockstep in (1, DEFAULT_LOCKSTEP):
+            kernel = BatchedUnionFind(flat, lockstep=lockstep)
+            assert _sliced_supports(kernel, dets) == expected, lockstep
+
+    def test_program_lowerings_match_flat_grow(self, program_lowerings):
+        # The correlated d=3 compare's six graphs: compact and natural,
+        # single qubit and joint, each with its own maximal degree.
+        assert len(program_lowerings) == 6
+        for index, (circuit, sampler) in enumerate(program_lowerings):
+            dem = DetectorErrorModel(circuit, sampler)
+            flat = UnionFindDecoder(MatchingGraph.from_dem(dem, "Z"))
+            dets = sampler.sample(96, np.random.SeedSequence(index)).detectors[
+                :, dem.basis_detectors("Z")
+            ]
+            dets = np.ascontiguousarray(dets, dtype=bool)
+            expected = _flat_supports(flat, dets)
+            for lockstep in (1, DEFAULT_LOCKSTEP):
+                kernel = BatchedUnionFind(flat, lockstep=lockstep)
+                assert _sliced_supports(kernel, dets) == expected, (index, lockstep)
 
 
 class TestDurableDegradation:
