@@ -4,10 +4,10 @@ Measures what the durability layer costs and what it buys, recorded in
 the ``durable`` section of ``BENCH_engine.json``:
 
 - **overhead** — the same memory campaign through the plain engine vs
-  the durable executor (ledger checkpoint per block, fresh decoder state
+  the durable executor (ledger checkpoint per block, one decode batch
   per block, supervised scheduling).  Counts must match exactly; the
   slowdown must stay under ``REPRO_BENCH_MAX_DURABLE_OVERHEAD`` (default
-  3x — per-block decode forgoes the cross-block LRU by design, so some
+  3x — per-block decode forgoes cross-block dedup by design, so some
   overhead is the price of bit-identical resumability).
 - **resume** — re-running a completed campaign from its ledger must
   execute zero blocks and be at least ``REPRO_BENCH_MIN_RESUME_SPEEDUP``

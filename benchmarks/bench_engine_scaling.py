@@ -13,8 +13,8 @@ uploaded as a workflow artifact):
   per-instruction bool-array simulator by ≥ ``REPRO_BENCH_MIN_SPEEDUP``
   (default 5x; CI smoke runs with 2x as the regression gate).
 - **decode_only** — the tiered ``decode_batch`` path (union-find: dedup
-  → LRU → batched lockstep kernel; MWPM: dedup → weight-1/weight-2
-  analytic rules → LRU → per-unique full decode) against a dedup +
+  → batched lockstep kernel; MWPM: dedup → weight-1/weight-2 analytic
+  rules → per-unique full decode) against a dedup +
   per-unique ``decode()`` loop
   baseline.  For union-find the baseline runs the legacy dict
   implementation PR 2 shipped (a true tiered-vs-PR2 number) and the row
@@ -35,8 +35,8 @@ uploaded as a workflow artifact):
 - **end_to_end** — the full engine including decoding, per backend and
   worker count at p=5e-3 (essentially at threshold, where nearly every
   syndrome is unique and heavy — worst case for the fast path) plus a
-  below-threshold point at p=1e-3 where dedup and the LRU carry more of
-  the load.  These runs arm the ``repro.obs`` registry, the only total of
+  below-threshold point at p=1e-3 where dedup carries more of the
+  load.  These runs arm the ``repro.obs`` registry, the only total of
   decode-tier occupancy across calls (fleet workers ship their deltas
   back), so their rates include its overhead (gated at 3% by
   ``test_obs_overhead``).
@@ -199,8 +199,7 @@ def _decode_only(n: int) -> list[dict]:
         dets_full = _sample_syndromes(memory, n)
         for name, (make_tiered, make_baseline, baseline_label, budget) in budgets.items():
             dets = dets_full[:budget]
-            # Fresh decoder each rep: a warm cross-batch LRU would turn
-            # rep 2 into a cache benchmark instead of a decode one.
+            # Fresh decoder each rep, so every rep also builds its kernel.
             reps = []
             for _ in range(DECODE_REPEATS):
                 tiered_rate, stats = _tiered_decode_rate(make_tiered(), dets)
@@ -370,7 +369,7 @@ def test_engine_scaling(once, monkeypatch):
         title=f"Frame-simulation pipeline (p={P}, {n} shots)",
     ))
     print(ascii_table(
-        ["d", "decoder", "tiered shots/sec", "baseline shots/sec", "speedup", "tiers t/w1/w2/c/b/f"],
+        ["d", "decoder", "tiered shots/sec", "baseline shots/sec", "speedup", "tiers t/w1/w2/b/f"],
         [
             (row["distance"], row["decoder"],
              f"{row['tiered_shots_per_sec']:,.0f}",
@@ -395,7 +394,7 @@ def test_engine_scaling(once, monkeypatch):
         title=f"End-to-end engine incl. decoding ({os.cpu_count()} cores, p={P})",
     ))
     print(ascii_table(
-        ["d", "shots/sec", "unique", "tiers t/w1/w2/c/b/f"],
+        ["d", "shots/sec", "unique", "tiers t/w1/w2/b/f"],
         [
             (row["distance"], f"{row['shots_per_sec']:,.0f}", row["unique_syndromes"],
              "/".join(str(row["decode_tiers"][t]) for t in TIER_NAMES))

@@ -18,35 +18,35 @@ through a tier ladder, cheapest first:
     weights.  Decoders without a provably-exact rule return ``None``
     and those syndromes join the heavy ones below; union-find has
     neither rule.
-``cached``
-    A bounded cross-batch LRU of decoder predictions
-    (:class:`~repro.decoders.cache.PackedLRU`), keyed by the packed
-    syndrome bytes, so a syndrome repeated across batches is not
-    re-decoded while it stays cached.  The capacity bound keeps worker
-    memory flat at any total shot count.
 ``batched``
     Decoders that provide a vectorized whole-batch kernel
     (:meth:`SyndromeDecoder._decode_heavy_batch`; union-find routes here
     through the lockstep kernel of ``decoders/batched_uf.py``) decode
     all remaining uniques in one call.  The kernel is bit-identical to
-    the per-shot decoder by contract, so results still land in the LRU
-    and the ``cached`` tier serves them on repeats.
+    the per-shot decoder by contract.
 ``full``
     Everything else runs the decoder's ``decode`` once per unique
-    syndrome and lands in the LRU.
+    syndrome.
 
-So union-find decodes dedup → LRU → kernel, and MWPM dedup → analytic
-tiers → LRU → per-unique ``decode``.  When every unique syndrome in a
-batch is heavy — the regime at threshold — the dispatcher skips the
-weight-tier setup entirely (no pair extraction), so a decoder with no
-batched kernel pays only dedup + LRU over the plain decode loop.
+So union-find decodes dedup → kernel, and MWPM dedup → analytic tiers
+→ per-unique ``decode``.  When every unique syndrome in a batch is
+heavy — the regime at threshold — the dispatcher skips the weight-tier
+setup entirely (no pair extraction), so a decoder with no batched
+kernel pays only the dedup over the plain decode loop.
+
+Decoders keep no state between ``decode_batch`` calls: each call's
+predictions and tier occupancy are a function of its own batch alone,
+whichever batches ran before it in the process.  There is no
+cross-batch cache of predictions: on union-find one cost more dispatch
+time than the kernel decodes it saved (EXPERIMENTS.md, "No state
+between calls", which also gives what MWPM pays without it).
 
 Tier occupancy has one producer, :meth:`SyndromeDecoder._record_stats`,
-and two sinks: the per-call record ``last_batch_stats`` (with the call's
-LRU ``lru_hits``/``lru_misses`` deltas), which ``run_block`` returns
-and checks, and the ``repro_decode_*`` registry counters, the only
-total across calls.  The tiers always sum to the number of unique
-syndromes; ``run_block`` raises when they do not (silent misrouting).
+and two sinks: the per-call record ``last_batch_stats``, which
+``run_block`` returns and checks, and the ``repro_decode_*`` registry
+counters, the only total across calls.  The tiers always sum to the
+number of unique syndromes; ``run_block`` raises when they do not
+(silent misrouting).
 """
 
 from __future__ import annotations
@@ -56,18 +56,12 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.decoders.cache import PackedLRU
 
 __all__ = ["SyndromeDecoder", "TIER_NAMES"]
 
 #: Tier keys, in dispatch order.  ``sum(stats[t] for t in TIER_NAMES)``
 #: always equals ``stats["unique"]``.
-TIER_NAMES = ("trivial", "weight1", "weight2", "cached", "batched", "full")
-
-#: Default bound on cached decoder predictions (entries, not bytes;
-#: a d=7 entry is ~60 bytes of key plus an int, so the default tops out
-#: around a few MB per worker).
-DEFAULT_LRU_CAPACITY = 65536
+TIER_NAMES = ("trivial", "weight1", "weight2", "batched", "full")
 
 
 def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +94,7 @@ class SyndromeDecoder:
 
     Subclasses implement :meth:`decode` (one syndrome, given as a list of
     fired detector indices) and call ``super().__init__(graph)``;
-    ``decode_batch`` — dedup, tier dispatch, LRU — is derived.  Optional
+    ``decode_batch`` — dedup and tier dispatch — is derived.  Optional
     overrides: :meth:`_decode_weight1_batch` and
     :meth:`_decode_weight2_batch` (vectorized exact one- and two-event
     predictions, or ``None`` to fall through) and
@@ -109,33 +103,16 @@ class SyndromeDecoder:
 
     def __init__(self, graph):
         self.graph = graph
-        self._lru = PackedLRU(DEFAULT_LRU_CAPACITY)
         #: tier occupancy of the most recent decode_batch call
         self.last_batch_stats: dict[str, int] | None = None
         self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
 
-    def __getstate__(self) -> dict:
-        """Pickle without LRU contents: a worker starts from an empty one.
-
-        Durable workers reset the LRU before every block anyway, and a
-        warm one would make every shipped decoder as large as its cache.
-        """
-        state = self.__dict__.copy()
-        state["_lru"] = PackedLRU(self._lru.capacity)
-        return state
-
     def reset_batch_state(self) -> None:
-        """Drop cross-batch decode state (the LRU and last-batch stats).
+        """Forget the last call's tier occupancy.
 
-        After this call the next ``decode_batch``'s result *and* its tier
-        occupancy are pure functions of that batch's syndromes: nothing
-        can land in the ``cached`` tier, so which uniques are cached
-        and which are decoded no longer depends on which batches ran
-        earlier in this process.
-        Durable block execution calls this before every block to make
-        per-block checkpoints bit-identical across workers and resumes.
+        Kept for ``perfbench/workloads.py``, which calls it before every
+        campaign; decoding itself keeps no state between calls.
         """
-        self._lru.clear()
         self.last_batch_stats = None
 
     # ------------------------------------------------------------------
@@ -177,12 +154,12 @@ class SyndromeDecoder:
     def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray | None:
         """Whole-batch predictions for the heavy unique syndromes ``dets``.
 
-        "Heavy" means every non-trivial unique that no analytic tier or
-        LRU entry served.  Decoders with a vectorized kernel that is
+        "Heavy" means every non-trivial unique that no analytic tier
+        served.  Decoders with a vectorized kernel that is
         *bit-identical* to their per-shot ``decode`` override this
         (union-find routes through the lockstep kernel); its results
-        populate the ``batched`` tier and the LRU.  Return ``None`` (the
-        default) to fall back to the per-unique ``full`` decode loop.
+        populate the ``batched`` tier.  Return ``None`` (the default) to
+        fall back to the per-unique ``full`` decode loop.
         """
         return None
 
@@ -194,9 +171,8 @@ class SyndromeDecoder:
 
         Returns an ``(shots,)`` int64 array of predicted observable masks.
         Each unique syndrome of the batch is resolved once, and duplicate
-        rows share its prediction.  Across calls only the bounded LRU
-        persists (until :meth:`reset_batch_state`), so a syndrome seen in
-        an earlier batch is decoded again once it has been evicted.
+        rows share its prediction.  Nothing persists across calls, so a
+        syndrome seen in an earlier batch is decoded again.
         """
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2:
@@ -206,16 +182,13 @@ class SyndromeDecoder:
         if shots == 0:
             self._record_stats(0, {t: 0 for t in TIER_NAMES})
             return np.zeros(0, dtype=np.int64)
-        # Bit-pack rows: the dedup sorts 64 detectors per word, and the
-        # packed bytes are the LRU keys.
+        # Bit-pack rows: the dedup sorts 64 detectors per word.
         packed = np.packbits(dets, axis=1) if dets.shape[1] else np.zeros((shots, 0), np.uint8)
         index, inverse = _unique_rows(packed)
         unique_dets = dets[index]
         weights = unique_dets.sum(axis=1, dtype=np.int64)
         predictions = np.zeros(len(index), dtype=np.int64)
         tiers = {t: 0 for t in TIER_NAMES}
-        hits_before = self._lru.hits
-        misses_before = self._lru.misses
 
         if int(weights.min()) > 2:
             # All-heavy fast path (the regime at threshold): no weight
@@ -243,58 +216,33 @@ class SyndromeDecoder:
             heavy = np.sort(np.concatenate(heavy_parts))
 
         if heavy.size:
-            keys = self._lru.keys_for(packed[index[heavy]])
-            hit, cached_values = self._lru.get_many(keys)
-            hits = int(np.count_nonzero(hit))
-            if hits:
-                predictions[heavy[hit]] = cached_values[hit]
-                tiers["cached"] = hits
-            if hits < heavy.size:
-                miss_pos = np.flatnonzero(~hit)
-                missing = heavy[miss_pos]
-                miss_dets = unique_dets[missing]
-                decoded = self._decode_heavy_batch(miss_dets)
-                if decoded is not None:
-                    decoded = np.asarray(decoded, dtype=np.int64)
-                    tiers["batched"] = int(missing.size)
-                else:
-                    # Per-unique full decode; one np.nonzero over the
-                    # block replaces a per-row flatnonzero.
-                    decoded = np.zeros(missing.size, dtype=np.int64)
-                    row_idx, col_idx = np.nonzero(miss_dets)
-                    bounds = np.searchsorted(
-                        row_idx, np.arange(missing.size + 1)
+            heavy_dets = unique_dets[heavy]
+            decoded = self._decode_heavy_batch(heavy_dets)
+            if decoded is not None:
+                decoded = np.asarray(decoded, dtype=np.int64)
+                tiers["batched"] = int(heavy.size)
+            else:
+                # Per-unique full decode; one np.nonzero over the block
+                # replaces a per-row flatnonzero.
+                decoded = np.zeros(heavy.size, dtype=np.int64)
+                row_idx, col_idx = np.nonzero(heavy_dets)
+                bounds = np.searchsorted(row_idx, np.arange(heavy.size + 1))
+                for i in range(heavy.size):
+                    decoded[i] = self._checked_decode(
+                        col_idx[bounds[i] : bounds[i + 1]].tolist()
                     )
-                    for i in range(missing.size):
-                        decoded[i] = self._checked_decode(
-                            col_idx[bounds[i] : bounds[i + 1]].tolist()
-                        )
-                    tiers["full"] = int(missing.size)
-                predictions[missing] = decoded
-                self._lru.put_many([keys[i] for i in miss_pos], decoded)
+                tiers["full"] = int(heavy.size)
+            predictions[heavy] = decoded
 
-        self._record_stats(
-            shots,
-            tiers,
-            unique=len(index),
-            lru_hits=self._lru.hits - hits_before,
-            lru_misses=self._lru.misses - misses_before,
-        )
+        self._record_stats(shots, tiers, unique=len(index))
         return predictions[inverse]
 
-    def _record_stats(
-        self,
-        shots: int,
-        tiers: dict[str, int],
-        unique: int = 0,
-        lru_hits: int = 0,
-        lru_misses: int = 0,
-    ) -> None:
+    def _record_stats(self, shots: int, tiers: dict[str, int], unique: int = 0) -> None:
         stats = dict(tiers)
         stats["unique"] = unique
         stats["shots"] = shots
-        stats["lru_hits"] = lru_hits
-        stats["lru_misses"] = lru_misses
+        # Always 0: ``perfbench/layers.py`` reads both keys on every call.
+        stats["lru_hits"] = stats["lru_misses"] = 0
         self.last_batch_stats = stats
         reg = obs.active()
         if reg is not None:
@@ -305,10 +253,6 @@ class SyndromeDecoder:
             reg.counter("repro_decode_shots_total").inc(shots)
             reg.counter("repro_decode_unique_total").inc(unique)
             reg.counter("repro_decode_batches_total").inc()
-            if lru_hits:
-                reg.counter("repro_decode_lru_hits_total").inc(lru_hits)
-            if lru_misses:
-                reg.counter("repro_decode_lru_misses_total").inc(lru_misses)
             if self._batch_t0:
                 reg.histogram("repro_decode_batch_seconds").observe(
                     perf_counter() - self._batch_t0

@@ -1,8 +1,8 @@
 """Batched lockstep union-find growth kernel.
 
 Union-find's ``decode_batch`` sends every non-trivial unique syndrome
-that misses its LRU here, so this kernel is the only growth loop
-production decoding runs.  It grows *all* of a batch's syndromes
+of a batch here, so this kernel is the only growth loop production
+decoding runs.  It grows *all* of a batch's syndromes
 simultaneously instead of calling the per-shot pure-Python flat-array
 union-find once per syndrome: state lives in 2-D numpy arrays shaped
 ``(batch, n_nodes)`` / ``(batch, n_edges + 1)`` over the *shared* flat edge

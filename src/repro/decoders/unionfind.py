@@ -41,7 +41,7 @@ Union-find has three implementations, each with one job:
 
 - :class:`~repro.decoders.batched_uf.BatchedUnionFind`, the lockstep
   kernel, decodes every non-trivial unique syndrome of ``decode_batch``
-  that misses the LRU (the ``batched`` tier).
+  (the ``batched`` tier).
 - The flat per-shot :meth:`UnionFindDecoder.decode` is the kernel's
   oracle.  Its ``_peel`` peels the kernel's rows with an
   observable-odd support cycle, and the tier-free fallback
@@ -406,7 +406,7 @@ class UnionFindDecoder(SyndromeDecoder):
     def __getstate__(self) -> dict:
         """Pickle without the lazily built kernel and its buffer pool;
         the unpickled decoder builds a fresh kernel on first use."""
-        state = super().__getstate__()
+        state = self.__dict__.copy()
         state["_batched"] = None
         return state
 
@@ -422,7 +422,7 @@ class UnionFindDecoder(SyndromeDecoder):
         return self._batched
 
     def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray:
-        """Every heavy unique — here every non-trivial LRU miss — goes
+        """Every heavy unique — here every non-trivial unique — goes
         through the lockstep kernel (the ``batched`` tier)."""
         return self.batched_kernel().decode_batch(dets)
 

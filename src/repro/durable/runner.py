@@ -21,18 +21,16 @@ which
 An invalid unit (over 63 observables, ``workers < 1``) is rejected by
 the engine's ``check_count_args`` before anything reaches the ledger.
 
-**Determinism contract.**  Every block is executed alone with fresh
-decoder batch state (``run_block``), so its ``(errors, stats)`` is a
-pure function of ``(circuit, seed, block index)`` — which makes an
-interrupted-and-resumed campaign *bit-identical* to an uninterrupted
-one: same block records, same unit totals, same Wilson intervals,
-regardless of workers, scheduling, crashes or retries.  Each block
-record's ``stats`` is the one checkpoint of decode-tier occupancy; the
-executor sums only errors and shots, and tier totals across blocks are
-the ``repro_decode_*`` registry counters.  (Block stats differ from
-in-process plain runs, which decode 16 blocks per batch, in one
-declared way: the ``cached`` tier is always 0, because cross-block LRU
-reuse would make stats depend on scheduling.)
+**Determinism contract.**  Every block is executed alone
+(``run_block``), and decoders keep no state between calls, so its
+``(errors, stats)`` is a pure function of ``(circuit, seed, block
+index)`` — which makes an interrupted-and-resumed campaign
+*bit-identical* to an uninterrupted one: same block records, same unit
+totals, same Wilson intervals, regardless of workers, scheduling,
+crashes or retries.  Each block record's ``stats`` is the one
+checkpoint of decode-tier occupancy; the executor sums only errors and
+shots, and tier totals across blocks are the ``repro_decode_*``
+registry counters.
 
 **Early stopping.**  ``target_ci_width`` stops a unit once the Wilson
 interval over its completed blocks is at most that wide.  The check

@@ -48,10 +48,11 @@ worker takes the lowest block index first, and a retry once its backoff
 has elapsed, at logarithmic cost however many blocks the unit holds.
 
 Every worker runs one block per ``repro.sim.engine.run_block`` call,
-with fresh decoder state.  Because every block's result is therefore a
-pure function of ``(circuit, seed, index)``, none of this machinery
-can change the answer — retries re-execute bit-identical work, and the
-completion order only affects scheduling, never the sums.
+and decoders keep no state between calls.  Because every block's
+result is therefore a pure function of ``(circuit, seed, index)``, none
+of this machinery can change the answer — retries re-execute
+bit-identical work, and the completion order only affects scheduling,
+never the sums.
 
 With ``workers == 1`` and no fleet the same contract runs inline:
 injected crashes arrive as :class:`~repro.durable.faults.InjectedCrash`

@@ -121,8 +121,6 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     _c("repro_decode_shots_total", "Shots entering decode_batch"),
     _c("repro_decode_unique_total", "Unique syndromes after bit-packed dedup"),
     _c("repro_decode_batches_total", "decode_batch calls"),
-    _c("repro_decode_lru_hits_total", "Cross-batch PackedLRU hits"),
-    _c("repro_decode_lru_misses_total", "Cross-batch PackedLRU misses"),
     _h("repro_decode_batch_seconds", "Wall time for one decode_batch call"),
     _h(
         "repro_decode_prepare_seconds",

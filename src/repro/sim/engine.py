@@ -216,7 +216,6 @@ def run_block(
     obs_ids: Sequence[int],
     blocks: Sequence[tuple[int, int, np.random.SeedSequence]],
     *,
-    fresh_decoder_state: bool = True,
     fault=None,
     unit: str = "",
 ) -> tuple[int, dict[str, int]]:
@@ -228,12 +227,12 @@ def run_block(
     ``repro.decoders.batch.TIER_NAMES``), the record a durable ledger
     checkpoints per block.
 
-    With ``fresh_decoder_state`` (the default) the decoder's cross-batch
-    LRU is cleared first, so the returned ``(errors, stats)`` pair is a
-    pure function of ``(sampler, blocks)`` — bit-identical no matter
-    which worker runs it, in what order, or after which others.  That
-    purity is what makes checkpointed results safe to resume from and
-    byte-comparable across interrupted and uninterrupted runs.
+    Decoders keep no state between ``decode_batch`` calls, so the
+    returned ``(errors, stats)`` pair is a pure function of
+    ``(sampler, blocks)`` — bit-identical no matter which worker runs
+    it, in what order, or after which others.  That purity is what makes
+    checkpointed results safe to resume from and byte-comparable across
+    interrupted and uninterrupted runs.
 
     A sampling failure raises :class:`BlockExecutionError` naming the
     block and its seed.  A decode failure — a real tier assertion, or
@@ -246,8 +245,6 @@ def run_block(
     """
     reg = obs.active()
     t0 = perf_counter() if reg is not None else 0.0
-    if fresh_decoder_state:
-        decoder.reset_batch_state()
     # Preallocate and fill block by block, so peak detector memory is one
     # batch (a concatenate of per-block slices would transiently double it).
     total = sum(block_shots for _, block_shots, _ in blocks)
@@ -328,10 +325,11 @@ def count_logical_errors(
     ----------
     workers:
         ``1`` runs in process, :data:`_INLINE_BATCH_BLOCKS` blocks per
-        :func:`run_block` call, keeping the decoder's LRU across calls.
-        More fans blocks out to supervised worker processes, one block
-        per call; a block still failing after the supervisor's retries
-        raises :class:`BlockExecutionError`, so no shots are dropped.
+        :func:`run_block` call, so a syndrome repeated across those
+        blocks is decoded once.  More fans blocks out to supervised
+        worker processes, one block per call; a block still failing
+        after the supervisor's retries raises
+        :class:`BlockExecutionError`, so no shots are dropped.
     backend:
         ``"packed"`` (compiled symptom-table sampler, default) or
         ``"reference"`` (per-instruction bool-array simulator).  Each is
@@ -355,7 +353,6 @@ def count_logical_errors(
                 batch_errors, _ = run_block(
                     sampler, decoder, basis_ids, obs_ids,
                     blocks[i : i + _INLINE_BATCH_BLOCKS],
-                    fresh_decoder_state=False,
                 )
                 errors += batch_errors
             return errors

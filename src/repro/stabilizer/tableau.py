@@ -130,11 +130,9 @@ class TableauSimulator:
         self.x[h] ^= self.x[i]
         self.z[h] ^= self.z[i]
 
-    def _anticommutes(self, row: int, xs: np.ndarray, zs: np.ndarray) -> bool:
-        overlap = np.count_nonzero(self.x[row] & zs) + np.count_nonzero(
-            self.z[row] & xs
-        )
-        return overlap % 2 == 1
+    def _anticommuting_rows(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Bool mask over all ``2n`` rows: which anticommute with ``(xs, zs)``."""
+        return (((self.x & zs) ^ (self.z & xs)).sum(axis=1) & 1).astype(bool)
 
     @staticmethod
     def _pauli_sign_bit(pauli: PauliString) -> int:
@@ -163,19 +161,19 @@ class TableauSimulator:
         sign_bit = self._pauli_sign_bit(pauli)
         n = self.n
 
-        anti_stab = [
-            row for row in range(n, 2 * n) if self._anticommutes(row, xs, zs)
-        ]
-        if anti_stab:
-            p = anti_stab[0]
+        # One mask decides every row: a row's test reads only that row,
+        # and the random branch rewrites only rows it has tested, never
+        # row p; the deterministic branch rewrites no row.
+        anti = self._anticommuting_rows(xs, zs)
+        anti_stab = np.flatnonzero(anti[n:])
+        if anti_stab.size:
+            p = n + int(anti_stab[0])
             # Skip row p and its partner destabilizer p-n: the partner is
             # overwritten below, and its product with row p would be
             # anti-Hermitian (they anticommute), breaking phase tracking.
-            for row in range(2 * n):
-                if row in (p, p - n):
-                    continue
-                if self._anticommutes(row, xs, zs):
-                    self._rowsum(row, p)
+            anti[[p - n, p]] = False
+            for row in np.flatnonzero(anti):
+                self._rowsum(int(row), p)
             # Old stabilizer becomes the destabilizer of the new one.
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
@@ -193,15 +191,14 @@ class TableauSimulator:
         scratch_x = np.zeros(n, dtype=bool)
         scratch_z = np.zeros(n, dtype=bool)
         scratch_r = 0
-        for i in range(n):
-            if self._anticommutes(i, xs, zs):
-                exponent = _g_exponents(self.x[n + i], self.z[n + i], scratch_x, scratch_z)
-                total = (2 * scratch_r + 2 * int(self.r[n + i]) + exponent) % 4
-                if total not in (0, 2):  # pragma: no cover
-                    raise AssertionError("scratch rowsum produced imaginary phase")
-                scratch_r = total // 2
-                scratch_x ^= self.x[n + i]
-                scratch_z ^= self.z[n + i]
+        for i in np.flatnonzero(anti[:n]):
+            exponent = _g_exponents(self.x[n + i], self.z[n + i], scratch_x, scratch_z)
+            total = (2 * scratch_r + 2 * int(self.r[n + i]) + exponent) % 4
+            if total not in (0, 2):  # pragma: no cover
+                raise AssertionError("scratch rowsum produced imaginary phase")
+            scratch_r = total // 2
+            scratch_x ^= self.x[n + i]
+            scratch_z ^= self.z[n + i]
         if not (np.array_equal(scratch_x, xs) and np.array_equal(scratch_z, zs)):
             raise AssertionError("deterministic measurement reconstruction failed")
         return (scratch_r + sign_bit) % 2
@@ -222,10 +219,8 @@ class TableauSimulator:
         """
         if pauli.is_identity():
             return 1 if self._pauli_sign_bit(pauli) == 0 else -1
-        xs, zs = pauli.xs, pauli.zs
-        for row in range(self.n, 2 * self.n):
-            if self._anticommutes(row, xs, zs):
-                return 0
+        if self._anticommuting_rows(pauli.xs, pauli.zs)[self.n :].any():
+            return 0
         clone = self.copy()
         outcome = clone.measure_pauli(pauli)
         return 1 if outcome == 0 else -1

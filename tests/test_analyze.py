@@ -590,7 +590,7 @@ class TestDriver:
         assert not report.diagnostics
         # Exact coverage: a certifier that silently skips shapes fails.
         assert report.checked == {
-            "instruments": 44, "schedules": 2, "circuit_shapes": 4,
+            "instruments": 42, "schedules": 2, "circuit_shapes": 4,
             "joint_shapes": 1, "graphs": 5,
         }
 

@@ -499,7 +499,7 @@ class TestPickledDecoder:
         decoder, basis = setup.decoder, setup.basis_detectors
         cold_bytes = len(pickle.dumps(decoder))
         decoder.decode_batch(sampler.sample(2048, 1).detectors[:, basis])
-        # Neither the kernel's buffer pool nor the LRU travels.
+        # The kernel's buffer pool does not travel.
         blob = pickle.dumps(decoder)
         assert len(blob) < 1.1 * cold_bytes
         clone = pickle.loads(blob)
@@ -512,7 +512,6 @@ class TestPickledDecoder:
             expected = _row_supports(decoder.batched_kernel(), sub)
             assert _row_supports(clone.batched_kernel(), sub) == expected
             assert _row_supports(kernel, sub) == expected
-        decoder.reset_batch_state()
         predictions = decoder.decode_batch(rows)
         assert np.array_equal(clone.decode_batch(rows), predictions)
         assert np.array_equal(kernel.decode_batch(rows), predictions)

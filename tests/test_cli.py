@@ -116,10 +116,9 @@ class TestCLI:
     def test_compare_correlated_decode_totals_are_pinned(self, capsys, tmp_path):
         """Every decode total of one in-process correlated compare.
 
-        Units of one shape share a decoder whose LRU outlives each
-        unit's decode batch, so the ``cached`` cell counts syndromes
-        repeated across units; with the other cells it pins the dedup
-        and the LRU traffic end to end.
+        Decoders keep no state between batches, so a syndrome repeated
+        across units of one shape is decoded again in each: the cells
+        pin the dedup and the tier routing end to end.
         """
         assert main([
             "compare", "--correlated", "--distance", "3", "--shots", "2000",
@@ -129,7 +128,7 @@ class TestCLI:
         snapshot = json.loads((tmp_path / "metrics.json").read_text())
         totals = obs.summarize_snapshot(snapshot)
         assert snapshot["repro_decode_tier_shots_total"]["values"] == {
-            "trivial": 24, "cached": 1790, "batched": 25318,
+            "trivial": 24, "batched": 27108,
         }
         assert totals["repro_decode_unique_total"] == 27132
         assert totals["repro_decode_shots_total"] == 48000

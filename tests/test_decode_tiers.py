@@ -1,12 +1,13 @@
 """Property tests for the tiered batched decode dispatcher.
 
 The contract under test: for ANY batch of syndromes, ``decode_batch`` —
-dedup, MWPM's weight-1/weight-2 analytic rules, LRU, union-find's
-lockstep kernel or the per-unique full decode — returns
-element-wise exactly what a plain loop over ``decode`` would, for every
-decoder.  Hypothesis drives random batches through both paths, including
-the degenerate shapes the tiers special-case: all-zero rows, batches of
-only weight-1/weight-2 syndromes, and heavy (>2 event) syndromes.
+dedup, MWPM's weight-1/weight-2 analytic rules, union-find's lockstep
+kernel or the per-unique full decode — returns element-wise exactly
+what a plain loop over ``decode`` would, for every decoder, and keeps
+no state between calls.  Hypothesis drives random batches through both
+paths, including the degenerate shapes the tiers special-case: all-zero
+rows, batches of only weight-1/weight-2 syndromes, and heavy (>2 event)
+syndromes.
 
 The dedup itself (``_unique_rows``, a sort over 64-bit words) is checked
 against :func:`oracle_unique_rows`, row-wise ``np.unique``, which both
@@ -155,7 +156,6 @@ class TestAnalyticTiersAreExact:
         # like every other non-trivial unique.
         graph, _, uf = decoding_setup
         assert uf._decode_weight1_batch(np.array([0])) is None
-        uf.reset_batch_state()
         uf.decode_batch(np.eye(graph.num_detectors, dtype=bool))
         assert uf.last_batch_stats["weight1"] == 0
         assert uf.last_batch_stats["batched"] == graph.num_detectors
@@ -167,51 +167,29 @@ class TestAnalyticTiersAreExact:
         assert uf._decode_weight2_batch(np.array([0]), np.array([1])) is None
 
 
-class TestLRU:
-    def _fresh_uf(self):
-        model = ErrorModel(hardware=BASELINE_HARDWARE, p=3e-3)
-        memory = baseline_memory_circuit(3, model)
-        dem = DetectorErrorModel(memory.circuit)
-        return UnionFindDecoder(MatchingGraph.from_dem(dem, "Z"))
+class TestStatelessDecoders:
+    """A batch decodes the same, tiers included, whatever batches the
+    decoder decoded before it."""
 
-    def test_repeat_batches_hit_cache_with_identical_results(self):
-        uf = self._fresh_uf()
+    @pytest.mark.parametrize("decoder_name", ["mwpm", "unionfind"])
+    def test_earlier_batch_changes_nothing(self, decoding_setup, decoder_name):
+        graph, mwpm, uf = decoding_setup
+        decoder = mwpm if decoder_name == "mwpm" else uf
+        clone = pickle.loads(pickle.dumps(decoder))
         rng = np.random.default_rng(0)
-        dets = rng.random((64, uf.graph.num_detectors)) < 0.25
-        first = uf.decode_batch(dets)
-        # Union-find's non-trivial uniques decode through the lockstep
-        # kernel; on a fresh decoder every one is an LRU miss.
-        nonzero_unique = len({row.tobytes() for row in dets if row.any()})
-        assert uf.last_batch_stats["batched"] == nonzero_unique
-        assert uf.last_batch_stats["full"] == 0
-        assert uf.last_batch_stats["lru_misses"] == nonzero_unique
-        second = uf.decode_batch(dets)
-        # ...and the kernel's results landed in the LRU, so repeats are
-        # served entirely from the cached tier.
-        assert uf.last_batch_stats["batched"] == 0
-        assert uf.last_batch_stats["full"] == 0
-        assert uf.last_batch_stats["cached"] == nonzero_unique
-        assert uf.last_batch_stats["lru_hits"] == nonzero_unique
-        np.testing.assert_array_equal(first, second)
-
-    def test_capacity_bound_holds_and_evicts_lru_order(self):
-        uf = self._fresh_uf()
-        uf._lru.capacity = 8
-        rng = np.random.default_rng(1)
-        for _ in range(12):
-            dets = rng.random((32, uf.graph.num_detectors)) < 0.3
-            uf.decode_batch(dets)
-            assert len(uf._lru) <= 8
-
-    def test_eviction_never_changes_results(self):
-        bounded, unbounded = self._fresh_uf(), self._fresh_uf()
-        bounded._lru.capacity = 4
-        rng = np.random.default_rng(2)
-        batches = [rng.random((24, bounded.graph.num_detectors)) < 0.3 for _ in range(6)]
-        for dets in batches:
-            np.testing.assert_array_equal(
-                bounded.decode_batch(dets), unbounded.decode_batch(dets)
-            )
+        n = graph.num_detectors
+        # Rows of every weight; batch B repeats every other row of A.
+        density = rng.choice([0.0, 0.05, 0.15, 0.3], size=(96, 1))
+        a = rng.random((96, n)) < density
+        b = np.vstack([a[::2], rng.random((48, n)) < density[:48]])
+        assert (a[::2].sum(axis=1) > 2).any()  # shared heavy syndromes
+        decoder.decode_batch(a)
+        after_a = decoder.decode_batch(b)
+        stats_after_a = decoder.last_batch_stats
+        np.testing.assert_array_equal(after_a, clone.decode_batch(b))
+        assert stats_after_a == clone.last_batch_stats
+        heavy_tier = "full" if decoder_name == "mwpm" else "batched"
+        assert stats_after_a[heavy_tier] > 0
 
 
 @st.composite
@@ -265,12 +243,7 @@ class TestWordSortDedup:
 
     def test_decode_batch_matches_oracle_dedup(self, sampled, monkeypatch):
         decoder, batches = sampled
-        decoder.reset_batch_state()
-        oracle = pickle.loads(pickle.dumps(decoder))  # same graph, empty LRU
-        # Far below each batch's ~1,900 uniques, so every call evicts and
-        # which rows stay cached depends on the insertion order.
-        decoder._lru.capacity = oracle._lru.capacity = 700
-        cached = 0
+        oracle = pickle.loads(pickle.dumps(decoder))  # same graph
         for dets in batches:
             predictions = decoder.decode_batch(dets)
             with monkeypatch.context() as patch:
@@ -278,12 +251,6 @@ class TestWordSortDedup:
                 expected = oracle.decode_batch(dets)
             np.testing.assert_array_equal(predictions, expected)
             assert decoder.last_batch_stats == oracle.last_batch_stats
-            assert list(decoder._lru._data.items()) == list(
-                oracle._lru._data.items()
-            )
-            assert len(decoder._lru) == 700
-            cached += decoder.last_batch_stats["cached"]
-        assert cached > 0
 
     def test_decode_block_full_matches_oracle_dedup(self, sampled, monkeypatch):
         decoder, batches = sampled

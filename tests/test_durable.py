@@ -200,6 +200,32 @@ class TestResumeBitIdentity:
         assert [r["completed_blocks"] for r in reports] == [2, 3]
         assert reports[-1]["shots"] == SHOTS and reports[-1]["errors"] > 0
 
+    def test_resume_from_block_records_with_a_cached_tier(self):
+        """Block records in the shape written while decoders kept a
+        cross-batch LRU (``cached: 0``, nonzero ``lru_misses``) resume to
+        the uninterrupted unit totals and lint clean."""
+        with tempfile.TemporaryDirectory() as td:
+            clean_path = Path(td) / "clean.jsonl"
+            _run(clean_path)
+            path = Path(td) / "old.jsonl"
+            with pytest.raises(CampaignInterrupted):
+                _run(path, fault=FaultPlan(abort_after=2))
+            lines = []
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                if record["kind"] == "block":
+                    record["stats"]["cached"] = 0
+                    record["stats"]["lru_misses"] = record["stats"]["batched"]
+                    assert record["stats"]["lru_misses"] > 0
+                lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            path.write_text("\n".join(lines) + "\n")
+            resumed, executor = _run(path)
+            assert executor.units[-1].resumed_blocks == 2
+            assert resumed == _clean_run("packed")[0]
+            assert parse_ledger(path).units == parse_ledger(clean_path).units
+            report = lint_ledger(path)
+            assert report.ok and not report.warnings
+
 
 class TestFaultInjectionNeverAltersResults:
     """Injected crashes/hangs/exceptions are retried with backoff and
@@ -600,8 +626,8 @@ class TestInvalidUnitRejected:
 
 
 class TestDurableVsPlainEngine:
-    """Durable and plain engine agree on counts; stats differ only in
-    the declared way (no cross-block `cached` reuse)."""
+    """Durable and plain engine agree on counts; block stats hold only
+    the live tiers."""
 
     def test_error_counts_match_plain_engine(self):
         plain = run_memory_experiment(_MEMORY, shots=SHOTS, seed=SEED)
@@ -615,7 +641,7 @@ class TestDurableVsPlainEngine:
         assert len(records) == 3
         for record in records:
             stats = record["stats"]
-            assert stats["cached"] == 0
+            assert "cached" not in stats
             assert sum(stats[t] for t in TIER_NAMES) == stats["unique"]
 
 

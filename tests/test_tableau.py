@@ -1,10 +1,13 @@
 """Tests for the Aaronson–Gottesman tableau simulator."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit
 from repro.pauli import PauliString
 from repro.stabilizer import TableauSimulator
+from repro.stabilizer.tableau import _g_exponents
 
 
 class TestBasics:
@@ -220,3 +223,103 @@ class TestRunCircuit:
         clone.gate_x(0)
         assert sim.measure(0) == 0
         assert clone.measure(0) == 1
+
+
+class _RowLoopTableau(TableauSimulator):
+    """The oracle for the one-mask measurement: every row's
+    anticommutation is tested inside the loop, after the rowsums of the
+    rows before it."""
+
+    def _anticommutes(self, row, xs, zs):
+        overlap = np.count_nonzero(self.x[row] & zs) + np.count_nonzero(
+            self.z[row] & xs
+        )
+        return overlap % 2 == 1
+
+    def measure_pauli(self, pauli, forced_outcome=None):
+        if pauli.is_identity():
+            return self._pauli_sign_bit(pauli)
+        xs, zs = pauli.xs, pauli.zs
+        sign_bit = self._pauli_sign_bit(pauli)
+        n = self.n
+        anti_stab = [row for row in range(n, 2 * n) if self._anticommutes(row, xs, zs)]
+        if anti_stab:
+            p = anti_stab[0]
+            for row in range(2 * n):
+                if row not in (p, p - n) and self._anticommutes(row, xs, zs):
+                    self._rowsum(row, p)
+            self.x[p - n] = self.x[p]
+            self.z[p - n] = self.z[p]
+            self.r[p - n] = self.r[p]
+            outcome = self.rng.integers(2) if forced_outcome is None else forced_outcome
+            self.x[p] = xs
+            self.z[p] = zs
+            self.r[p] = (outcome + sign_bit) % 2
+            return outcome
+        scratch_x = np.zeros(n, dtype=bool)
+        scratch_z = np.zeros(n, dtype=bool)
+        scratch_r = 0
+        for i in range(n):
+            if self._anticommutes(i, xs, zs):
+                row_x, row_z = self.x[n + i], self.z[n + i]
+                exponent = _g_exponents(row_x, row_z, scratch_x, scratch_z)
+                scratch_r = (2 * scratch_r + 2 * int(self.r[n + i]) + exponent) % 4 // 2
+                scratch_x ^= row_x
+                scratch_z ^= row_z
+        assert np.array_equal(scratch_x, xs) and np.array_equal(scratch_z, zs)
+        return (scratch_r + sign_bit) % 2
+
+    def peek_pauli_expectation(self, pauli):
+        if pauli.is_identity():
+            return 1 if self._pauli_sign_bit(pauli) == 0 else -1
+        for row in range(self.n, 2 * self.n):
+            if self._anticommutes(row, pauli.xs, pauli.zs):
+                return 0
+        return 1 if self.copy().measure_pauli(pauli) == 0 else -1
+
+
+_N = 5
+_gate = st.one_of(
+    st.tuples(
+        st.sampled_from(["h", "s", "s_dag", "gate_x", "gate_y", "gate_z"]),
+        st.integers(0, _N - 1),
+    ),
+    st.tuples(
+        st.sampled_from(["cx", "cz", "swap"]),
+        st.integers(0, _N - 1),
+        st.integers(0, _N - 1),
+    ).filter(lambda op: op[1] != op[2]),
+)
+_measurement = st.tuples(
+    st.just("measure"),
+    st.text(alphabet="IXYZ", min_size=_N, max_size=_N),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestOneMaskMeasurement:
+    """``measure_pauli`` decides every row from one anticommutation mask;
+    outcomes and the final tableau equal the per-row loop's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(st.one_of(_gate, _measurement), max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_row_loop(self, ops, seed):
+        sim, oracle = TableauSimulator(_N, seed=seed), _RowLoopTableau(_N, seed=seed)
+        outcomes, expected = [], []
+        for op in ops:
+            if op[0] == "measure":
+                pauli = PauliString.from_string(op[1], op[2])
+                expected.append(oracle.peek_pauli_expectation(pauli))
+                outcomes.append(sim.peek_pauli_expectation(pauli))
+                expected.append(oracle.measure_pauli(pauli))
+                outcomes.append(sim.measure_pauli(pauli))
+            else:
+                getattr(sim, op[0])(*op[1:])
+                getattr(oracle, op[0])(*op[1:])
+        assert outcomes == expected
+        np.testing.assert_array_equal(sim.x, oracle.x)
+        np.testing.assert_array_equal(sim.z, oracle.z)
+        np.testing.assert_array_equal(sim.r, oracle.r)
