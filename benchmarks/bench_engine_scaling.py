@@ -78,8 +78,9 @@ DECODE_CHUNK = 1024
 # (for union-find) flat back to back with fresh decoder state, and the
 # median-ratio rep is recorded: pairing cancels machine drift between
 # the two timed regions, and the median sheds one-off scheduler hiccups
-# that would otherwise flake the gated ratios.
-DECODE_REPEATS = 3
+# that would otherwise flake the gated ratios.  The two gated sides swap
+# order every rep (``_paired``), so neither always takes the first slot.
+DECODE_REPEATS = 7
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Sample span trace from the instrumented overhead rep (CI uploads it as
@@ -111,6 +112,15 @@ def _min_mwpm_decode_speedup() -> float:
     # that noise floor: a structural dispatch cost shows up as a
     # systematic shortfall below it, not as scatter around 1.0.
     return float(os.environ.get("REPRO_BENCH_MIN_MWPM_DECODE_SPEEDUP", 0.95))
+
+
+def _paired(rep: int, first, second) -> tuple:
+    """``(first(), second())``, run in swapped order on odd reps."""
+    if rep % 2:
+        b = second()
+        return first(), b
+    a = first()
+    return a, second()
 
 
 def _sampling_rate(circuit, backend: str, n: int) -> float:
@@ -201,9 +211,12 @@ def _decode_only(n: int) -> list[dict]:
             dets = dets_full[:budget]
             # Fresh decoder each rep, so every rep also builds its kernel.
             reps = []
-            for _ in range(DECODE_REPEATS):
-                tiered_rate, stats = _tiered_decode_rate(make_tiered(), dets)
-                baseline_rate = _baseline_decode_rate(make_baseline(), dets)
+            for rep in range(DECODE_REPEATS):
+                (tiered_rate, stats), baseline_rate = _paired(
+                    rep,
+                    lambda: _tiered_decode_rate(make_tiered(), dets),
+                    lambda: _baseline_decode_rate(make_baseline(), dets),
+                )
                 flat_rate = (
                     _baseline_decode_rate(UnionFindDecoder(graph), dets)
                     if name == "unionfind"
@@ -436,9 +449,10 @@ def test_obs_overhead(once):
     """Observability tax: instrumented vs noop on the d=7 hot path.
 
     Each rep times the identical single-worker engine run twice back to
-    back — registry + tracer disarmed, then armed — and the median-ratio
-    rep is recorded (same pairing discipline as the decode bench: pairing
-    cancels machine drift, the median sheds scheduler hiccups).  The
+    back — registry + tracer disarmed and armed, the first slot swapping
+    every rep — and the median-ratio rep is recorded (same pairing
+    discipline as the decode bench: pairing cancels machine drift, the
+    median sheds scheduler hiccups).  The
     armed run must stay within ``REPRO_BENCH_MAX_OBS_OVERHEAD`` of the
     noop run, and both runs must produce bit-identical logical-error
     counts — instrumentation that perturbed results would be worse than
@@ -453,6 +467,15 @@ def test_obs_overhead(once):
         result = run_memory_experiment(memory, shots=n, seed=0, workers=1)
         return time.perf_counter() - start, result.logical_errors
 
+    def armed_run():
+        reg = obs.enable()
+        tracer = obs.enable_tracing()
+        try:
+            return (*run_once(), reg.snapshot(), tracer)
+        finally:
+            obs.disable()
+            obs.disable_tracing()
+
     def measure():
         try:
             obs.disable()
@@ -460,16 +483,11 @@ def test_obs_overhead(once):
             run_once()  # warm-up outside every timed region
             reps = []
             tracer = None
-            for _ in range(DECODE_REPEATS):
-                obs.disable()
-                obs.disable_tracing()
-                noop_elapsed, noop_errors = run_once()
-                reg = obs.enable()
-                tracer = obs.enable_tracing()
-                instr_elapsed, instr_errors = run_once()
-                snapshot = reg.snapshot()
-                obs.disable()
-                obs.disable_tracing()
+            for rep in range(DECODE_REPEATS):
+                (noop_elapsed, noop_errors), armed = _paired(
+                    rep, run_once, armed_run
+                )
+                instr_elapsed, instr_errors, snapshot, tracer = armed
                 # Bit-identity: the armed run must not perturb results.
                 assert instr_errors == noop_errors, (instr_errors, noop_errors)
                 totals = obs.summarize_snapshot(snapshot)

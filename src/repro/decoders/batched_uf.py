@@ -62,11 +62,17 @@ Per lockstep iteration:
    recorded as a ``(shot, edge)`` support entry.  Genuine edges union
    their endpoint clusters by iterated min-root hooking on the small
    per-edge root arrays — hook the larger root id onto the smaller,
-   re-chase lost writes, then recompress the members by pointer
-   jumping.  Min-root hooking keeps every parent pointer
-   non-increasing, so the pointer graph stays acyclic and a retired
-   root can never become a root again — which is what lets the flags
-   live only at root slots.
+   re-chase lost writes.  Every parent pointer carries an XOR
+   potential ``φ``, the observable parity of the forest path to its
+   parent, written from the same edge as the hook that won, so the
+   hooks build a spanning forest of every cluster out of support
+   edges.  Once the hooks converge, each involved pre-merge root
+   points straight at its new root, and the members under a moved
+   root follow it in one gather: members stay compressed, with ``φ``
+   relative to their root.  Min-root hooking keeps every parent
+   pointer non-increasing, so the pointer graph stays acyclic and a
+   retired root can never become a root again — which is what lets
+   the flags live only at root slots, and keeps every root's ``φ`` 0.
 
 No pass in the loop touches a full ``(rows, n_nodes)`` or ``(rows,
 n_edges + 1)`` array; those are reset once per sub-batch.  The pooled
@@ -85,28 +91,29 @@ to the flat decoder's: both realize the unit-step growth trajectory.
 The regression tests pin the flat decoder round by round against an
 independent unit-step reference and the legacy decoder, and this
 kernel's support against the flat decoder's ``_grow``, row by row.
-Peeling is one vectorized pass over the whole sub-batch: a small
-union-find over the support entries with XOR offsets assigns every
-support node a potential ``φ`` (the observable parity of a forest path
-to its component root).  The flat decoder's canonical ``_peel`` returns
-the observable mask of *one* correction inside the support whose
-boundary is the event set (plus the boundary node when the event count
-is odd); any two such corrections differ by a cycle of the support.  If
-every support edge satisfies ``φ(u) ^ φ(v) == obs(e)``, every cycle has
-zero observable parity and every such correction has the mask
-``XOR of φ over its boundary`` — so the prediction is tree-independent
-and equals ``_peel``'s.  A shot with an observable-odd support cycle (a
-boundary-to-boundary spanning cluster, a fraction of a percent of rows
-at threshold) falls back to ``_peel`` itself.  Corrections are therefore
-bit-identical to per-shot flat decoding, which keeps every pinned
-ledger, bench count, and resume contract unchanged.
+Peeling reads the predictions off the forest growth leaves behind.
+Growth stops only when no cluster is odd and off the boundary, its
+clusters are then exactly the support's connected components, and its
+hook edges span each one, so ``φ(x)`` is the observable parity of a
+support path from ``x`` to its cluster's root.  The flat decoder's
+canonical ``_peel`` returns the observable mask of *one* correction
+inside the support whose boundary is the event set (plus the boundary
+node when the event count is odd); any two such corrections differ by a
+cycle of the support.  If every support edge satisfies ``φ(u) ^ φ(v) ==
+obs(e)``, every cycle has zero observable parity and every such
+correction has the mask ``XOR of φ over its boundary`` — so the
+prediction is tree-independent and equals ``_peel``'s.  A shot with an
+observable-odd support cycle (a boundary-to-boundary spanning cluster, a
+fraction of a percent of rows at threshold) falls back to ``_peel``
+itself; whether it has one depends on its support alone, not on which
+hooks won.  Corrections are therefore bit-identical to per-shot flat
+decoding, which keeps every pinned ledger, bench count, and resume
+contract unchanged.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import NoReturn
-
 import numpy as np
 
 from repro import obs
@@ -238,10 +245,10 @@ class BatchedUnionFind:
         # Surface (not yet interior) and member masks.
         self._surf = np.empty(shape_n, np.int8)
         self._member = np.empty(shape_n, bool)
-        # Peel state, indexed by ``row * n1 + node`` and written only at
-        # the support nodes of the current sub-batch (never cleared).
-        self._pl_parent = np.empty(rows * n1, np.int32)
-        self._pl_phi = np.empty(rows * n1, np.int64)
+        # XOR potential of each parent pointer (observable parity of the
+        # forest path to the parent), written only at members: 0 when a
+        # node joins, set when its root is hooked.  The peel reads it.
+        self._phi = np.empty(shape_n, np.int64)
         # Flat-index bases: buffer row r of a (rows, n1) array starts at
         # flat offset r*n1, so ``row_off + node`` gathers straight out of
         # the raveled buffer with no 2-D advanced indexing.
@@ -300,7 +307,9 @@ class BatchedUnionFind:
         of its hot members; no pass in the loop touches a full ``(rows,
         n_nodes)`` or ``(rows, n_edges + 1)`` array.  Completions are
         recorded as they happen, each exactly once, and the support comes
-        back as entry arrays (the peel's input; order is unspecified).
+        back as entry arrays (order is unspecified).  The forest the
+        merges built — parents and ``φ`` at every member, live rows
+        packed first — stays in the pool for ``_peel_batch``.
         """
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2 or dets.shape[1] != self.num_detectors:
@@ -342,6 +351,7 @@ class BatchedUnionFind:
         flagflat = self._flags.reshape(-1)
         surfflat, memflat = self._surf.reshape(-1), self._member.reshape(-1)
         remflat = self._remain.reshape(-1)
+        phiflat = self._phi.reshape(-1)
         unit_round = self._unit_round
         slot_edges, slot_other = self.slot_edges, self.slot_other
         # Each live row starts with its event nodes as members, each its
@@ -352,6 +362,7 @@ class BatchedUnionFind:
         roots = members
         self._member[:a] = False
         memflat[members] = True
+        phiflat[members] = 0
         step = np.empty(a, np.int16)  # per-shot jump of this iteration
 
         while True:
@@ -459,17 +470,21 @@ class BatchedUnionFind:
             if not once.all():
                 done, col = done[once], col[once]
                 root_a, root_b = root_a[once], root_b[once]
+            edge = eidx.take(done)
             done_shot.append(live_ids.take(hs.take(col)))
-            done_edge.append(eidx.take(done))
+            done_edge.append(edge)
 
             # Far endpoints not yet in a cluster join the member list,
             # once each and in sorted place, so hot nodes stay row-major
             # (the stable sort merges the two sorted runs in linear time).
-            joined = far.take(done)
+            # A joining node is its own root, so its ``φ`` starts at 0.
+            ends = np.concatenate((hidx.take(col), far.take(done)))
+            joined = ends[col.size :]
             joined = joined[~memflat.take(joined)]
             if joined.size:
                 joined.sort()
                 memflat[joined] = True
+                phiflat[joined] = 0
                 members = np.concatenate((members, joined[_run_starts(joined)]))
                 members.sort(kind="stable")
 
@@ -482,35 +497,52 @@ class BatchedUnionFind:
             # Sorted dedup of the involved root slots (every live shot
             # completes at least one edge, so the list is never empty);
             # plain sort beats hash-unique at these sizes.
-            rf = np.sort(np.concatenate([root_a, root_b]))
+            end_roots = np.concatenate([root_a, root_b])
+            rf = np.sort(end_roots)
             roots_flat = rf[_run_starts(rf)]
             vals = flagflat[roots_flat]
             flagflat[roots_flat] = 0
-            roots = self._merge_sparse(members, root_a, root_b)
+            roots = self._merge_sparse(
+                members, end_roots, ends, self.decoder.edge_obs.take(edge)
+            )
             new_roots = pflat[roots_flat]
             np.bitwise_xor.at(flagflat, new_roots, vals & _ACTIVE)
             np.bitwise_or.at(flagflat, new_roots, vals & _BOUNDARY)
 
     # ------------------------------------------------------------------
     def _merge_sparse(
-        self, members: np.ndarray, root_a: np.ndarray, root_b: np.ndarray
+        self,
+        members: np.ndarray,
+        end_roots: np.ndarray,
+        ends: np.ndarray,
+        obs_e: np.ndarray,
     ) -> np.ndarray:
         """Union across completed edges by iterated min-root hooking.
 
+        Edge ``i`` of ``h`` joins ``ends[i]`` and ``ends[h + i]``, whose
+        pre-merge roots are ``end_roots[i]`` and ``end_roots[h + i]``,
+        and flips ``obs_e[i]``.
         Roots arrive in global flat coordinates, so hooks and the root
         re-chasing after lost writes (two merges sharing a root in one
-        pass) index the raveled parent buffer directly and run on the
-        small per-edge arrays only.  Once the hook loop converges, the
-        members are recompressed by pointer jumping, and their roots
-        are returned; every other node is an untouched singleton and
+        pass) index the raveled buffers directly and run on the small
+        per-edge arrays only.  ``acc`` follows each endpoint's ``φ``
+        relative to its chased root, so a root ``hi`` hooked under
+        ``lo`` takes ``φ(hi) = acc_u ^ acc_v ^ obs(e)`` from an edge
+        whose hook won, and the edge's endpoints then differ by
+        ``obs(e)``.  At convergence the chased roots and ``acc`` point
+        every involved pre-merge root straight at its new root; members
+        under a moved root follow it, and the members' roots are
+        returned.  Every other node is an untouched singleton and
         already its own root.
         Min-hooking keeps parent pointers non-increasing, hence acyclic,
         so a retired root can never become a root again — which is what
-        lets parity live only at root slots.
+        lets parity live only at root slots, and keeps a root's ``φ`` 0.
         """
         pflat = self._parent.reshape(-1)
-        h = root_a.size
-        rr = np.concatenate([root_a, root_b])
+        phi = self._phi.reshape(-1)
+        h = obs_e.size
+        hooked = rr = end_roots
+        start = acc = phi.take(ends)  # φ relative to ``rr``
         while True:
             ra = rr[:h]
             rb = rr[h:]
@@ -520,124 +552,71 @@ class BatchedUnionFind:
             lo = np.minimum(ra, rb)[unmerged]
             hi = np.maximum(ra, rb)[unmerged]
             pflat[hi] = lo
+            # The offset comes from an edge whose parent write won.
+            won = pflat.take(hi) == lo
+            val = (acc[:h] ^ acc[h:] ^ obs_e)[unmerged]
+            phi[hi[won]] = val[won]
             while True:  # re-chase every endpoint root after the hooks
-                nxt = pflat[rr]
+                nxt = pflat.take(rr)
                 if (nxt == rr).all():
                     break
+                acc = acc ^ phi.take(rr)
                 rr = nxt
+        # Only the involved pre-merge roots can have been hooked; each now
+        # points at its new root, ``start ^ acc`` being its path parity.
+        pflat[hooked] = rr
+        phi[hooked] = start ^ acc
+        # A member points at its pre-merge root: follow a moved one.
         up = pflat.take(members)
-        while True:
-            upup = pflat.take(up)
-            if (upup == up).all():
-                return up
-            pflat[members] = upup
-            up = upup
+        root = pflat.take(up)
+        moved = np.flatnonzero(up != root)
+        if moved.size:
+            follow = members.take(moved)
+            phi[follow] ^= phi.take(up.take(moved))
+            pflat[follow] = root.take(moved)
+        return root
 
     # ------------------------------------------------------------------
     def _peel_batch(
         self, dets: np.ndarray, shot: np.ndarray, edge: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Peel a whole sub-batch in one vectorized XOR-potential pass.
+        """Read a sub-batch's predictions off the forest growth built.
 
-        ``(shot, edge)`` lists the grown support.  Support nodes are
-        labelled ``shot * n1 + node`` and joined by min-root hooking plus
-        pointer jumping — the growth kernel's union pattern — with every
-        hook recording the XOR offset that makes its edge consistent, so
-        at convergence ``φ(x)`` is the observable parity of a forest path
-        from ``x`` to its component root.  The prediction is the XOR of
-        ``φ`` over the events, and over the boundary node when the event
-        count is odd.  It equals the flat decoder's ``_peel`` whenever
-        every support edge satisfies ``φ(u) ^ φ(v) == obs(e)`` (see the
-        module docstring); the rows that fail that check are peeled by
-        ``_peel`` itself.  Returns the predictions and the number of
-        those fallback rows.
-
-        A component with an odd number of events and no boundary node
-        raises the same error ``_peel`` raises.
+        Runs right after ``grow_batch(dets)`` returned the support
+        ``(shot, edge)``: growth packs the live rows first, and every
+        member's ``φ`` is then relative to its cluster root.  The
+        prediction is the XOR of ``φ`` over the events, and over the
+        boundary node when the event count is odd.  It equals the flat
+        decoder's ``_peel`` whenever every support edge satisfies
+        ``φ(u) ^ φ(v) == obs(e)`` (see the module docstring); the rows
+        that fail that check are peeled by ``_peel`` itself.  Returns
+        the predictions and the number of those fallback rows.
         """
-        rows = dets.shape[0]
-        predictions = np.zeros(rows, dtype=np.int64)
+        predictions = np.zeros(dets.shape[0], dtype=np.int64)
         ev_shot, ev_col = np.nonzero(dets)
         if ev_shot.size == 0:
             return predictions, 0
-        self._ensure(rows)
         n1 = self.num_detectors + 1
-        parent, phi = self._pl_parent, self._pl_phi
-        w = self.decoder.edge_obs.take(edge)
-        base = shot * n1
-        ends = np.concatenate(
-            [base + self.edge_u.take(edge), base + self.edge_v.take(edge)]
-        )
-        ev_node = ev_shot * n1 + ev_col
-        b_node = np.arange(rows) * n1 + self.boundary
-        # Events and boundary slots outside the support keep the -1 mark.
-        parent[ev_node] = -1
-        parent[b_node] = -1
-        parent[ends] = ends
-        phi[ends] = 0
-
-        h = edge.size
-        while True:
-            # Invariant: every support node points at its root, and its
-            # ``φ`` is relative to that root.
-            roots = parent.take(ends)
-            cross = np.flatnonzero(roots[:h] != roots[h:])
-            if cross.size == 0:
-                break
-            cross_v = cross + h
-            ru = roots.take(cross)
-            rv = roots.take(cross_v)
-            val = phi.take(ends.take(cross)) ^ phi.take(ends.take(cross_v))
-            val ^= w.take(cross)
-            lo = np.minimum(ru, rv)
-            hi = np.maximum(ru, rv)
-            # Each hooked root takes its smallest neighbouring root, and
-            # the offset of one edge that achieved it.
-            np.minimum.at(parent, hi, lo)
-            won = parent.take(hi) == lo
-            phi[hi[won]] = val[won]
-            while True:  # pointer jumping, offsets accumulated on the way
-                up = parent.take(ends)
-                upup = parent.take(up)
-                if (up == upup).all():
-                    break
-                phi[ends] = phi.take(ends) ^ phi.take(up)
-                parent[ends] = upup
-
-        # Components with odd event parity must hold the boundary node.
-        ev_root = parent.take(ev_node)
-        if (ev_root < 0).any():
-            self._raise_unmatched(ev_shot, ev_col, ev_root < 0)
-        off_boundary = ev_root != parent.take(b_node).take(ev_shot)
-        if off_boundary.any():
-            stray = np.sort(ev_root[off_boundary])
-            run_start = np.flatnonzero(np.r_[True, stray[1:] != stray[:-1]])
-            run_len = np.diff(np.r_[run_start, stray.size])
-            odd_roots = stray.take(run_start[run_len % 2 == 1])
-            if odd_roots.size:
-                self._raise_unmatched(ev_shot, ev_col, np.isin(ev_root, odd_roots))
+        phi = self._phi.reshape(-1)
+        base = (np.cumsum(dets.any(axis=1)) - 1) * n1  # pool row offsets
 
         # XOR of φ over each shot's events (rows of ``ev_shot`` are
         # sorted), then over the boundary node for odd shots.
-        first = np.flatnonzero(np.r_[True, ev_shot[1:] != ev_shot[:-1]])
+        first = np.flatnonzero(_run_starts(ev_shot))
         hit = ev_shot.take(first)
-        predictions[hit] = np.bitwise_xor.reduceat(phi.take(ev_node), first)
+        ev_phi = phi.take(base.take(ev_shot) + ev_col)
+        predictions[hit] = np.bitwise_xor.reduceat(ev_phi, first)
         odd = hit[np.diff(np.r_[first, ev_shot.size]) % 2 == 1]
-        predictions[odd] ^= phi.take(b_node.take(odd))
+        predictions[odd] ^= phi.take(base.take(odd) + self.boundary)
 
         # Observable-odd support cycles: peel those rows exactly.
-        pe = phi.take(ends)
-        bad = np.unique(shot[(pe[:h] ^ pe[h:]) != w])
+        at = base.take(shot)
+        cycle = phi.take(at + self.edge_u.take(edge))
+        cycle ^= phi.take(at + self.edge_v.take(edge))
+        bad = np.unique(shot[cycle != self.decoder.edge_obs.take(edge)])
         peel = self.decoder._peel
         for b in bad.tolist():
             predictions[b] = peel(
                 ev_col[ev_shot == b].tolist(), edge[shot == b].tolist()
             )
         return predictions, bad.size
-
-    @staticmethod
-    def _raise_unmatched(ev_shot, ev_col, mask) -> NoReturn:
-        """``_peel``'s invariant error for the first shot flagged in ``mask``."""
-        at = ev_shot[mask]
-        events = sorted(ev_col[mask][at == at[0]].tolist())
-        raise RuntimeError(f"peeling left unmatched events: {events}")

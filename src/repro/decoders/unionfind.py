@@ -137,9 +137,10 @@ class UnionFindDecoder(SyndromeDecoder):
         # Peeling state, also generation-stamped: per-node support
         # adjacency, visited marks and event flags live in preallocated
         # lists so the peel allocates nothing but the tiny per-cluster
-        # DFS order.  The batched kernel peels whole sub-batches in one
-        # vectorized pass and calls ``_peel`` only for the rare shots
-        # whose support holds an observable-odd cycle.
+        # DFS order.  The batched kernel reads whole sub-batches'
+        # predictions off the forest its growth built and calls ``_peel``
+        # only for the rare shots whose support holds an observable-odd
+        # cycle.
         self._pl_adj: list[list[int]] = [[] for _ in range(n + 1)]
         self._pl_node_gen = [0] * (n + 1)
         self._pl_visit_gen = [0] * (n + 1)

@@ -142,7 +142,7 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     ),
     _h(
         "repro_decode_kernel_peel_seconds",
-        "Wall time peeling the grown supports in one kernel call",
+        "Wall time reading predictions off the grown forest in one kernel call",
     ),
     # --- campaign: VLQ program lowering + per-unit experiments --------------
     _c(
