@@ -2,15 +2,16 @@
 
 All decoders derive from :class:`SyndromeDecoder`, which adds the tiered
 batched ``decode_batch`` entry point used by the Monte-Carlo engine:
-dedup, MWPM's analytic weight-1/2 rules, then union-find's lockstep
-kernel or a per-unique full decode.  Decoders keep no state between
+dedup, the trivial tier, then each decoder's one ladder hook —
+union-find's lockstep kernel, MWPM's analytic weight-1/2 rules before
+blossom, or a per-unique full decode.  Decoders keep no state between
 ``decode_batch`` calls.
 """
 
 from repro.decoders.batch import TIER_NAMES, SyndromeDecoder
 from repro.decoders.batched_uf import BatchedUnionFind
 from repro.decoders.cache import BuildCache
-from repro.decoders.graph import DecodingEdge, DistanceTables, MatchingGraph
+from repro.decoders.graph import DecodingEdge, MatchingGraph
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.unionfind import LegacyUnionFindDecoder, UnionFindDecoder
 
@@ -18,7 +19,6 @@ __all__ = [
     "BatchedUnionFind",
     "BuildCache",
     "DecodingEdge",
-    "DistanceTables",
     "LegacyUnionFindDecoder",
     "MatchingGraph",
     "MWPMDecoder",

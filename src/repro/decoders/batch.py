@@ -4,35 +4,27 @@ The Monte-Carlo engine hands decoders whole arrays of sampled syndromes at
 once.  :meth:`SyndromeDecoder.decode_batch` deduplicates rows first —
 one stable sort of the bit-packed rows as 64-bit words
 (:func:`_unique_rows`: row-wise ``np.unique``'s result without its
-per-byte row compares) — and then routes every *unique* syndrome
-through a tier ladder, cheapest first:
+per-byte row compares) — counts the all-zero unique syndromes as the
+``trivial`` tier (they decode to 0 without touching the decoder), and
+hands every other unique syndrome to one ladder hook,
+:meth:`SyndromeDecoder._decode_uniques`.  Each decoder's hook is its own
+ladder and names the tiers that served each row:
 
-``trivial``
-    All-zero syndromes decode to 0 without touching the decoder.
-``weight1`` / ``weight2``
-    One- and two-event syndromes go through an analytic rule when the
-    decoder provides one.  MWPM does: one event matches its nearest
-    boundary (the boundary-observable mask of its Dijkstra pass), and a
-    pair matches through the bulk iff the bulk path is strictly cheaper
-    than both boundary paths — exactly the blossom outcome for those
-    weights.  Decoders without a provably-exact rule return ``None``
-    and those syndromes join the heavy ones below; union-find has
-    neither rule.
 ``batched``
-    Decoders that provide a vectorized whole-batch kernel
-    (:meth:`SyndromeDecoder._decode_heavy_batch`; union-find routes here
-    through the lockstep kernel of ``decoders/batched_uf.py``) decode
-    all remaining uniques in one call.  The kernel is bit-identical to
-    the per-shot decoder by contract.
+    Union-find decodes every non-trivial unique in one call to the
+    lockstep kernel of ``decoders/batched_uf.py``, bit-identical to its
+    per-shot ``decode`` by contract.
+``weight1`` / ``weight2`` / ``full``
+    MWPM serves one- and two-event syndromes with analytic rules that
+    are exactly the blossom outcome for those weights (see
+    ``decoders/mwpm.py``), and runs blossom once per heavier unique.
 ``full``
-    Everything else runs the decoder's ``decode`` once per unique
-    syndrome.
+    The base hook, which any other decoder inherits, runs the decoder's
+    ``decode`` once per unique syndrome.
 
-So union-find decodes dedup → kernel, and MWPM dedup → analytic tiers
-→ per-unique ``decode``.  When every unique syndrome in a batch is
-heavy — the regime at threshold — the dispatcher skips the weight-tier
-setup entirely (no pair extraction), so a decoder with no batched
-kernel pays only the dedup over the plain decode loop.
+:meth:`SyndromeDecoder.decode_batch_full` runs the same dedup and
+accounting with the base hook in place of the decoder's: the tier-free
+fallback that ``run_block`` degrades to when ``decode_batch`` raises.
 
 Decoders keep no state between ``decode_batch`` calls: each call's
 predictions and tier occupancy are a function of its own batch alone,
@@ -51,6 +43,7 @@ number of unique syndromes; ``run_block`` raises when they do not
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -94,18 +87,16 @@ class SyndromeDecoder:
 
     Subclasses implement :meth:`decode` (one syndrome, given as a list of
     fired detector indices) and call ``super().__init__(graph)``;
-    ``decode_batch`` — dedup and tier dispatch — is derived.  Optional
-    overrides: :meth:`_decode_weight1_batch` and
-    :meth:`_decode_weight2_batch` (vectorized exact one- and two-event
-    predictions, or ``None`` to fall through) and
-    :meth:`_decode_heavy_batch` (a whole-batch kernel).
+    ``decode_batch`` — dedup, the ``trivial`` tier and the accounting — is
+    derived.  A decoder with a faster exact way to decode many unique
+    syndromes at once overrides the one ladder hook,
+    :meth:`_decode_uniques`.
     """
 
     def __init__(self, graph):
         self.graph = graph
         #: tier occupancy of the most recent decode_batch call
         self.last_batch_stats: dict[str, int] | None = None
-        self._batch_t0 = 0.0  # decode_batch entry time when obs is enabled
 
     def reset_batch_state(self) -> None:
         """Forget the last call's tier occupancy.
@@ -115,57 +106,34 @@ class SyndromeDecoder:
         """
         self.last_batch_stats = None
 
-    # ------------------------------------------------------------------
-    # Single-shot interface
-    # ------------------------------------------------------------------
     def decode(self, events: list[int]) -> int:
         """Predicted observable-flip mask for one shot's detection events."""
         raise NotImplementedError
 
-    def _checked_decode(self, events: list[int]) -> int:
-        prediction = self.decode(events)
-        if not -(2**63) <= prediction < 2**63:
-            raise ValueError(
-                f"decoder returned observable mask {prediction:#x}, which "
-                "does not fit the int64 prediction array (at most 63 "
-                "observables per basis are supported)"
-            )
-        return prediction
+    def _decode_uniques(self, dets: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+        """Predictions for the non-trivial unique syndromes ``dets``.
 
-    # ------------------------------------------------------------------
-    # Fast-path hooks
-    # ------------------------------------------------------------------
-    def _decode_weight1_batch(self, cols: np.ndarray) -> np.ndarray | None:
-        """Vectorized predictions for single-event syndromes firing ``cols``.
-
-        Return ``None`` (the default) when no analytic rule reproduces
-        this decoder exactly; those syndromes then join the heavy ones.
+        The ladder hook: returns an int64 prediction per row and the
+        number of rows each tier served, which must add up to
+        ``len(dets)``.  This base version runs :meth:`decode` once per
+        row, the ``full`` tier.  An override must give exactly
+        ``decode``'s predictions.
         """
-        return None
+        predictions = np.zeros(len(dets), dtype=np.int64)
+        # One np.nonzero over the block replaces a per-row flatnonzero.
+        row_idx, col_idx = np.nonzero(dets)
+        bounds = np.searchsorted(row_idx, np.arange(len(dets) + 1))
+        for i in range(len(dets)):
+            prediction = self.decode(col_idx[bounds[i] : bounds[i + 1]].tolist())
+            if not -(2**63) <= prediction < 2**63:
+                raise ValueError(
+                    f"decoder returned observable mask {prediction:#x}, which "
+                    "does not fit the int64 prediction array (at most 63 "
+                    "observables per basis are supported)"
+                )
+            predictions[i] = prediction
+        return predictions, {"full": len(dets)}
 
-    def _decode_weight2_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-        """Vectorized predictions for two-event syndromes ``{u[i], v[i]}``.
-
-        Return ``None`` (the default) when no analytic rule reproduces
-        this decoder exactly; those syndromes then join the heavy ones.
-        """
-        return None
-
-    def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray | None:
-        """Whole-batch predictions for the heavy unique syndromes ``dets``.
-
-        "Heavy" means every non-trivial unique that no analytic tier
-        served.  Decoders with a vectorized kernel that is
-        *bit-identical* to their per-shot ``decode`` override this
-        (union-find routes through the lockstep kernel); its results
-        populate the ``batched`` tier.  Return ``None`` (the default) to
-        fall back to the per-unique ``full`` decode loop.
-        """
-        return None
-
-    # ------------------------------------------------------------------
-    # Batched interface
-    # ------------------------------------------------------------------
     def decode_batch(self, dets: np.ndarray) -> np.ndarray:
         """Decode a ``(shots, num_detectors)`` bool array of syndromes.
 
@@ -174,87 +142,55 @@ class SyndromeDecoder:
         rows share its prediction.  Nothing persists across calls, so a
         syndrome seen in an earlier batch is decoded again.
         """
+        return self._decode_deduped(dets, self._decode_uniques)[0]
+
+    def decode_batch_full(self, dets: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+        """Tier-free decode: every non-trivial unique through :meth:`decode`.
+
+        The graceful-degradation path of ``run_block``: when
+        ``decode_batch`` raises (a tier assertion, or an injected decode
+        fault), the batch is decoded again with nothing but the per-unique
+        ``decode`` loop, which every hook is exactly equivalent to, so the
+        error count is preserved.  Returns the predictions and the call's
+        stats: the tiers, with every non-trivial unique in ``full``, plus
+        ``unique`` and ``shots``.
+        """
+        return self._decode_deduped(dets, partial(SyndromeDecoder._decode_uniques, self))
+
+    def _decode_deduped(self, dets, hook) -> tuple[np.ndarray, dict[str, int]]:
+        """Dedup ``dets``, count the trivial uniques, pass the rest to
+        ``hook`` and record the call's stats once."""
+        t0 = perf_counter()
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2:
             raise ValueError(f"expected a 2-D (shots, detectors) array, got {dets.shape}")
-        self._batch_t0 = perf_counter() if obs.enabled() else 0.0
-        shots = dets.shape[0]
-        if shots == 0:
-            self._record_stats(0, {t: 0 for t in TIER_NAMES})
-            return np.zeros(0, dtype=np.int64)
         # Bit-pack rows: the dedup sorts 64 detectors per word.
-        packed = np.packbits(dets, axis=1) if dets.shape[1] else np.zeros((shots, 0), np.uint8)
-        index, inverse = _unique_rows(packed)
+        index, inverse = _unique_rows(np.packbits(dets, axis=1))
         unique_dets = dets[index]
-        weights = unique_dets.sum(axis=1, dtype=np.int64)
         predictions = np.zeros(len(index), dtype=np.int64)
-        tiers = {t: 0 for t in TIER_NAMES}
+        tiers = dict.fromkeys(TIER_NAMES, 0)
+        # An int64 sum, not a bool ``any``: the bool variant read higher
+        # peak RSS on the program workload (EXPERIMENTS.md, "The dedup").
+        weights = unique_dets.sum(axis=1, dtype=np.int64)
+        nontrivial = np.flatnonzero(weights)
+        tiers["trivial"] = len(index) - nontrivial.size
+        if nontrivial.size:
+            predictions[nontrivial], served = hook(unique_dets[nontrivial])
+            tiers.update(served)
+        stats = {**tiers, "unique": len(index), "shots": dets.shape[0]}
+        self._record_stats(stats, t0)
+        return predictions[inverse], stats
 
-        if int(weights.min()) > 2:
-            # All-heavy fast path (the regime at threshold): no weight
-            # tier can fire, so skip their setup entirely.
-            heavy = np.arange(len(index))
-        else:
-            tiers["trivial"] = int(np.count_nonzero(weights == 0))
-            heavy_parts = [np.flatnonzero(weights > 2)]
-            for weight, tier, rule in (
-                (1, "weight1", self._decode_weight1_batch),
-                (2, "weight2", self._decode_weight2_batch),
-            ):
-                rows = np.flatnonzero(weights == weight)
-                if not rows.size:
-                    continue
-                # np.nonzero is row-major, so each row contributes its
-                # fired columns in ascending order.
-                cols = np.nonzero(unique_dets[rows])[1].reshape(-1, weight)
-                analytic = rule(*cols.T)
-                if analytic is None:
-                    heavy_parts.append(rows)
-                else:
-                    predictions[rows] = analytic
-                    tiers[tier] = int(rows.size)
-            heavy = np.sort(np.concatenate(heavy_parts))
-
-        if heavy.size:
-            heavy_dets = unique_dets[heavy]
-            decoded = self._decode_heavy_batch(heavy_dets)
-            if decoded is not None:
-                decoded = np.asarray(decoded, dtype=np.int64)
-                tiers["batched"] = int(heavy.size)
-            else:
-                # Per-unique full decode; one np.nonzero over the block
-                # replaces a per-row flatnonzero.
-                decoded = np.zeros(heavy.size, dtype=np.int64)
-                row_idx, col_idx = np.nonzero(heavy_dets)
-                bounds = np.searchsorted(row_idx, np.arange(heavy.size + 1))
-                for i in range(heavy.size):
-                    decoded[i] = self._checked_decode(
-                        col_idx[bounds[i] : bounds[i + 1]].tolist()
-                    )
-                tiers["full"] = int(heavy.size)
-            predictions[heavy] = decoded
-
-        self._record_stats(shots, tiers, unique=len(index))
-        return predictions[inverse]
-
-    def _record_stats(self, shots: int, tiers: dict[str, int], unique: int = 0) -> None:
-        stats = dict(tiers)
-        stats["unique"] = unique
-        stats["shots"] = shots
+    def _record_stats(self, stats: dict[str, int], t0: float) -> None:
         # Always 0: ``perfbench/layers.py`` reads both keys on every call.
-        stats["lru_hits"] = stats["lru_misses"] = 0
-        self.last_batch_stats = stats
+        self.last_batch_stats = {**stats, "lru_hits": 0, "lru_misses": 0}
         reg = obs.active()
         if reg is not None:
             tier_counter = reg.counter("repro_decode_tier_shots_total")
-            for tier, count in tiers.items():
-                if count:
-                    tier_counter.inc(count, tier)
-            reg.counter("repro_decode_shots_total").inc(shots)
-            reg.counter("repro_decode_unique_total").inc(unique)
+            for tier in TIER_NAMES:
+                if stats[tier]:
+                    tier_counter.inc(stats[tier], tier)
+            reg.counter("repro_decode_shots_total").inc(stats["shots"])
+            reg.counter("repro_decode_unique_total").inc(stats["unique"])
             reg.counter("repro_decode_batches_total").inc()
-            if self._batch_t0:
-                reg.histogram("repro_decode_batch_seconds").observe(
-                    perf_counter() - self._batch_t0
-                )
-                self._batch_t0 = 0.0
+            reg.histogram("repro_decode_batch_seconds").observe(perf_counter() - t0)

@@ -1,8 +1,8 @@
 """The build memo of multi-circuit campaigns.
 
 :class:`BuildCache` memoizes expensive per-circuit builds
-(detector-error-model extraction, matching-graph construction,
-``DistanceTables``, circuit lowering) under caller-chosen shape keys for
+(detector-error-model extraction, matching-graph and decoder
+construction, circuit lowering) under caller-chosen shape keys for
 multi-circuit campaigns, and counts hits/misses so sweeps can assert
 their sharing actually happened (the CI smoke job gates on
 ``hits > 0``).

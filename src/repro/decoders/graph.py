@@ -31,7 +31,7 @@ from repro.dem.model import (
     xor_scan,
 )
 
-__all__ = ["DecodingEdge", "DistanceTables", "MatchingGraph"]
+__all__ = ["DecodingEdge", "MatchingGraph"]
 
 _MIN_P = 1e-15
 _MAX_P = 0.5 - 1e-12
@@ -175,7 +175,6 @@ class MatchingGraph:
         """
         if u == v:
             raise ValueError("self-loop edge")
-        self._distance_tables = None  # any mutation invalidates the cache
         key = (min(u, v), max(u, v))
         index = self._edge_index.get(key)
         if index is None:
@@ -243,161 +242,9 @@ class MatchingGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def distance_tables(self) -> "DistanceTables":
-        """All-pairs distance/observable tables, built once and cached.
-
-        Shared by the MWPM decoder (whose matching weights they are) and
-        the analytic weight-1/weight-2 fast path of the batched decode
-        dispatcher.  ``add_edge`` invalidates the cache, so decoders
-        built after a mutation see fresh distances.
-        """
-        if getattr(self, "_distance_tables", None) is None:
-            self._distance_tables = DistanceTables.from_graph(self)
-        return self._distance_tables
-
     def __repr__(self) -> str:
         return (
             f"MatchingGraph(basis={self.basis}, detectors={self.num_detectors},"
             f" edges={self.num_edges})"
         )
 
-
-class DistanceTables:
-    """Precomputed shortest-path machinery of a :class:`MatchingGraph`.
-
-    ``bulk_dist[u, v]`` is the minimum log-likelihood weight of a bulk path
-    (boundary excluded) between detectors u and v; ``boundary_dist[u]`` the
-    weight of u's cheapest path to the virtual boundary node, and
-    ``boundary_obs[u]`` the observable parity picked up along that exact
-    path (predecessor-walked, so multi-boundary graphs stay correct).
-
-    ``potentials`` is a function M over bulk nodes with ``M[u] ^ M[v]``
-    equal to the observable parity of *any* bulk path u→v.  Such
-    potentials exist exactly when every bulk cycle crosses the logical
-    membrane an even number of times — true for surface-code decoding
-    graphs; the constructor verifies the property on every edge and raises
-    ``ValueError`` otherwise, so the homological shortcut can never
-    silently give wrong answers.
-
-    Lifted from the MWPM decoder so the weight-1/2 analytic fast path can
-    reuse the same Dijkstra pass instead of recomputing it.
-    """
-
-    def __init__(
-        self,
-        bulk_dist: np.ndarray,
-        boundary_dist: np.ndarray,
-        boundary_obs: np.ndarray,
-        potentials: np.ndarray,
-    ):
-        self.bulk_dist = bulk_dist
-        self.boundary_dist = boundary_dist
-        self.boundary_obs = boundary_obs
-        self.potentials = potentials
-
-    @classmethod
-    def from_graph(cls, graph: MatchingGraph) -> "DistanceTables":
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        n = graph.num_detectors
-        rows, cols, weights = [], [], []
-        for edge in graph.edges:
-            if edge.v == graph.boundary:
-                continue
-            rows.extend((edge.u, edge.v))
-            cols.extend((edge.v, edge.u))
-            weights.extend((edge.weight, edge.weight))
-        bulk = csr_matrix((weights, (rows, cols)), shape=(n, n))
-        # Dense all-pairs bulk distances (n is at most a few thousand).
-        bulk_dist = dijkstra(bulk, directed=False)
-
-        # Verify homological consistency before anything else: potentials
-        # are the only shortcut taken downstream, so fail loudly here.
-        potentials = cls._build_potentials(graph)
-
-        full_rows, full_cols, full_weights = [], [], []
-        for edge in graph.edges:
-            full_rows.extend((edge.u, edge.v))
-            full_cols.extend((edge.v, edge.u))
-            full_weights.extend((edge.weight, edge.weight))
-        full = csr_matrix(
-            (full_weights, (full_rows, full_cols)), shape=(n + 1, n + 1)
-        )
-        boundary_dist, pred_b = dijkstra(
-            full, directed=False, indices=graph.boundary, return_predecessors=True
-        )
-        boundary_obs = cls._walk_observables(graph, pred_b)
-        return cls(bulk_dist, boundary_dist, boundary_obs, potentials)
-
-    @staticmethod
-    def _walk_observables(graph: MatchingGraph, predecessors: np.ndarray) -> np.ndarray:
-        """Observable parity of each node's shortest path to the boundary."""
-        n = graph.num_detectors
-        masks = [0] * (n + 1)
-        resolved = [False] * (n + 1)
-        resolved[graph.boundary] = True
-        for start in range(n):
-            chain = []
-            node = start
-            unreachable = False
-            while not resolved[node]:
-                chain.append(node)
-                nxt = int(predecessors[node])
-                if nxt < 0:  # no path to the boundary exists
-                    unreachable = True
-                    break
-                node = nxt
-            if unreachable:
-                for member in chain:
-                    masks[member] = 0
-                    resolved[member] = True
-                continue
-            acc = masks[node]
-            prev = node
-            for member in reversed(chain):
-                edge = graph.edge_between(member, prev)
-                if edge is None:  # pragma: no cover - predecessor implies an edge
-                    raise KeyError((member, prev))
-                acc ^= edge.observables
-                masks[member] = acc
-                resolved[member] = True
-                prev = member
-        return np.array(masks, dtype=np.int64)
-
-    @staticmethod
-    def _build_potentials(graph: MatchingGraph) -> np.ndarray:
-        """Per-node observable potentials over the bulk graph (BFS labels).
-
-        Verifies consistency on every bulk edge: obs(u,v) == M[u]^M[v].
-        """
-        n = graph.num_detectors
-        potentials = [0] * n
-        seen = [False] * n
-        adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-        for edge in graph.edges:
-            if edge.v == graph.boundary:
-                continue
-            adjacency[edge.u].append((edge.v, edge.observables))
-            adjacency[edge.v].append((edge.u, edge.observables))
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v, obs in adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        potentials[v] = potentials[u] ^ obs
-                        stack.append(v)
-        for edge in graph.edges:
-            if edge.v == graph.boundary:
-                continue
-            if potentials[edge.u] ^ potentials[edge.v] != edge.observables:
-                raise ValueError(
-                    "decoding graph is not homologically consistent; "
-                    "observable potentials do not exist"
-                )
-        return np.array(potentials, dtype=np.int64)

@@ -45,7 +45,7 @@ Union-find has three implementations, each with one job:
 - The flat per-shot :meth:`UnionFindDecoder.decode` is the kernel's
   oracle.  Its ``_peel`` peels the kernel's rows with an
   observable-odd support cycle, and the tier-free fallback
-  ``decode_block_full`` calls it once per unique syndrome.
+  ``decode_batch_full`` calls it once per non-trivial unique syndrome.
 - :class:`LegacyUnionFindDecoder` is the flat decoder's oracle and the
   bench baseline.
 """
@@ -422,10 +422,10 @@ class UnionFindDecoder(SyndromeDecoder):
             self._batched = BatchedUnionFind(self)
         return self._batched
 
-    def _decode_heavy_batch(self, dets: np.ndarray) -> np.ndarray:
-        """Every heavy unique — here every non-trivial unique — goes
-        through the lockstep kernel (the ``batched`` tier)."""
-        return self.batched_kernel().decode_batch(dets)
+    def _decode_uniques(self, dets: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+        """Union-find's ladder: every non-trivial unique goes through the
+        lockstep kernel (the ``batched`` tier)."""
+        return self.batched_kernel().decode_batch(dets), {"batched": len(dets)}
 
 
 class _DSU:

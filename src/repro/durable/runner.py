@@ -148,10 +148,6 @@ class DurableExecutor:
         self._stop_requested = True
         self._stop_reason = self._stop_reason or reason
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
     def _interrupted(self, unit: str, completed: int) -> CampaignInterrupted:
         # On a torn-write injection the tail of the ledger is already a
         # partial line; appending anything more would bury the tear as

@@ -118,10 +118,13 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "Unique syndromes resolved, by decode tier",
         labels=("tier",),
     ),
-    _c("repro_decode_shots_total", "Shots entering decode_batch"),
+    _c("repro_decode_shots_total", "Shots entering decode_batch or decode_batch_full"),
     _c("repro_decode_unique_total", "Unique syndromes after bit-packed dedup"),
-    _c("repro_decode_batches_total", "decode_batch calls"),
-    _h("repro_decode_batch_seconds", "Wall time for one decode_batch call"),
+    _c("repro_decode_batches_total", "decode_batch and decode_batch_full calls"),
+    _h(
+        "repro_decode_batch_seconds",
+        "Wall time for one decode_batch or decode_batch_full call",
+    ),
     _h(
         "repro_decode_prepare_seconds",
         "Wall time preparing decoding, by stage (dem, graph, decoder)",

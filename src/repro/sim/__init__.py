@@ -7,16 +7,11 @@ from repro.sim.engine import (
     SHOT_BLOCK,
     block_seeds,
     count_logical_errors,
-    decode_block_full,
     make_sampler,
     run_block,
     shot_blocks,
 )
-from repro.sim.frame import (
-    FrameSimulator,
-    sample_detection_chunks,
-    sample_detection_data,
-)
+from repro.sim.frame import FrameSimulator, sample_detection_data
 from repro.sim.experiment import (
     DecodingSetup,
     LogicalErrorResult,
@@ -36,12 +31,10 @@ __all__ = [
     "block_seeds",
     "compile_circuit",
     "count_logical_errors",
-    "decode_block_full",
     "make_sampler",
     "prepare_decoding",
     "run_block",
     "run_memory_experiment",
-    "sample_detection_chunks",
     "sample_detection_data",
     "shot_blocks",
     "wilson_interval",

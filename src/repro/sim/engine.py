@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.circuits import Circuit
-from repro.decoders.batch import TIER_NAMES, SyndromeDecoder, _unique_rows
+from repro.decoders.batch import TIER_NAMES, SyndromeDecoder
 from repro.sim.compiled import compile_circuit
 from repro.sim.frame import DetectionData, sample_detection_data
 
@@ -49,7 +49,6 @@ __all__ = [
     "block_seeds",
     "check_count_args",
     "count_logical_errors",
-    "decode_block_full",
     "make_sampler",
     "run_block",
     "shot_blocks",
@@ -170,45 +169,6 @@ def _pack_observables(observables: np.ndarray, obs_ids: Sequence[int]) -> np.nda
     return packed
 
 
-def decode_block_full(
-    decoder: SyndromeDecoder, dets: np.ndarray
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Tier-free fallback decode: every unique syndrome through ``decode``.
-
-    The graceful-degradation path of :func:`run_block` — when the tiered
-    dispatcher raises (a tier assertion, or an injected decode fault),
-    the blocks are re-decoded with nothing but the full decoder, which
-    the tiers are provably equivalent to, so the error count is
-    preserved.  It dedups with ``decode_batch``'s own word sort
-    (``repro.decoders.batch._unique_rows``), so both paths see the same
-    unique syndromes in the same order.  Stats keep the tier-sum ==
-    unique identity with everything heavy in ``full``, and reach the
-    decode registry through the decoder's ``_record_stats`` like any
-    other decode call.
-    """
-    dets = np.asarray(dets, dtype=bool)
-    shots = dets.shape[0]
-    packed = (
-        np.packbits(dets, axis=1) if dets.shape[1] else np.zeros((shots, 0), np.uint8)
-    )
-    index, inverse = _unique_rows(packed)
-    unique_dets = dets[index]
-    predictions = np.zeros(len(index), dtype=np.int64)
-    trivial = 0
-    for k in range(len(index)):
-        events = np.flatnonzero(unique_dets[k])
-        if events.size == 0:
-            trivial += 1
-            continue
-        predictions[k] = decoder._checked_decode(events.tolist())
-    tiers = {tier: 0 for tier in TIER_NAMES}
-    tiers["trivial"] = trivial
-    tiers["full"] = len(index) - trivial
-    decoder._record_stats(shots, tiers, unique=len(index))
-    stats = {**tiers, "unique": len(index), "shots": shots}
-    return predictions[inverse], stats
-
-
 def run_block(
     sampler,
     decoder: SyndromeDecoder,
@@ -237,8 +197,10 @@ def run_block(
     A sampling failure raises :class:`BlockExecutionError` naming the
     block and its seed.  A decode failure — a real tier assertion, or
     one injected by ``fault.check_decode(unit, index)`` (duck-typed; see
-    ``repro.durable.faults.FaultPlan``) — degrades to the tier-free
-    :func:`decode_block_full`, sets ``stats["fallback"]`` and counts
+    ``repro.durable.faults.FaultPlan``) — degrades to the decoder's
+    tier-free ``decode_batch_full`` (the same dedup and decode stats as
+    ``decode_batch``, every non-trivial unique in ``full``), sets
+    ``stats["fallback"]`` and counts
     ``repro_engine_decode_fallbacks_total``.  Stats whose tiers do not
     sum to ``unique`` raise :class:`BlockExecutionError`: that is
     misrouting, which a fallback would hide.
@@ -272,7 +234,7 @@ def run_block(
         stats = dict(decoder.last_batch_stats or {})
     except Exception:
         try:
-            predictions, stats = decode_block_full(decoder, dets)
+            predictions, stats = decoder.decode_batch_full(dets)
         except Exception as exc:
             index, _, seed = blocks[0]
             raise BlockExecutionError(

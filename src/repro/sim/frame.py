@@ -19,7 +19,6 @@ differs, so the two backends agree statistically, not bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from repro.circuits import Circuit, GateKind, Instruction
 __all__ = [
     "DetectionData",
     "FrameSimulator",
-    "sample_detection_chunks",
     "sample_detection_data",
 ]
 
@@ -163,17 +161,3 @@ def sample_detection_data(
             observables[:, j] ^= record[:, m]
     return DetectionData(detectors, observables)
 
-
-def sample_detection_chunks(
-    circuit: Circuit,
-    blocks: Iterable[tuple[int, int | np.random.SeedSequence | None]],
-) -> Iterator[DetectionData]:
-    """Yield one :class:`DetectionData` per ``(shots, seed)`` block.
-
-    Each block gets its own independent RNG stream, so memory stays
-    bounded by the largest block and the sampled data for a given block is
-    identical no matter which process, or in what order, consumes it —
-    the foundation of the engine's worker-invariant determinism.
-    """
-    for block_shots, seed in blocks:
-        yield sample_detection_data(circuit, block_shots, np.random.default_rng(seed))

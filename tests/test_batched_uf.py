@@ -458,7 +458,7 @@ class TestSupportPinning:
 
 
 class TestDurableDegradation:
-    """A batched-tier failure must degrade to ``decode_block_full``."""
+    """A batched-tier failure must degrade to ``decode_batch_full``."""
 
     def test_batched_tier_raise_falls_back_to_full_block_decode(self):
         memory = baseline_memory_circuit(
@@ -480,7 +480,7 @@ class TestDurableDegradation:
         def boom(dets):
             raise RuntimeError("batched kernel corrupted")
 
-        broken._decode_heavy_batch = boom
+        broken._decode_uniques = boom
         errors_fb, stats_fb = run_block(
             sampler, broken, setup.basis_detectors,
             setup.basis_observables, [(index, shots, seed)],

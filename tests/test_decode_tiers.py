@@ -1,10 +1,11 @@
 """Property tests for the tiered batched decode dispatcher.
 
 The contract under test: for ANY batch of syndromes, ``decode_batch`` —
-dedup, MWPM's weight-1/weight-2 analytic rules, union-find's lockstep
-kernel or the per-unique full decode — returns element-wise exactly
-what a plain loop over ``decode`` would, for every decoder, and keeps
-no state between calls.  Hypothesis drives random batches through both
+dedup, then each decoder's ladder hook: MWPM's weight-1/weight-2
+analytic rules before blossom, union-find's lockstep kernel — returns
+element-wise exactly what a plain loop over ``decode`` would, for every
+decoder, fills only that decoder's tiers, and keeps no state between
+calls.  Hypothesis drives random batches through both
 paths, including the degenerate shapes the tiers special-case: all-zero
 rows, batches of only weight-1/weight-2 syndromes, and heavy (>2 event)
 syndromes.
@@ -89,6 +90,17 @@ class TestTieredEqualsLooped:
             [decoder.decode(sorted(events)) for events in event_sets], dtype=np.int64
         )
         np.testing.assert_array_equal(batched, looped)
+        # Each decoder's ladder fills only its own tiers.
+        stats = decoder.last_batch_stats
+        unique = {frozenset(s) for s in event_sets}
+        assert sum(stats[t] for t in TIER_NAMES) == stats["unique"] == len(unique)
+        assert stats["trivial"] == int(frozenset() in unique)
+        if decoder_name == "unionfind":
+            assert stats["weight1"] == stats["weight2"] == stats["full"] == 0
+        else:
+            assert stats["batched"] == 0
+            assert stats["weight1"] == sum(len(s) == 1 for s in unique)
+            assert stats["weight2"] == sum(len(s) == 2 for s in unique)
 
     @settings(
         max_examples=30,
@@ -125,17 +137,18 @@ class TestAnalyticTiersAreExact:
 
     def test_mwpm_weight1_table_is_decode(self, decoding_setup):
         graph, mwpm, _ = decoding_setup
-        analytic = mwpm._decode_weight1_batch(np.arange(graph.num_detectors))
-        for det in range(graph.num_detectors):
+        n = graph.num_detectors
+        analytic, tiers = mwpm._decode_uniques(np.eye(n, dtype=bool))
+        assert tiers == {"weight1": n, "weight2": 0, "full": 0}
+        for det in range(n):
             assert int(analytic[det]) == mwpm.decode([det])
 
     def test_mwpm_weight2_rule_is_decode(self, decoding_setup):
         graph, mwpm, _ = decoding_setup
         n = graph.num_detectors
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        u = np.array([p[0] for p in pairs])
-        v = np.array([p[1] for p in pairs])
-        analytic = mwpm._decode_weight2_batch(u, v)
+        analytic, tiers = mwpm._decode_uniques(_batch_from_events(pairs, n))
+        assert tiers == {"weight1": 0, "weight2": len(pairs), "full": 0}
         for (a, b), prediction in zip(pairs, analytic):
             assert int(prediction) == mwpm.decode([a, b]), (a, b)
 
@@ -155,16 +168,18 @@ class TestAnalyticTiersAreExact:
         # Union-find's single events decode through the lockstep kernel
         # like every other non-trivial unique.
         graph, _, uf = decoding_setup
-        assert uf._decode_weight1_batch(np.array([0])) is None
         uf.decode_batch(np.eye(graph.num_detectors, dtype=bool))
         assert uf.last_batch_stats["weight1"] == 0
         assert uf.last_batch_stats["batched"] == graph.num_detectors
 
     def test_unionfind_has_no_weight2_shortcut(self, decoding_setup):
-        # Union-find peel ties have no closed form; the base class must
-        # route its weight-2 syndromes through the lockstep kernel.
+        # Union-find peel ties have no closed form, so its weight-2
+        # syndromes go through the lockstep kernel too.
         graph, _, uf = decoding_setup
-        assert uf._decode_weight2_batch(np.array([0]), np.array([1])) is None
+        pairs = [(0, v) for v in range(1, graph.num_detectors)]
+        uf.decode_batch(_batch_from_events(pairs, graph.num_detectors))
+        assert uf.last_batch_stats["weight2"] == 0
+        assert uf.last_batch_stats["batched"] == len(pairs)
 
 
 class TestStatelessDecoders:
@@ -252,12 +267,12 @@ class TestWordSortDedup:
             np.testing.assert_array_equal(predictions, expected)
             assert decoder.last_batch_stats == oracle.last_batch_stats
 
-    def test_decode_block_full_matches_oracle_dedup(self, sampled, monkeypatch):
+    def test_decode_batch_full_matches_oracle_dedup(self, sampled, monkeypatch):
         decoder, batches = sampled
         dets = batches[0][:512]
-        predictions, stats = engine.decode_block_full(decoder, dets)
-        monkeypatch.setattr(engine, "_unique_rows", oracle_unique_rows)
-        expected, expected_stats = engine.decode_block_full(decoder, dets)
+        predictions, stats = decoder.decode_batch_full(dets)
+        monkeypatch.setattr(batch, "_unique_rows", oracle_unique_rows)
+        expected, expected_stats = decoder.decode_batch_full(dets)
         np.testing.assert_array_equal(predictions, expected)
         assert stats == expected_stats
         assert stats["trivial"] > 0 and stats["full"] > 0

@@ -266,11 +266,15 @@ class TestFaultInjectionNeverAltersResults:
             # same syndromes to the same corrections.
             assert result.logical_errors == clean_result.logical_errors
             assert result.shots == clean_result.shots
-            records = parse_ledger(path).blocks["memory"].values()
-            assert sum(r["stats"]["fallback"] for r in records) == 3
-            for record in records:
-                stats = record["stats"]
-                assert stats["full"] == stats["unique"] - stats["trivial"]
+            # The fallback's block records, exactly: every non-trivial
+            # unique in ``full``, and no ``lru_*`` keys.
+            records = parse_ledger(path).blocks["memory"]
+            fallback = dict(weight1=0, weight2=0, batched=0, trivial=1, fallback=1)
+            assert {index: r["stats"] for index, r in records.items()} == {
+                0: {**fallback, "full": 207, "unique": 208, "shots": 1024},
+                1: {**fallback, "full": 214, "unique": 215, "shots": 1024},
+                2: {**fallback, "full": 22, "unique": 23, "shots": 52},
+            }
 
     def test_quarantine_accounting(self):
         """An unrecoverable block is quarantined, reported, and excluded

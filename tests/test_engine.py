@@ -24,7 +24,7 @@ from repro.sim import (
     run_memory_experiment,
     shot_blocks,
 )
-from repro.sim.frame import sample_detection_chunks, sample_detection_data
+from repro.sim.frame import sample_detection_data
 from repro.surface_code import baseline_memory_circuit
 
 
@@ -145,7 +145,7 @@ class TestPlainRunFailures:
         def boom(dets):
             raise RuntimeError("batched kernel corrupted")
 
-        broken._decode_heavy_batch = boom
+        broken._decode_uniques = boom
         assert self._count(broken, shots=2100) == healthy
         # One run_block call (three blocks) fell back, and the registry
         # says so even though the count is healthy.
@@ -202,20 +202,6 @@ class TestPackObservables:
             count_logical_errors(
                 memory.circuit, None, [0], list(range(64)), shots=10
             )
-
-
-class TestSampleDetectionChunks:
-    def test_blocks_match_direct_sampling(self):
-        memory = _memory()
-        seeds = np.random.SeedSequence(3).spawn(2)
-        blocks = [(100, seeds[0]), (50, seeds[1])]
-        chunks = list(sample_detection_chunks(memory.circuit, blocks))
-        assert [c.shots for c in chunks] == [100, 50]
-        direct = sample_detection_data(
-            memory.circuit, 100, np.random.default_rng(seeds[0])
-        )
-        assert np.array_equal(chunks[0].detectors, direct.detectors)
-        assert np.array_equal(chunks[0].observables, direct.observables)
 
 
 class TestDecodeBatch:
