@@ -23,8 +23,7 @@ uploaded as a workflow artifact):
   isolated from the PR 5 flat rewrite); for MWPM the baseline
   necessarily shares this PR's vectorized ``decode``, so that row
   isolates the tier-dispatch cost and is gated at the largest distance
-  to stay within timing noise of 1.0x (the all-full fast path exists
-  so heavy workloads never pay for tier setup they cannot use; see
+  to stay within timing noise of 1.0x (see
   ``_min_mwpm_decode_speedup``).  Tier hit rates are recorded per decoder ×
   distance, the accounting identity ``sum(tiers) == unique`` is
   asserted on every chunk aggregate (a silent misroute would break it),
@@ -81,6 +80,12 @@ DECODE_CHUNK = 1024
 # that would otherwise flake the gated ratios.  The two gated sides swap
 # order every rep (``_paired``), so neither always takes the first slot.
 DECODE_REPEATS = 7
+# Shot floors for the two gates near 1.0x, so that each side of a rep
+# times at least about half a second even at a smoke shot budget: MWPM
+# decodes 256 d=7 shots in about 1 s on a 2-core host, and the d=7
+# engine runs 12,288 shots in about 0.5 s.
+MWPM_MIN_SHOTS = 256
+OBS_MIN_SHOTS = 12288
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Sample span trace from the instrumented overhead rep (CI uploads it as
@@ -105,9 +110,10 @@ def _min_decode_speedup() -> float:
 
 
 def _min_mwpm_decode_speedup() -> float:
-    # With the all-full fast path the tiered MWPM dispatch does byte-
-    # identical blossom work to the raw dedup+loop, so the true ratio is
-    # 1.0 and any measured deviation is timing noise (observed ±3% on
+    # At d=7 p=5e-3 nearly every unique syndrome is heavy, so the tiered
+    # MWPM dispatch runs the same blossom loop as the raw dedup+loop,
+    # after a few vectorized weight passes; the true ratio is about 1.0
+    # and any measured deviation is timing noise (observed ±3% on
     # best-of-3 multi-second regions).  The default gate is 1.0 minus
     # that noise floor: a structural dispatch cost shows up as a
     # systematic shortfall below it, not as scatter around 1.0.
@@ -203,7 +209,7 @@ def _decode_only(n: int) -> list[dict]:
                 lambda: MWPMDecoder(graph),
                 lambda: MWPMDecoder(graph),
                 "dedup + decode loop (same decode impl)",
-                max(256, n // 4),
+                max(MWPM_MIN_SHOTS, n // 4),
             ),
         }
         dets_full = _sample_syndromes(memory, n)
@@ -430,11 +436,10 @@ def test_engine_scaling(once, monkeypatch):
             f"tiered union-find decode only {got:.2f}x the PR 2 baseline at "
             f"d={d}; expected >= {decode_minimum}x"
         )
-    # The all-full fast path must keep MWPM's tiered dispatch from
-    # costing more than the plain dedup + decode loop it wraps.  Gate at
-    # the largest distance, where every p=5e-3 batch is all-heavy and
-    # the fast path is what runs (the 0.97x regression this guards
-    # against); smaller distances mix tiers, so their ratio is 1.0 plus
+    # MWPM's tiered dispatch must not cost more than the plain dedup +
+    # decode loop it wraps.  Gate at the largest distance, where nearly
+    # every p=5e-3 unique is heavy and both sides run the same blossom
+    # loop; smaller distances mix tiers, so their ratio is 1.0 plus
     # timing noise in either direction and is recorded, not gated.
     mwpm_minimum = _min_mwpm_decode_speedup()
     d = max(DISTANCES)
@@ -458,7 +463,7 @@ def test_obs_overhead(once):
     counts — instrumentation that perturbed results would be worse than
     instrumentation that cost 10%.
     """
-    n = shots(4096)
+    n = max(shots(4096), OBS_MIN_SHOTS)
     d = max(DISTANCES)
     memory = baseline_memory_circuit(d, ErrorModel(hardware=BASELINE_HARDWARE, p=P))
 

@@ -613,7 +613,8 @@ class BatchedUnionFind:
         at = base.take(shot)
         cycle = phi.take(at + self.edge_u.take(edge))
         cycle ^= phi.take(at + self.edge_v.take(edge))
-        bad = np.unique(shot[cycle != self.decoder.edge_obs.take(edge)])
+        bad = np.sort(shot[cycle != self.decoder.edge_obs.take(edge)])
+        bad = bad[_run_starts(bad)]
         peel = self.decoder._peel
         for b in bad.tolist():
             predictions[b] = peel(

@@ -38,7 +38,7 @@ runs only after whole *waves* of ``stop_interval_blocks`` blocks —
 never on raw completion order, which varies with workers — so the
 decision (and hence the final shot count) is a pure function of the
 block results themselves.  Each wave is one supervised call (one
-fleet configure, a barrier at its end).  Without a target nothing is
+fleet armed for it, a barrier at its end).  Without a target nothing is
 decided between blocks, so the whole unit is one wave: one
 ``run_supervised`` call, the shape of a plain
 ``count_logical_errors(workers>1)``.

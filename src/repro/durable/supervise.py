@@ -33,11 +33,18 @@ The workers themselves live in a :class:`WorkerFleet` — a persistent,
 reusable pool.  ``run_supervised`` spawns an ephemeral fleet when none
 is passed, preserving the one-shot behaviour; a long-lived caller (the
 campaign service, ``repro.service``) passes its own fleet so the same
-worker processes serve many units and many jobs.  Each
-:meth:`WorkerFleet.configure` call starts a new *epoch* and ships the
-call's ``worker_args`` to every worker; tasks and results are tagged
-with the epoch, so a straggler result from a previous unit can never be
-mistaken for current work.
+worker processes serve many units and many jobs.  A worker is *armed*
+when it holds its epoch's ``worker_args`` (sampler, decoder, basis and
+observable ids) and fault plan.  The fleet hands every process it
+starts the current epoch's arms as a ``Process`` argument, which the
+fork start method passes by inheritance, not by pickle.  So an
+ephemeral fleet's workers start armed for its one call, and every
+replacement worker starts armed for the current epoch.  Only the live
+workers of a borrowed fleet are re-armed by message: each
+:meth:`WorkerFleet.configure` call starts a new *epoch* and puts a
+``cfg`` message with the call's ``worker_args`` on every live worker's
+queue.  Tasks and results are tagged with the epoch, so a straggler
+result from a previous unit can never be mistaken for current work.
 
 One call is one fleet epoch with a barrier at its end, so callers make
 as few as they can: the durable executor runs a whole unit per call,
@@ -143,15 +150,19 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     os._exit(0)
 
 
-def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
+def _worker_main(
+    wid: int, task_q, result_q, parent_pid: int, armed: tuple | None = None
+) -> None:
     """Worker loop: serve ``cfg``/``task`` messages until the None sentinel.
 
-    A ``("cfg", epoch, worker_args, fault)`` message (re)arms the worker
-    for a new epoch; task messages from any other epoch are silently
-    dropped (they belong to a unit the supervisor already finished or
-    abandoned).  Failures are reported in-band; a genuinely dying worker
-    (injected ``os._exit`` or a real crash) is detected by the parent's
-    liveness check instead.
+    ``armed`` is the ``(epoch, worker_args, fault)`` the worker starts
+    with (None: unarmed until its first ``cfg``).  A ``("cfg", epoch,
+    worker_args, fault)`` message re-arms the worker for a new epoch;
+    task messages from any other epoch are silently dropped (they belong
+    to a unit the supervisor already finished or abandoned).  Failures
+    are reported in-band; a genuinely dying worker (injected
+    ``os._exit`` or a real crash) is detected by the parent's liveness
+    check instead.
 
     A daemon thread exits the worker once its spawning process
     ``parent_pid`` is gone (SIGKILLed, so no sentinel ever arrives).  The
@@ -169,15 +180,13 @@ def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
     threading.Thread(
         target=_exit_when_orphaned, args=(parent_pid,), daemon=True
     ).start()
-    epoch = None
-    sampler = decoder = basis_ids = obs_ids = fault = None
+    epoch, worker_args, fault = armed or (None, None, None)
     while True:
         message = task_q.get()
         if message is None:
             return
         if message[0] == "cfg":
             _, epoch, worker_args, fault = message
-            sampler, decoder, basis_ids, obs_ids = worker_args
             continue
         _, task_epoch, unit, index, shots, seed, attempt = message
         if task_epoch != epoch:
@@ -192,13 +201,7 @@ def _worker_main(wid: int, task_q, result_q, parent_pid: int) -> None:
             before = reg.snapshot() if reg is not None else None
             t0 = perf_counter()
             errors, stats = run_block(
-                sampler,
-                decoder,
-                basis_ids,
-                obs_ids,
-                [(index, shots, seed)],
-                fault=fault,
-                unit=unit,
+                *worker_args, [(index, shots, seed)], fault=fault, unit=unit
             )
             delta = None
             if reg is not None:
@@ -227,14 +230,27 @@ class WorkerFleet:
     one fleet serves every unit of every job, re-armed per unit via
     :meth:`configure`.
 
-    Epochs: every ``configure`` increments ``epoch`` and ships the new
-    ``worker_args`` to each live worker.  Workers tag results with the
-    task's epoch, and both workers and supervisor drop cross-epoch
-    messages, so a result from a previous unit can never leak into the
-    current one.
+    Arming: each process the fleet forks gets the current ``(epoch,
+    worker_args, fault)`` as a ``Process`` argument, inherited under the
+    fork start method (pickled once per process under another).  A
+    fleet built with ``worker_args`` starts at epoch 1, armed for one
+    call; one built without (the service's) starts unarmed at epoch 0.
+
+    Epochs: every ``configure`` increments ``epoch`` and puts a ``cfg``
+    message with the new ``worker_args`` on each live worker's queue.
+    Workers tag results with the task's epoch, and both workers and
+    supervisor drop cross-epoch messages, so a result from a previous
+    unit can never leak into the current one.
     """
 
-    def __init__(self, workers: int, *, context: str | None = None):
+    def __init__(
+        self,
+        workers: int,
+        *,
+        context: str | None = None,
+        worker_args: tuple | None = None,
+        fault=None,
+    ):
         self._ctx = (
             multiprocessing.get_context(context)
             if context
@@ -250,7 +266,11 @@ class WorkerFleet:
         self.epoch = 0
         self.respawns = 0
         self.closed = False
-        self._config: tuple | None = None  # (worker_args, fault) of this epoch
+        #: (epoch, worker_args, fault) every newly forked worker starts with
+        self._armed: tuple | None = None
+        if worker_args is not None:
+            self.epoch = 1
+            self._armed = (self.epoch, worker_args, fault)
         self.slots: list[dict] = [self._spawn(wid) for wid in range(self.size)]
 
     # ------------------------------------------------------------------
@@ -260,36 +280,44 @@ class WorkerFleet:
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, self.result_q, os.getpid()),
+            args=(wid, task_q, self.result_q, os.getpid(), self._armed),
             daemon=True,
         )
         proc.start()
         return {"proc": proc, "q": task_q, "busy": None}
 
     def configure(self, worker_args, fault=None) -> int:
-        """Arm every worker for a new epoch; returns the epoch number."""
+        """Arm every worker for a new epoch; returns the epoch number.
+
+        Each live worker is re-armed by a ``cfg`` message on its queue;
+        a dead one is replaced by a worker forked already armed for the
+        new epoch, which needs no message.
+        """
         if self.closed:
             raise RuntimeError("fleet is closed")
         self.epoch += 1
-        self._config = (worker_args, fault)
+        self._armed = (self.epoch, worker_args, fault)
         for wid, slot in enumerate(self.slots):
             slot["busy"] = None
-            if not slot["proc"].is_alive():
-                self.slots[wid] = slot = self._spawn(wid)
-                self.respawns += 1
-                obs.counter("repro_durable_respawns_total").inc()
-            slot["q"].put(("cfg", self.epoch, worker_args, fault))
+            if slot["proc"].is_alive():
+                slot["q"].put(("cfg", *self._armed))
+            else:
+                self._replace(wid)
         return self.epoch
 
     def respawn(self, wid: int) -> None:
-        """Terminate and replace one worker, re-arming it for the epoch."""
+        """Terminate and replace one worker.
+
+        The replacement is forked armed for the current epoch, so it
+        needs no ``cfg`` message.
+        """
         slot = self.slots[wid]
         slot["proc"].terminate()
         slot["proc"].join(timeout=5.0)
-        replacement = self._spawn(wid)
-        if self._config is not None:
-            replacement["q"].put(("cfg", self.epoch, *self._config))
-        self.slots[wid] = replacement
+        self._replace(wid)
+
+    def _replace(self, wid: int) -> None:
+        self.slots[wid] = self._spawn(wid)
         self.respawns += 1
         obs.counter("repro_durable_respawns_total").inc()
 
@@ -359,7 +387,8 @@ def run_supervised(
 
     ``fleet`` reuses a persistent :class:`WorkerFleet` instead of
     spawning processes for this call alone; the fleet is re-armed with
-    this call's ``worker_args`` and left running afterwards.
+    this call's ``worker_args`` and left running afterwards.  Without
+    one, the call's own fleet is created armed with them.
     """
     policy = policy or RetryPolicy()
     emit = on_event or (lambda kind, **fields: None)
@@ -414,12 +443,16 @@ def run_supervised(
 
     owned = fleet is None
     if owned:
-        fleet = WorkerFleet(min(workers, max(1, len(blocks))))
+        fleet = WorkerFleet(
+            min(workers, max(1, len(blocks))), worker_args=worker_args, fault=fault
+        )
+    else:
+        fleet.configure(worker_args, fault)
     try:
         supervisor = _PoolSupervisor(
-            fleet, blocks, worker_args, unit=unit, policy=policy, fault=fault,
-            block_done=block_done, fail=fail, should_abort=should_abort,
-            result=result, stopped=lambda: stop,
+            fleet, blocks, unit=unit, policy=policy, block_done=block_done,
+            fail=fail, should_abort=should_abort, result=result,
+            stopped=lambda: stop,
         )
         supervisor.run()
     finally:
@@ -484,10 +517,12 @@ class _PoolSupervisor:
     """
 
     def __init__(
-        self, fleet, blocks, worker_args, *, unit, policy, fault, block_done,
-        fail, should_abort, result, stopped,
+        self, fleet, blocks, *, unit, policy, block_done, fail, should_abort,
+        result, stopped,
     ):
         self.fleet = fleet
+        #: the epoch the caller armed the fleet for, with this call's worker_args
+        self.epoch = fleet.epoch
         self.unit = unit
         self.policy = policy
         self.block_done = block_done
@@ -496,7 +531,6 @@ class _PoolSupervisor:
         self.result = result
         self.stopped = stopped
         self.by_index = {index: (shots, seed) for index, shots, seed in blocks}
-        self.epoch = fleet.configure(worker_args, fault)
         #: heap of (ready_at, index, attempt) tasks not yet handed to a worker
         self.pending: list[tuple[float, int, int]] = [
             (0.0, index, 0) for index, _, _ in blocks

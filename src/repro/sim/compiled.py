@@ -344,8 +344,9 @@ class CompiledCircuit:
     """A circuit lowered once into noise draws plus a symptom table.
 
     Instances are cheap to pickle (the draw list plus the symptom
-    table's CSR arrays), which is how the supervisor ships them once per
-    worker when it arms the fleet.
+    table's CSR arrays), which is how a persistent fleet's ``cfg``
+    message re-arms its workers; a call's own fleet hands them over at
+    fork instead.
     """
 
     def __init__(self, circuit: Circuit):

@@ -15,8 +15,8 @@ Two sampling backends implement that contract:
   :func:`count_logical_errors` call into a
   :class:`~repro.sim.compiled.CompiledCircuit` — its fused noise draws
   plus a CSR table of every noise location's detector/observable
-  symptoms — and shipped once per worker when the fleet is armed, not
-  rebuilt per block.
+  symptoms — and handed to each fleet worker once when the fleet arms
+  it (by fork for a call's own fleet), not rebuilt per block.
 - ``"reference"``: the original per-instruction bool-array
   :class:`~repro.sim.frame.FrameSimulator`, kept as the semantic oracle.
 

@@ -11,6 +11,7 @@ block's result; and every corrupted-ledger case is either tolerated
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -738,9 +739,9 @@ def _make_supervisor(fleet, blocks, policy, *, cls=None,
         result.retries += 1
         return (index, next_attempt, delay(index, attempt))
 
+    fleet.configure(("sampler", "decoder", "basis", "obs"))
     supervisor = (cls or _PoolSupervisor)(
-        fleet, blocks, ("sampler", "decoder", "basis", "obs"),
-        unit="memory", policy=policy, fault=None, block_done=block_done,
+        fleet, blocks, unit="memory", policy=policy, block_done=block_done,
         fail=fail, should_abort=None, result=result, stopped=lambda: False,
     )
     return supervisor, result
@@ -951,6 +952,61 @@ class TestWorkerFleetReuse:
             assert fleet.epoch == waves
         totals = obs.summarize_snapshot(registry.snapshot())
         assert totals["repro_durable_waves_total"] == waves
+
+
+class _UnpicklableSampler:
+    """A sampler that refuses to be pickled, so only a worker that
+    inherited it at fork can run it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, shots, seed):
+        return self.inner.sample(shots, seed)
+
+    def __reduce__(self):
+        raise TypeError("a fleet hands its sampler over at fork, not by pickle")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit their arms only under the fork start method",
+)
+class TestArmedAtFork:
+    """A call's own fleet forks its workers armed with the call's
+    ``worker_args``, respawned workers included: nothing is pickled."""
+
+    @pytest.mark.parametrize(
+        "fault", [None, FaultPlan(seed=1, crash_rate=0.9)], ids=["clean", "crash"]
+    )
+    def test_unpicklable_sampler_completes_every_block(self, registry, fault):
+        sampler = make_sampler(_MEMORY.circuit, "packed")
+        setup = prepare_decoding(_MEMORY, sampler=sampler)
+        worker_args = (
+            _UnpicklableSampler(sampler), setup.decoder,
+            setup.basis_detectors, setup.basis_observables,
+        )
+        blocks = block_seeds(SHOTS, SEED)
+        # A d=3 block takes milliseconds, so a worker left unarmed (its
+        # tasks dropped) times out and quarantines in well under a minute.
+        policy = RetryPolicy(block_timeout=10.0, max_attempts=4,
+                             retry_base_delay=0.001)
+
+        def outcomes(workers):
+            result = supervise.run_supervised(
+                blocks, worker_args, unit="memory", workers=workers,
+                policy=policy, fault=fault,
+            )
+            assert result.quarantined == []
+            return sorted((o.index, o.errors, o.stats) for o in result.completed)
+
+        inline = outcomes(1)
+        assert len(inline) == len(blocks)
+        assert outcomes(2) == inline
+        # A crash kills its worker, and the replacement is forked armed.
+        totals = obs.summarize_snapshot(registry.snapshot())
+        respawned = totals.get("repro_durable_respawns_total", 0) > 0
+        assert respawned == (fault is not None)
 
 
 def _pid_alive(pid):

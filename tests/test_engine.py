@@ -8,6 +8,13 @@ not shots (the regression the old unbounded per-shot dict cache guarded
 poorly).
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,8 +40,8 @@ def _memory(p=5e-3, d=3):
 
 
 class _FailingSampler:
-    """A real sampler that raises on one block (module level: it is
-    pickled to the fleet workers)."""
+    """A real sampler that raises on one block (module level, so a fleet
+    on a start method other than fork can pickle it to its workers)."""
 
     def __init__(self, inner, spawn_key):
         self.inner = inner
@@ -294,3 +301,39 @@ class TestBoundedDecodeWork:
         )
         run_memory_experiment(memory, shots=shots, seed=0)
         assert 0 < sum(rows) < shots // 4
+
+
+class TestFirstBlockImports:
+    """A fresh worker's first block imports no module: an import on the
+    hot path (``np.unique`` loads ``numpy.ma``) would slow the first
+    block of every fleet worker."""
+
+    def test_first_run_block_imports_nothing(self):
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.noise import BASELINE_HARDWARE, ErrorModel
+            from repro.sim import make_sampler, prepare_decoding
+            from repro.sim.engine import block_seeds, run_block
+            from repro.surface_code import baseline_memory_circuit
+
+            memory = baseline_memory_circuit(
+                3, ErrorModel(hardware=BASELINE_HARDWARE, p=5e-3))
+            setup = prepare_decoding(memory)
+            sampler = make_sampler(memory.circuit, "packed")
+            blocks = block_seeds(1024, 0)
+            before = set(sys.modules)
+            errors, stats = run_block(
+                sampler, setup.decoder, setup.basis_detectors,
+                setup.basis_observables, blocks)
+            print(json.dumps({"imported": sorted(set(sys.modules) - before),
+                              "errors": errors, "stats": stats}))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        report = json.loads(out.stdout)
+        assert report["stats"]["batched"] > 0  # the kernel ran
+        assert report["imported"] == []
