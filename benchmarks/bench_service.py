@@ -47,7 +47,8 @@ def _payload(seed: int, n: int) -> dict:
 
 
 def _cli_run(spec, path, w):
-    """The CLI's execution path: fresh ledger, cold per-call caches."""
+    """The CLI's runner, ``run_spec`` (via ``execute_spec``): fresh
+    ledger, cold per-call caches, no persistent fleet."""
     ledger = RunLedger(path, spec)
     executor = DurableExecutor(ledger, workers=w, policy=FAST)
     try:

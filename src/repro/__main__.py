@@ -154,21 +154,37 @@ def _add_durable_args(parser: argparse.ArgumentParser) -> None:
                          help="stop each unit once its Wilson 95%% interval "
                               "is at most this wide (checked on deterministic "
                               "wave boundaries)")
-    durable.add_argument("--chaos", type=_fault_spec, default=None, metavar="SPEC",
-                         help="fault-injection spec for chaos testing, e.g. "
-                              "'crash=0.15,hang=0.08,seed=7' or 'abort=3,"
-                              "seed=7' (keys: crash/hang/exc/decode/torn "
-                              "rates, seed, abort, hang-seconds, max-faults, "
-                              "only)")
-    durable.add_argument("--block-timeout", type=_positive_float, default=300.0,
-                         metavar="SECONDS",
-                         help="per-block deadline before the worker is "
-                              "presumed hung and restarted")
-    durable.add_argument("--max-attempts", type=_positive_int, default=3,
-                         help="attempts per block before quarantine")
-    durable.add_argument("--retry-base-delay", type=_positive_float, default=0.05,
-                         metavar="SECONDS",
-                         help="base of the exponential retry backoff")
+    _add_supervision_args(durable)
+
+
+def _add_supervision_args(parser) -> None:
+    """Fault-injection and retry knobs shared by the campaigns and ``serve``."""
+    parser.add_argument("--chaos", type=_fault_spec, default=None, metavar="SPEC",
+                        help="fault-injection spec for chaos testing, e.g. "
+                             "'crash=0.15,hang=0.08,seed=7' or 'abort=3,"
+                             "seed=7' (keys: crash/hang/exc/decode/torn "
+                             "rates, seed, abort, hang-seconds, max-faults, "
+                             "only)")
+    parser.add_argument("--block-timeout", type=_positive_float, default=300.0,
+                        metavar="SECONDS",
+                        help="per-block deadline before the worker is "
+                             "presumed hung and restarted")
+    parser.add_argument("--max-attempts", type=_positive_int, default=3,
+                        help="attempts per block before quarantine")
+    parser.add_argument("--retry-base-delay", type=_positive_float, default=0.05,
+                        metavar="SECONDS",
+                        help="base of the exponential retry backoff")
+
+
+def _retry_policy(args):
+    """The ``RetryPolicy`` that :func:`_add_supervision_args`' flags set."""
+    from repro.durable import RetryPolicy
+
+    return RetryPolicy(
+        block_timeout=args.block_timeout,
+        max_attempts=args.max_attempts,
+        retry_base_delay=args.retry_base_delay,
+    )
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -235,63 +251,54 @@ def _run_durable(args, spec: dict, body) -> int:
     ``--obs-dir`` arms and dumps observability.
     """
     with _obs_session(args):
-        return _run_durable_plain(args, spec, body)
+        if args.ledger is None:
+            for flag, value in (("--resume", args.resume),
+                                ("--target-ci-width", args.target_ci_width),
+                                ("--chaos", args.chaos)):
+                if value:
+                    print(f"error: {flag} requires --ledger", file=sys.stderr)
+                    return 2
+            return body(None)
+        from repro.durable import (
+            CampaignInterrupted,
+            DurableExecutor,
+            LedgerError,
+            RunLedger,
+            graceful_interrupts,
+        )
 
-
-def _run_durable_plain(args, spec: dict, body) -> int:
-    if args.ledger is None:
-        for flag, value in (("--resume", args.resume),
-                            ("--target-ci-width", args.target_ci_width),
-                            ("--chaos", args.chaos)):
-            if value:
-                print(f"error: {flag} requires --ledger", file=sys.stderr)
-                return 2
-        return body(None)
-    from repro.durable import (
-        CampaignInterrupted,
-        DurableExecutor,
-        LedgerError,
-        RetryPolicy,
-        RunLedger,
-        graceful_interrupts,
-    )
-
-    if (os.path.exists(args.ledger) and os.path.getsize(args.ledger) > 0
-            and not args.resume):
-        print(f"error: ledger {args.ledger} already exists; pass --resume to "
-              f"continue that campaign (or choose a fresh path)",
-              file=sys.stderr)
-        return 2
-    try:
-        ledger = RunLedger(args.ledger, spec, fault=args.chaos)
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
-        return 2
-    executor = DurableExecutor(
-        ledger,
-        workers=args.workers,
-        policy=RetryPolicy(
-            block_timeout=args.block_timeout,
-            max_attempts=args.max_attempts,
-            retry_base_delay=args.retry_base_delay,
-        ),
-        fault=args.chaos,
-        target_ci_width=args.target_ci_width,
-    )
-    try:
-        with graceful_interrupts(executor):
-            code = body(executor)
-        print()
-        print(executor.format_report())
-        return 1 if executor.failed_blocks else code
-    except CampaignInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        return 130
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        ledger.close()
+        if (os.path.exists(args.ledger) and os.path.getsize(args.ledger) > 0
+                and not args.resume):
+            print(f"error: ledger {args.ledger} already exists; pass --resume "
+                  f"to continue that campaign (or choose a fresh path)",
+                  file=sys.stderr)
+            return 2
+        try:
+            ledger = RunLedger(args.ledger, spec, fault=args.chaos)
+        except LedgerError as exc:
+            print(f"ledger error: {exc}", file=sys.stderr)
+            return 2
+        executor = DurableExecutor(
+            ledger,
+            workers=args.workers,
+            policy=_retry_policy(args),
+            fault=args.chaos,
+            target_ci_width=args.target_ci_width,
+        )
+        try:
+            with graceful_interrupts(executor):
+                code = body(executor)
+            print()
+            print(executor.format_report())
+            return 1 if executor.failed_blocks else code
+        except CampaignInterrupted as exc:
+            print(f"\n{exc}", file=sys.stderr)
+            return 130
+        except LedgerError as exc:
+            print(f"ledger error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            ledger.close()
 
 
 def _cmd_tables(_args) -> int:
@@ -453,20 +460,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_memory(args) -> int:
-    from repro.noise import ErrorModel
-    from repro.service.specs import build_memory_spec
-    from repro.sim import run_memory_experiment
-    from repro.threshold import build_memory_circuit
-    from repro.threshold.estimator import default_hardware_for
+    from repro.service.specs import build_memory_spec, run_spec
 
-    model = ErrorModel(
-        hardware=default_hardware_for(args.scheme),
-        p=args.p,
-        scale_coherence=False,
-    )
-    memory = build_memory_circuit(
-        args.scheme, args.distance, model, basis=args.basis, rounds=args.rounds
-    )
     # Shared with the service so CLI and HTTP submissions of the same
     # campaign hash to the same run key (and hence the same ledger).
     spec = build_memory_spec(
@@ -476,26 +471,15 @@ def _cmd_memory(args) -> int:
     )
 
     def body(executor) -> int:
-        result = run_memory_experiment(
-            memory,
-            shots=args.shots,
-            decoder=args.decoder,
-            seed=args.seed,
-            workers=args.workers,
-            backend=args.backend,
-            executor=executor,
-        )
-        print(result)
+        print(run_spec(spec, executor, workers=args.workers))
         return 0
 
     return _run_durable(args, spec, body)
 
 
 def _cmd_compare(args) -> int:
-    from repro.service.specs import build_compare_spec
-    from repro.vlq import build_program
+    from repro.service.specs import build_compare_spec, run_spec
 
-    program = build_program(args.program, args.qubits)
     embeddings = ("compact", "natural") if args.embedding == "both" else (args.embedding,)
     refreshes = ("dram", "none") if args.refresh == "both" else (args.refresh,)
     # Shared with the service (same run key for the same campaign); the
@@ -510,44 +494,27 @@ def _cmd_compare(args) -> int:
         rounds_per_timestep=args.rounds_per_timestep, seed=args.seed,
         decoder=args.decoder, backend=args.backend,
     )
-    policy = spec["policy"]
 
     def body(executor) -> int:
-        return _compare_body(args, executor, program, embeddings, refreshes, policy)
+        _print_comparison(args, spec, run_spec(
+            spec, executor, workers=args.workers, oracle_cert=args.oracle_cert
+        ))
+        return 0
 
     return _run_durable(args, spec, body)
 
 
-def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int:
+def _print_comparison(args, spec: dict, comparison) -> None:
     from repro.report import ascii_table
-    from repro.vlq import ArchitectureComparison, compare_architectures
+    from repro.vlq import ArchitectureComparison
 
-    comparison = compare_architectures(
-        program,
-        distances=tuple(args.distance),
-        embeddings=embeddings,
-        refresh_policies=refreshes,
-        p=args.p,
-        shots=args.shots,
-        stack_grid=(args.grid, args.grid),
-        policy=policy,
-        rounds_per_timestep=args.rounds_per_timestep,
-        decoder=args.decoder,
-        seed=args.seed,
-        workers=args.workers,
-        backend=args.backend,
-        program_name=args.program,
-        correlated=args.correlated,
-        oracle_cert=args.oracle_cert,
-        executor=executor,
-    )
     print(ascii_table(
         ArchitectureComparison.TABLE_HEADERS,
         comparison.table_rows(),
         title=(
             f"Program-level comparison: {args.program}({args.qubits}), "
-            f"p={args.p:g}, {args.shots} shots/qubit, policy={policy}, "
-            f"backend={args.backend}"
+            f"p={args.p:g}, {args.shots} shots/qubit, "
+            f"policy={spec['policy']}, backend={args.backend}"
         ),
     ))
     if args.correlated:
@@ -592,7 +559,6 @@ def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int
         oracle = " (+ tableau oracle)" if args.oracle_cert else ""
         print(f"joint lowerings proven deterministic by symbolic GF(2) "
               f"propagation{oracle}: {joint['misses']} shape(s)")
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -700,7 +666,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.durable import RetryPolicy
     from repro.service import serve_forever
 
     return serve_forever(
@@ -709,11 +674,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        policy=RetryPolicy(
-            block_timeout=args.block_timeout,
-            max_attempts=args.max_attempts,
-            retry_base_delay=args.retry_base_delay,
-        ),
+        policy=_retry_policy(args),
         fault=args.chaos,
         job_timeout=args.job_timeout,
         breaker_threshold=args.breaker_threshold,
@@ -971,14 +932,9 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--breaker-threshold", type=_positive_int, default=3,
                        help="failed runs of one spec before its circuit "
                             "breaker opens (submissions get 409)")
-    serve.add_argument("--block-timeout", type=_positive_float, default=300.0,
-                       metavar="SECONDS")
-    serve.add_argument("--max-attempts", type=_positive_int, default=3)
-    serve.add_argument("--retry-base-delay", type=_positive_float, default=0.05,
-                       metavar="SECONDS")
-    serve.add_argument("--chaos", type=_fault_spec, default=None, metavar="SPEC",
-                       help="service-wide fault injection for chaos testing "
-                            "(same spec language as the campaign commands)")
+    _add_supervision_args(serve.add_argument_group(
+        "supervision", "fault injection and block retries for every job"
+    ))
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
 

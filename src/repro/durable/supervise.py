@@ -243,26 +243,14 @@ class WorkerFleet:
     unit can never leak into the current one.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        context: str | None = None,
-        worker_args: tuple | None = None,
-        fault=None,
-    ):
-        self._ctx = (
-            multiprocessing.get_context(context)
-            if context
-            else multiprocessing.get_context()
-        )
+    def __init__(self, workers: int, *, worker_args: tuple | None = None, fault=None):
         self.size = max(1, int(workers))
         # A SimpleQueue put writes synchronously, under the queue's
         # process-shared write lock, before the worker takes its next
         # task.  A Queue's feeder thread can still be writing when a
         # worker dies at the start of that task (an injected crash), and
         # the lock it then never releases blocks every later result.
-        self.result_q = self._ctx.SimpleQueue()
+        self.result_q = multiprocessing.SimpleQueue()
         self.epoch = 0
         self.respawns = 0
         self.closed = False
@@ -277,8 +265,8 @@ class WorkerFleet:
     # Process lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, wid: int) -> dict:
-        task_q = self._ctx.Queue()
-        proc = self._ctx.Process(
+        task_q = multiprocessing.Queue()
+        proc = multiprocessing.Process(
             target=_worker_main,
             args=(wid, task_q, self.result_q, os.getpid(), self._armed),
             daemon=True,
@@ -616,10 +604,8 @@ class _PoolSupervisor:
         self.handled.add((index, attempt))
         shots, _ = self.by_index[index]
         if kind == "ok":
-            # Late-added payload element: the worker's metrics delta (old
-            # 7-tuple messages from test fakes simply omit it).
-            errors, stats, *extra = payload
-            delta = extra[0] if extra else None
+            # The worker's metrics delta is None when its registry is off.
+            errors, stats, delta = payload
             reg = obs.active()
             if reg is not None and delta is not None:
                 reg.merge_snapshot(delta)

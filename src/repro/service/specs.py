@@ -1,4 +1,4 @@
-"""Canonical campaign specs shared by the CLI and the service.
+"""Canonical campaign specs and the one runner shared by the CLI and the service.
 
 The durability layer identifies a campaign by ``run_key(spec)`` — the
 SHA-256 of the canonical JSON spec — so the CLI and the service MUST
@@ -9,10 +9,16 @@ a CLI ledger, would trivially fail).  These builders are that single
 source of truth: ``__main__.py`` calls them for ``memory``/``compare``
 and the service calls them for every submitted payload.
 
-``execute_spec`` is the matching single source of execution truth: it
-reconstructs the campaign from nothing but the spec (plus the durable
-executor and shared caches, which never affect results), so a job runs
-the same computation no matter which front-end accepted it.
+``run_spec`` is the matching single path from spec to campaign: it
+builds the campaign from nothing but the spec and returns its result
+object — a ``LogicalErrorResult`` for ``memory``, an
+``ArchitectureComparison`` for ``compare``.  The CLI's ``memory`` and
+``compare`` commands print that object; the service's ``execute_spec``
+runs it under the job's durable executor and returns a JSON summary
+whose ``units`` are exactly the units the job's ledger holds.  The
+executor, worker count and shared caches change wall-clock, never
+counts, so a job runs the same computation no matter which front-end
+accepted it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "build_compare_spec",
     "build_memory_spec",
     "execute_spec",
+    "run_spec",
     "spec_from_payload",
 ]
 
@@ -131,10 +138,19 @@ def build_compare_spec(
 
     ``policy=None`` resolves exactly as the CLI does: ``surgery_only``
     when correlated (so there is a joint error surface to measure),
-    ``auto`` otherwise.
+    ``auto`` otherwise.  A size the program cannot take (``pairs`` and
+    ``t`` need an even number of qubits) is rejected here, before a
+    ledger or a job exists.
     """
     from repro.sim import SHOT_BLOCK
+    from repro.vlq import build_program
 
+    program = _choice(program, PROGRAMS, "program")
+    qubits = _positive_int(qubits, "qubits")
+    try:
+        build_program(program, qubits)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     _require(isinstance(correlated, bool), "correlated must be a boolean")
     if policy is None:
         policy = "surgery_only" if correlated else "auto"
@@ -152,8 +168,8 @@ def build_compare_spec(
     _require(len(refresh_policies) > 0, "refresh_policies must be non-empty")
     return {
         "command": "compare",
-        "program": _choice(program, PROGRAMS, "program"),
-        "qubits": _positive_int(qubits, "qubits"),
+        "program": program,
+        "qubits": qubits,
         "correlated": correlated,
         "policy": _choice(policy, POLICIES, "policy"),
         "distances": distances,
@@ -215,6 +231,81 @@ def spec_from_payload(payload: dict) -> dict:
     return spec
 
 
+def run_spec(
+    spec: dict,
+    executor=None,
+    *,
+    workers: int = 1,
+    oracle_cert: bool = False,
+    lowering_cache=None,
+    graph_cache=None,
+    joint_cache=None,
+    joint_graph_cache=None,
+):
+    """Run the campaign a ``memory`` or ``compare`` spec describes.
+
+    Returns the campaign's result object: a
+    :class:`~repro.sim.LogicalErrorResult` for ``memory``, an
+    :class:`~repro.vlq.ArchitectureComparison` for ``compare``.
+    ``executor`` (a ``DurableExecutor``, or None to count in process
+    with ``workers``) and the build caches (``compare`` only) change
+    wall-clock, never counts; ``oracle_cert`` adds the tableau
+    cross-check to every ``compare`` certificate.
+    """
+    command = spec["command"]
+    if command == "memory":
+        from repro.noise import ErrorModel
+        from repro.sim import run_memory_experiment
+        from repro.threshold import build_memory_circuit
+        from repro.threshold.estimator import default_hardware_for
+
+        model = ErrorModel(
+            hardware=default_hardware_for(spec["scheme"]),
+            p=spec["p"],
+            scale_coherence=False,
+        )
+        memory = build_memory_circuit(
+            spec["scheme"], spec["distance"], model,
+            basis=spec["basis"], rounds=spec["rounds"],
+        )
+        return run_memory_experiment(
+            memory,
+            shots=spec["shots"],
+            decoder=spec["decoder"],
+            seed=spec["seed"],
+            workers=workers,
+            backend=spec["backend"],
+            executor=executor,
+        )
+    if command == "compare":
+        from repro.vlq import build_program, compare_architectures
+
+        return compare_architectures(
+            build_program(spec["program"], spec["qubits"]),
+            distances=tuple(spec["distances"]),
+            embeddings=tuple(spec["embeddings"]),
+            refresh_policies=tuple(spec["refresh_policies"]),
+            p=spec["p"],
+            shots=spec["shots"],
+            stack_grid=(spec["grid"], spec["grid"]),
+            policy=spec["policy"],
+            rounds_per_timestep=spec["rounds_per_timestep"],
+            decoder=spec["decoder"],
+            seed=spec["seed"],
+            workers=workers,
+            backend=spec["backend"],
+            program_name=spec["program"],
+            correlated=spec["correlated"],
+            oracle_cert=oracle_cert,
+            executor=executor,
+            lowering_cache=lowering_cache,
+            graph_cache=graph_cache,
+            joint_cache=joint_cache,
+            joint_graph_cache=joint_graph_cache,
+        )
+    raise SpecError(f"unknown spec command {command!r}")
+
+
 def execute_spec(
     spec: dict,
     executor,
@@ -224,127 +315,40 @@ def execute_spec(
     joint_cache=None,
     joint_graph_cache=None,
 ) -> dict:
-    """Run the campaign a spec describes; returns a JSON-able summary.
+    """:func:`run_spec` under a durable ``executor``, summarized as JSON.
 
-    Only the spec affects results — the durable ``executor`` (which
-    carries the worker count) and the shared caches change wall-clock,
-    never block records (the engine's worker-invariance contract).  The
-    summary reports per-unit errors/shots/CI (a unit with no completed
-    shots reports rate 0.0 and the vacuous interval [0, 1]), and is
-    what a job's ``result`` field holds once it completes.  Decode-tier
-    totals are served by the registry (``/metrics``), not the result.
+    The summary's ``units`` are the executor's unit outcomes, one per
+    ledger unit with its label and totals: errors, shots, rate and
+    Wilson interval (a unit with no completed shots reports rate 0.0
+    and the vacuous interval [0, 1]).  A ``compare`` summary adds each
+    sweep point's ``uncovered_windows`` and the build caches' stats.
+    It is what a job's ``result`` field holds once it completes;
+    decode-tier totals are served by the registry (``/metrics``).
     """
-    command = spec["command"]
-    if command == "memory":
-        return _execute_memory(spec, executor)
-    if command == "compare":
-        return _execute_compare(
-            spec, executor,
-            lowering_cache=lowering_cache, graph_cache=graph_cache,
-            joint_cache=joint_cache, joint_graph_cache=joint_graph_cache,
-        )
-    raise SpecError(f"unknown spec command {command!r}")
+    from repro.sim import wilson_interval
 
-
-def _execute_memory(spec, executor) -> dict:
-    from repro.noise import ErrorModel
-    from repro.sim import run_memory_experiment
-    from repro.threshold import build_memory_circuit
-    from repro.threshold.estimator import default_hardware_for
-
-    model = ErrorModel(
-        hardware=default_hardware_for(spec["scheme"]),
-        p=spec["p"],
-        scale_coherence=False,
-    )
-    memory = build_memory_circuit(
-        spec["scheme"], spec["distance"], model,
-        basis=spec["basis"], rounds=spec["rounds"],
-    )
-    result = run_memory_experiment(
-        memory,
-        shots=spec["shots"],
-        decoder=spec["decoder"],
-        seed=spec["seed"],
-        backend=spec["backend"],
-        executor=executor,
-    )
-    return {
-        "command": "memory",
-        "units": [
-            {
-                "unit": "memory",
-                "errors": result.logical_errors,
-                "shots": result.shots,
-                "rate": result.logical_error_rate,
-                "ci": list(result.confidence_interval),
-            }
-        ],
-    }
-
-
-def _execute_compare(
-    spec, executor, *,
-    lowering_cache, graph_cache, joint_cache, joint_graph_cache,
-) -> dict:
-    from repro.vlq import build_program, compare_architectures
-
-    program = build_program(spec["program"], spec["qubits"])
-    comparison = compare_architectures(
-        program,
-        distances=tuple(spec["distances"]),
-        embeddings=tuple(spec["embeddings"]),
-        refresh_policies=tuple(spec["refresh_policies"]),
-        p=spec["p"],
-        shots=spec["shots"],
-        stack_grid=(spec["grid"], spec["grid"]),
-        policy=spec["policy"],
-        rounds_per_timestep=spec["rounds_per_timestep"],
-        decoder=spec["decoder"],
-        seed=spec["seed"],
-        backend=spec["backend"],
-        program_name=spec["program"],
-        correlated=spec["correlated"],
-        executor=executor,
-        lowering_cache=lowering_cache,
-        graph_cache=graph_cache,
-        joint_cache=joint_cache,
-        joint_graph_cache=joint_graph_cache,
+    result = run_spec(
+        spec, executor,
+        lowering_cache=lowering_cache, graph_cache=graph_cache,
+        joint_cache=joint_cache, joint_graph_cache=joint_graph_cache,
     )
     units = []
-    uncovered = {}
-    for row in comparison.rows:
-        point = f"{row.embedding}/{row.refresh}/d{row.distance}"
-        if row.uncovered_windows:
-            uncovered[point] = row.uncovered_windows
-        for qubit in row.per_qubit:
-            units.append(
-                {
-                    "unit": f"{point}/q{qubit.qubit}",
-                    "errors": qubit.result.logical_errors,
-                    "shots": qubit.result.shots,
-                    "rate": qubit.result.logical_error_rate,
-                    "ci": list(qubit.result.confidence_interval),
-                }
-            )
-        if row.pieces is not None:
-            for i, piece in enumerate(row.pieces):
-                label = "+".join(f"q{q}" for q in piece.qubits)
-                units.append(
-                    {
-                        "unit": f"{point}/pair{i}:{label}",
-                        "errors": piece.result.logical_errors,
-                        "shots": piece.result.shots,
-                        "rate": piece.result.logical_error_rate,
-                        "ci": list(piece.result.confidence_interval),
-                    }
-                )
-    return {
-        "command": "compare",
-        "units": units,
-        "uncovered_windows": uncovered,
-        "caches": {
-            "lowering": comparison.lowering_cache.stats(),
-            "decoder_graph": comparison.graph_cache.stats(),
-        },
-    }
+    for unit in executor.units:
+        rate, ci = 0.0, [0.0, 1.0]
+        if unit.shots > 0:
+            rate = unit.errors / unit.shots
+            ci = list(wilson_interval(unit.errors, unit.shots))
+        units.append({"unit": unit.unit, "errors": unit.errors,
+                      "shots": unit.shots, "rate": rate, "ci": ci})
+    summary: dict = {"command": spec["command"], "units": units}
+    if spec["command"] == "compare":
+        summary["uncovered_windows"] = {
+            f"{row.embedding}/{row.refresh}/d{row.distance}": row.uncovered_windows
+            for row in result.rows
+            if row.uncovered_windows
+        }
+        summary["caches"] = {
+            "lowering": result.lowering_cache.stats(),
+            "decoder_graph": result.graph_cache.stats(),
+        }
+    return summary

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.arch import compact_memory_circuit, natural_memory_circuit
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel, HardwareParams
@@ -106,24 +106,13 @@ class ThresholdStudy:
         Returns None when no crossing is bracketed by the sweep (e.g. all
         points on one side of the threshold).
         """
-        crossings = []
-        # Pairing must walk numerically consecutive distances no matter
-        # what order the caller listed them in.
-        ds = sorted(self._ordered_distances())
-        for d1, d2 in zip(ds, ds[1:]):
-            crossing = _crossing(
-                self.physical_error_rates,
-                self.logical_rates(d1),
-                self.logical_rates(d2),
-                # max(): a durable point whose every block was
-                # quarantined has no shots.
-                min_rate=0.5 / max(self.results[d1][0].shots, 1),
-            )
-            if crossing is not None:
-                crossings.append(crossing)
-        if not crossings:
-            return None
-        return math.exp(sum(math.log(c) for c in crossings) / len(crossings))
+        return _mean_crossing(
+            self.physical_error_rates,
+            {d: self.logical_rates(d) for d in self._ordered_distances()},
+            # max(): a durable point whose every block was quarantined
+            # has no shots.
+            lambda d: 0.5 / max(self.results[d][0].shots, 1),
+        )
 
     def rows(self) -> list[tuple]:
         """Table rows (p, then one logical rate column per distance).
@@ -175,6 +164,30 @@ def _crossing(
             t = g0 / (g0 - g1)
             return math.exp(x0 + t * (x1 - x0))
     return None
+
+
+def _mean_crossing(
+    ps: Sequence[float],
+    curves: Mapping[int, Sequence[float]],
+    min_rate: Callable[[int], float],
+) -> float | None:
+    """Geometric mean of the crossings of consecutive-distance curves.
+
+    ``curves`` maps each distance to its logical rates over ``ps``.
+    Pairs walk numerically consecutive distances, whatever order the
+    caller listed them in, and the pair starting at distance ``d``
+    clamps its rates at ``min_rate(d)`` (see :func:`_crossing`).
+    Returns None when no pair's crossing is bracketed by the sweep.
+    """
+    crossings = []
+    ds = sorted(curves)
+    for d1, d2 in zip(ds, ds[1:]):
+        crossing = _crossing(ps, curves[d1], curves[d2], min_rate=min_rate(d1))
+        if crossing is not None:
+            crossings.append(crossing)
+    if not crossings:
+        return None
+    return math.exp(sum(math.log(c) for c in crossings) / len(crossings))
 
 
 def estimate_threshold(

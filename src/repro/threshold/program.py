@@ -14,12 +14,11 @@ interpolation the patch-level estimator uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core import LogicalProgram
-from repro.threshold.estimator import _crossing
+from repro.threshold.estimator import _mean_crossing
 from repro.vlq import compare_architectures
 
 __all__ = ["ProgramThresholdStudy", "estimate_program_threshold"]
@@ -48,20 +47,11 @@ class ProgramThresholdStudy:
 
         Returns None when no crossing is bracketed by the sweep.
         """
-        crossings = []
-        ds = sorted(self.distances)
-        for d1, d2 in zip(ds, ds[1:]):
-            crossing = _crossing(
-                self.physical_error_rates,
-                self.rates[d1],
-                self.rates[d2],
-                min_rate=0.5 / max(self.shots, 1),
-            )
-            if crossing is not None:
-                crossings.append(crossing)
-        if not crossings:
-            return None
-        return math.exp(sum(math.log(c) for c in crossings) / len(crossings))
+        return _mean_crossing(
+            self.physical_error_rates,
+            {d: self.rates[d] for d in self.distances},
+            lambda d: 0.5 / max(self.shots, 1),
+        )
 
     def rows(self) -> list[tuple]:
         """Table rows: p, then one ``p_program`` column per distance."""

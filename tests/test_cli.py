@@ -215,6 +215,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_invalid_program_size_fails_before_the_ledger(self, tmp_path):
+        ledger = tmp_path / "compare.jsonl"
+        with pytest.raises(ValueError, match="even number of qubits"):
+            main(["compare", "--qubits", "3", "--ledger", str(ledger)])
+        assert not ledger.exists()
+
     @pytest.mark.parametrize("command", [
         ["memory", "--distance", "3", "--shots", "2048"],
         ["compare", "--qubits", "2", "--embedding", "natural",

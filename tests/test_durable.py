@@ -778,7 +778,7 @@ class TestCrossRespawnDedup:
         # and — the cross-respawn edge — it must NOT clear the busy
         # entry of the respawned worker running attempt 1.
         supervisor.handle_message(
-            ("ok", supervisor.epoch, 0, 5, 0, 7, {"shots": 1024})
+            ("ok", supervisor.epoch, 0, 5, 0, 7, {"shots": 1024}, None)
         )
         assert result.completed == []
         assert fleet.slots[0]["busy"] is not None
@@ -786,7 +786,7 @@ class TestCrossRespawnDedup:
 
         # The retry's own result is counted exactly once.
         supervisor.handle_message(
-            ("ok", supervisor.epoch, 0, 5, 1, 3, {"shots": 1024})
+            ("ok", supervisor.epoch, 0, 5, 1, 3, {"shots": 1024}, None)
         )
         assert [o.errors for o in result.completed] == [3]
         assert result.completed[0].attempts == 2
@@ -803,7 +803,7 @@ class TestCrossRespawnDedup:
         assert [o.index for o in result.quarantined] == [2]
 
         supervisor.handle_message(
-            ("ok", supervisor.epoch, 0, 2, 0, 9, {"shots": 1024})
+            ("ok", supervisor.epoch, 0, 2, 0, 9, {"shots": 1024}, None)
         )
         assert result.completed == []  # quarantine stands; no double count
         assert [o.index for o in result.quarantined] == [2]
@@ -819,13 +819,13 @@ class TestCrossRespawnDedup:
         # same block index, wrong epoch.  Dropped wholesale — it neither
         # counts nor consumes (0, 0) in the handled set.
         supervisor.handle_message(
-            ("ok", supervisor.epoch - 1, 0, 0, 0, 9, {"shots": 1024})
+            ("ok", supervisor.epoch - 1, 0, 0, 0, 9, {"shots": 1024}, None)
         )
         assert result.completed == []
         assert (0, 0) not in supervisor.handled
 
         supervisor.handle_message(
-            ("ok", supervisor.epoch, 0, 0, 0, 2, {"shots": 1024})
+            ("ok", supervisor.epoch, 0, 0, 0, 2, {"shots": 1024}, None)
         )
         assert [o.errors for o in result.completed] == [2]
 
@@ -880,7 +880,7 @@ class TestPendingHeapOrder:
                         if action == "ok":
                             supervisor.handle_message(
                                 ("ok", supervisor.epoch, wid, index, attempt,
-                                 0, {}))
+                                 0, {}, None))
                         elif action == "err":
                             supervisor.handle_message(
                                 ("err", supervisor.epoch, wid, index, attempt,

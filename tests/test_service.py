@@ -63,7 +63,12 @@ MEM_PAYLOAD_2 = {"command": "memory", "distance": 3, "shots": 2048, "seed": 4}
 
 
 def _reference_run(spec, path, *, workers=1):
-    """The uninterrupted reference: the CLI's own execution path."""
+    """The uninterrupted reference: the CLI's runner, ``run_spec``.
+
+    ``execute_spec`` runs it on a fresh ledger with cold caches and no
+    persistent fleet, as ``repro memory``/``compare --ledger`` do, and
+    summarizes the executor's units.
+    """
     ledger = RunLedger(path, spec)
     executor = DurableExecutor(ledger, workers=workers, policy=FAST,
                                stop_interval_blocks=1)
@@ -126,6 +131,12 @@ class TestSpecs:
         with pytest.raises(SpecError, match="odd integer"):
             spec_from_payload({"command": "compare", "distances": [4]})
 
+    @pytest.mark.parametrize("program", ["pairs", "t"])
+    def test_compare_program_size_validated(self, program):
+        with pytest.raises(SpecError, match="even number of qubits"):
+            spec_from_payload({"command": "compare", "program": program,
+                               "qubits": 3})
+
 
 class TestExecuteSpec:
     @pytest.mark.parametrize("spec, uncovered", [
@@ -151,6 +162,26 @@ class TestExecuteSpec:
         totals = obs.summarize_snapshot(registry.snapshot())
         assert totals.get("repro_campaign_uncovered_windows_total", 0) == sum(
             uncovered.values())
+
+    @pytest.mark.parametrize("program, qubits", [("ghz", 3), ("t", 2)])
+    def test_result_units_are_the_ledgers_units(self, tmp_path, program, qubits):
+        # ghz(3) has no jointly decoded pair: its single-qubit pieces are
+        # the per-qubit units, so each must be listed once, not again as
+        # a piece; t(2) has one pair unit next to its qubit units.
+        spec = build_compare_spec(
+            program=program, qubits=qubits, correlated=True, distances=[3],
+            shots=1024, embeddings=["natural"], refresh_policies=["dram"],
+        )
+        path = tmp_path / "compare.jsonl"
+        result = _reference_run(spec, path)
+        labels = [unit["unit"] for unit in result["units"]]
+        assert len(labels) == len(set(labels))
+        ledger_units = parse_ledger(path).units
+        assert labels == list(ledger_units)
+        for unit in result["units"]:
+            record = ledger_units[unit["unit"]]
+            assert (unit["errors"], unit["shots"]) == (
+                record["errors"], record["shots"])
 
 
 # ---------------------------------------------------------------------------
